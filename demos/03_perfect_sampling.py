@@ -3,12 +3,13 @@ Perfect posterior sampling checked against exhaustive enumeration
 =================================================================
 
 On a tiny three-site problem the posterior over occupancy counts can be
-enumerated exactly.  Coupling-from-the-past draws carry no burn-in or
-mixing error, so their empirical law should match the enumeration to
+enumerated exactly.  Monotone coupling-from-the-past draws carry no burn-in
+or mixing error, so their empirical law should match the enumeration to
 Monte Carlo accuracy -- which this script measures as a total-variation
-distance.  It also shows the tier system that keeps the sampler cheap
-when a coefficient is so large that its occupancy is a foregone
-conclusion.
+distance.  It also shows the tiers: a site whose coefficient is so large
+that its occupancy is nearly certain is held occupied rather than
+simulated, so draws are exact for that tier-conditioned posterior, the
+close approximation the sampler targets.
 """
 
 import math
@@ -63,12 +64,13 @@ for pat in sorted(occ_exact, key=occ_exact.get, reverse=True):
 
 tv = 0.5 * sum(abs(occ_exact.get(k, 0.0) - occ_freq.get(k, 0.0)) for k in set(occ_exact) | set(occ_freq))
 print(f"\ntotal variation distance over {n_draws} draws: {tv:.4f}")
-print("(after the coupled chains coalesce, each draw is exactly stationary)")
+print("(once the top and bottom chains coalesce, each draw is exactly stationary)")
 
 # --- tiers for extreme coefficients ------------------------------------
-# A very large observed coefficient makes occupancy certain; the sampler
-# then skips simulation for that site instead of tracking an enormous
-# dominating rate.
+# Above the first cutoff a site is held occupied in both chains and only its
+# multiplicity is drawn; above the second its coefficient comes straight
+# from the observation.  Holding a site occupied is an approximation: its
+# exact occupancy can be well below one.
 strong = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
 for d in (0.0, 0.6, 2.0):
     tier = Tier(int(classify_sites(np.array([d]), strong)[0]))

@@ -27,7 +27,7 @@ from .baselines import (
 from .cftp import DEFAULT_DIRECT_CUTOFF, DEFAULT_SIMULATION_CUTOFF, CoalescenceError
 from .estimator import denoise
 from .model import ModelParams
-from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
+from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
 
 __all__ = [
     "METHODS",
@@ -62,7 +62,6 @@ class ExperimentConfig:
     seed: int = 0
     t1: float = DEFAULT_SIMULATION_CUTOFF
     t2: float = DEFAULT_DIRECT_CUTOFF
-    t0: float = 1.0
     max_doublings: int = 20
     methods: tuple[str, ...] = METHODS
     wavelet_policy: str = "auto"
@@ -88,10 +87,8 @@ class ExperimentConfig:
             raise ValueError("wavelet_policy must be 'auto', 'haar', or 'la10'")
 
     def wavelet_for(self, signal: str):
-        """The filter a signal is analysed with; 'auto' matches filters to signal shape."""
-        if self.wavelet_policy != "auto":
-            return get_filter(self.wavelet_policy)
-        return get_filter("haar" if signal == "Blocks" else "la10")
+        """The filter a signal is analysed with under ``wavelet_policy``."""
+        return get_filter(resolve_wavelet(self.wavelet_policy, signal))
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: Experimen
         params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma, cfg.z)
         return denoise(
             y, filt, params, cfg.n_draws, seed,
-            t1=cfg.t1, t2=cfg.t2, t0=cfg.t0, max_doublings=cfg.max_doublings,
+            t1=cfg.t1, t2=cfg.t2, max_doublings=cfg.max_doublings,
         )
     dec = forward_dwt(y, filt)
     if method == "Universal":

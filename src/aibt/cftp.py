@@ -1,20 +1,25 @@
-"""Exact posterior sampling by dominated coupling-from-the-past.
+"""Exact posterior sampling by monotone coupling-from-the-past on the occupancy field.
 
-The posterior point process is sandwiched between two coupled birth-death
-replays driven by one dominating process.  The dominating process runs
-independent per-site dynamics whose birth rate bounds the true conditional
-intensity everywhere, so its stationary state is an independent per-site
-Poisson draw.  A trajectory of it is generated backwards from time zero by
-time reversal (the stationary process is reversible), then replayed forward
-from an increasingly remote horizon: the upper replay starts from the full
-dominating state, the lower from a thinned state, and each birth is accepted
-against the extrema of the conditional intensity over every configuration
-sandwiched between the two replays.  Both replays see the same birth marks,
-so once they agree they stay together; if they agree at time zero the common
-state is an exact posterior draw.  Sites whose dominating rate is too large
-to simulate
-are frozen as occupied (their posterior occupancy is overwhelming) or, above
-a second threshold, handed to the estimator directly.
+Given which sites are occupied, site multiplicities are independent, so the
+posterior over occupancy patterns is a binary area-interaction field: an
+occupied site ``s`` weighs ``W_s = sum_{c>=1} lam**c / c! * N(dhat_s; 0, v(c))
+/ N(dhat_s; 0, v(0))`` and every covered site costs a factor ``1/gamma``.
+The heat-bath conditional of a site is ``sigmoid(log W_s - unc_s * log
+gamma)``, where ``unc_s`` counts the sites of ``B(s)`` that no other
+occupied site covers.  For ``gamma >= 1`` it grows with the rest of the
+pattern, so the field is attractive and Propp-Wilson monotone CFTP is exact
+on it: a top chain started all occupied and a bottom chain started all
+empty share every uniform; once they agree at time zero the common pattern
+is an exact draw.  Each sweep updates the lattice's colour classes in turn;
+no two sites of one class have intersecting neighbourhoods, so a class
+updates as one vectorized step.  Occupied sites then draw their
+multiplicity from its one-dimensional law.
+
+Sites whose dominating rate ``lam * exp(dhat**2 * max_gain_exponent)`` is
+too large are not simulated: above ``t1`` they are held occupied in both
+chains (their count drawn by the estimator), above ``t2`` they are handed
+to the estimator directly.  Draws are exact for this tier-conditioned
+posterior, the close approximation the sampler targets.
 """
 
 from __future__ import annotations
@@ -23,36 +28,33 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Configuration, Lattice
-from .model import ModelParams, dominating_rate, lower_thinning_prob
+from .lattice import Configuration, Lattice, lattice_for
+from .model import ModelParams, log_count_terms, log_dominating_rate
 
 __all__ = [
     "Tier",
     "DEFAULT_SIMULATION_CUTOFF",
     "DEFAULT_DIRECT_CUTOFF",
     "classify_sites",
-    "sample_stationary_dominating",
-    "Event",
-    "EventTrajectory",
-    "extend_backward",
-    "CouplingState",
-    "run_coupled_forward",
     "CoalescenceError",
+    "cftp_counts",
     "cftp_sample",
 ]
 
 logger = logging.getLogger(__name__)
 
-BIRTH = 1
-DEATH = -1
-
 DEFAULT_SIMULATION_CUTOFF = math.exp(4.0)
 DEFAULT_DIRECT_CUTOFF = math.exp(20.0)
+
+# the multiplicity sum is cut where the dropped tail is below this share of W_s
+_LOG_TAIL_SHARE = -60.0 * math.log(2.0)
+# largest dominating rate a simulated site may have (about e**10.4); its
+# multiplicity sum then runs to some 2**16 terms
+_MAX_SIMULATED_RATE = 2.0**15
+_CHUNK_TERMS = 2**20  # count terms evaluated at once
 
 
 class Tier(enum.IntEnum):
@@ -72,664 +74,224 @@ def classify_sites(
     """Assign each site a tier from its dominating rate.
 
     Rates at most ``t1`` are simulated exactly; rates in ``(t1, t2]`` are
-    treated as permanently occupied (their occupancy probability is
-    overwhelming, only the multiplicity is random); rates above ``t2`` are
-    estimated directly from the observation.  Comparison happens in log
-    space so no finite cutoff can overflow.
+    treated as permanently occupied (only the multiplicity is random);
+    rates above ``t2`` are estimated directly from the observation.
+    Comparison happens in log space so no finite cutoff can overflow.
     """
     if not (0 < t1 <= t2):
         raise ValueError("cutoffs must satisfy 0 < t1 <= t2")
-    d2 = np.asarray(dhat, dtype=float) ** 2
-    log_rate = math.log(params.lam) + d2 * params.max_gain_exponent
-    tiers = np.full(d2.shape, Tier.SIMULATED, dtype=np.int8)
+    log_rate = np.asarray(log_dominating_rate(dhat, params))
+    tiers = np.full(log_rate.shape, Tier.SIMULATED, dtype=np.int8)
     tiers[log_rate > math.log(t1)] = Tier.OCCUPIED_ASSUMED
     tiers[log_rate > math.log(t2)] = Tier.DIRECT
     return tiers
 
 
-def sample_stationary_dominating(
-    lattice: Lattice,
-    dhat: np.ndarray,
-    params: ModelParams,
-    tiers: np.ndarray | None = None,
-    seed: int | np.random.Generator = 0,
-) -> Configuration:
-    """One stationary draw of the dominating process over simulated sites.
-
-    Each simulated site receives an independent Poisson count with its
-    dominating rate; other tiers carry no simulated points.
-    """
-    dhat = np.asarray(dhat, dtype=float)
-    if tiers is None:
-        tiers = classify_sites(dhat, params)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = np.zeros(lattice.n_sites, dtype=np.int64)
-    sim = np.flatnonzero(tiers == Tier.SIMULATED)
-    counts[sim] = rng.poisson(dominating_rate(dhat[sim], params))
-    return Configuration.from_counts(lattice, counts)
-
-
-class Event(NamedTuple):
-    """One forward-time birth or death of an identified dominating point.
-
-    ``mark`` is the point's uniform mark; the same uniform decides both
-    whether a birth is accepted by each replay and whether the point
-    survives the thinning that initializes the lower replay, which is what
-    keeps runs from ever-deeper horizons consistent with each other.
-    """
-
-    time: float
-    kind: int
-    point: int
-    site: int
-    mark: float
-
-
-class _ReplayTables:
-    """Per-trajectory lookup tables shared by all forward replays.
-
-    ``joint[s][c]`` is the full count-dependent part of the acceptance
-    probability at site ``s`` when the site holds ``c`` points: the data
-    gain times the variance ratio, premultiplied by the dominating-rate
-    inverse.  A replay takes the extrema of one row slice and multiplies by
-    a clustering power, never calling ``exp``.  Rows grow lazily with the
-    largest count seen at the site.
-    """
-
-    def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, tiers: np.ndarray):
-        self.params = params
-        self.dhat2 = (np.asarray(dhat, dtype=float) ** 2).tolist()
-        self.inv_dom = np.exp(-np.asarray(dhat, dtype=float) ** 2 * params.max_gain_exponent).tolist()
-        self.thin = lower_thinning_prob(dhat, params).tolist()
-        self.gpow = [params.gamma**-m for m in range(lattice.max_neighbourhood + 1)]
-        base_cov = [0] * lattice.n_sites
-        for x in np.flatnonzero(np.asarray(tiers) != Tier.SIMULATED):
-            for v in lattice.neighbours[x]:
-                base_cov[v] += 1
-        self.base_cov = base_cov
-        self.base_unc = [
-            sum(1 for v in lattice.neighbours[u] if base_cov[v] == 0) for u in range(lattice.n_sites)
-        ]
-        self.gain = [params.gain_exponent(0)]
-        self.vratio = [math.sqrt(params.variance(0) / params.variance(1))]
-        self.joint: list[list[float]] = [[] for _ in range(lattice.n_sites)]
-
-    def ensure_count(self, c: int) -> None:
-        while len(self.gain) <= c:
-            k = len(self.gain)
-            self.gain.append(self.params.gain_exponent(k))
-            self.vratio.append(math.sqrt(self.params.variance(k) / self.params.variance(k + 1)))
-
-    def joint_row(self, s: int, c: int) -> list[float]:
-        """``inv_dom[s] * exp(dhat[s]^2 * gain[k]) * vratio[k]`` for k = 0..c."""
-        row = self.joint[s]
-        if len(row) <= c:
-            self.ensure_count(c)
-            d2 = self.dhat2[s]
-            base = self.inv_dom[s]
-            gain = self.gain
-            vratio = self.vratio
-            row.extend(
-                base * math.exp(d2 * gain[k]) * vratio[k] for k in range(len(row), c + 1)
-            )
-        return row
-
-
-class EventTrajectory:
-    """A dominating-process path on ``(-horizon, 0]``, extendable further back.
-
-    The path is generated in reversed time from a stationary draw at time
-    zero.  The dominating process is independent per site, so each
-    extension materializes one segment of reversed time in bulk: every
-    point carries its own unit-rate lifetime, which is exactly the
-    per-point death law the aggregate dynamics describe.  Extending the
-    horizon only appends deeper events; everything already generated,
-    including all marks, is preserved, so a replay from a deeper start
-    sees the same recent history.  Events are stored newest-first in
-    per-segment scalar arrays; the ``events`` property materializes them
-    for inspection.
-    """
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        dhat: np.ndarray,
-        params: ModelParams,
-        tiers: np.ndarray | None = None,
-        seed: int | np.random.Generator = 0,
-    ):
-        dhat = np.asarray(dhat, dtype=float)
-        if dhat.shape != (lattice.n_sites,):
-            raise ValueError("dhat must hold one value per lattice site")
-        if params.neighbourhood_bound < lattice.max_neighbourhood:
-            raise ValueError("params.neighbourhood_bound is below the lattice maximum")
-        if tiers is None:
-            tiers = classify_sites(dhat, params)
-        tiers = np.asarray(tiers, dtype=np.int8)
-        self.lattice = lattice
-        self.params = params
-        self.dhat = dhat
-        self.tiers = tiers
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.sim_sites = np.flatnonzero(tiers == Tier.SIMULATED)
-        rates = np.atleast_1d(dominating_rate(dhat[self.sim_sites], params))
-        self.total_rate = float(rates.sum())
-        self._sim_rates = rates
-        self._sim_ids = self.sim_sites.astype(np.int64)
-        # marks are kept only for points alive at the frontier; a point's
-        # mark moves into its birth event once that event is generated
-        self.marks: dict[int, float] = {}
-        # each segment holds (forward times, signed codes, sites, marks)
-        # sorted newest-first; code +(pid+1) is a birth, -(pid+1) a death
-        self._segments: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.horizon = 0.0
-        points: dict[int, int] = {}
-        pid = 0
-        counts = self._rng.poisson(rates)
-        mark0 = self._rng.random(int(counts.sum()))
-        for i, s in enumerate(self._sim_ids.tolist()):
-            for _ in range(int(counts[i])):
-                points[pid] = s
-                self.marks[pid] = float(mark0[pid])
-                pid += 1
-        self._next_id = pid
-        self.end_points = dict(points)  # state at time 0
-        self.frontier_points = points  # state at time -horizon, mutated on extension
-        self.tables = _ReplayTables(lattice, dhat, params, tiers)
-
-    @property
-    def n_events(self) -> int:
-        return sum(len(seg[1]) for seg in self._segments)
-
-    @property
-    def events(self) -> list[Event]:
-        """The recorded events, newest-first (increasing lookback).
-        Materialized on demand; meant for tests and diagnostics, not for
-        bulk replay."""
-        out = []
-        for times, codes, sites, marks in self._segments:
-            for t, code, s, m in zip(times.tolist(), codes.tolist(), sites.tolist(), marks.tolist()):
-                kind = BIRTH if code > 0 else DEATH
-                out.append(Event(t, kind, abs(code) - 1, s, m))
-        return out
-
-
-def extend_backward(traj: EventTrajectory, new_horizon: float) -> EventTrajectory:
-    """Push the trajectory start back to ``-new_horizon``, reusing the stream.
-
-    One reversed-time segment is generated in bulk: new reversed births
-    arrive as a Poisson scatter over the segment (each is a forward death
-    of a newly identified point) and every live point carries a unit-rate
-    reversed lifetime whose expiry is the point's forward birth.  Lifetimes
-    of points surviving a segment are redrawn next segment, which the
-    memoryless property makes law-preserving.  Existing events and marks
-    are never touched, so trajectories with the same seed and the same
-    horizon schedule are identical, and deeper extensions only prepend
-    history.
-    """
-    if not new_horizon > traj.horizon:
-        raise ValueError("new_horizon must exceed the current horizon")
-    rng = traj._rng
-    t_lo = traj.horizon
-    span = new_horizon - t_lo
-    frontier = traj.frontier_points
-    marks = traj.marks
-
-    # reversed births inside the segment, site by site
-    n_new = rng.poisson(traj._sim_rates * span)
-    tot = int(n_new.sum())
-    if traj._next_id + tot + 1 >= 2**31:
-        raise RuntimeError("trajectory exceeds the point-id budget")
-    site_new = np.repeat(traj._sim_ids, n_new)
-    t_born = t_lo + rng.random(tot) * span
-    life_new = rng.standard_exponential(tot)
-    mark_new = rng.random(tot)
-    pid_new = np.arange(traj._next_id, traj._next_id + tot, dtype=np.int64)
-    traj._next_id += tot
-    die_new = t_born + life_new
-
-    # remaining reversed lifetimes of the current frontier
-    nf = len(frontier)
-    fr_pid = np.fromiter(frontier.keys(), dtype=np.int64, count=nf)
-    fr_site = np.fromiter(frontier.values(), dtype=np.int64, count=nf)
-    fr_die = t_lo + rng.standard_exponential(nf)
-
-    new_dead = die_new <= new_horizon
-    fr_dead = fr_die <= new_horizon
-    fr_dead_pids = fr_pid[fr_dead].tolist()
-    rev_times = np.concatenate([t_born, die_new[new_dead], fr_die[fr_dead]])
-    codes = np.concatenate(
-        [-(pid_new + 1), pid_new[new_dead] + 1, fr_pid[fr_dead] + 1]
-    ).astype(np.int32)
-    sites = np.concatenate([site_new, site_new[new_dead], fr_site[fr_dead]]).astype(np.int32)
-    marksv = np.concatenate(
-        [mark_new, mark_new[new_dead], np.array([marks[p] for p in fr_dead_pids])]
-    )
-    order = np.argsort(rev_times, kind="stable")
-    if len(order):
-        traj._segments.append((-rev_times[order], codes[order], sites[order], marksv[order]))
-
-    for p in fr_dead_pids:
-        del frontier[p]
-        del marks[p]
-    surv = ~new_dead
-    for pid, site, mk in zip(
-        pid_new[surv].tolist(), site_new[surv].tolist(), mark_new[surv].tolist()
-    ):
-        frontier[pid] = site
-        marks[pid] = mk
-    traj.horizon = new_horizon
-    return traj
-
-
-@dataclass
-class CouplingState:
-    """Outcome of one forward replay: the three coupled states at time zero."""
-
-    upper: Configuration
-    lower: Configuration
-    dominating: Configuration
-    coalesced: bool
-    coalescence_time: float | None
-    n_events: int
-
-
 class CoalescenceError(RuntimeError):
-    """Raised when the replays have not met within the allowed horizon."""
+    """Raised when the chains have not met within the allowed lookback."""
 
     def __init__(self, gap: int, horizon: float):
-        super().__init__(
-            f"upper and lower replays still differ by {gap} points at horizon {horizon:g}"
-        )
+        super().__init__(f"top and bottom chains still differ at {gap} sites after {horizon:g} sweeps")
         self.gap = gap
         self.horizon = horizon
 
 
-def _members_to_config(lattice: Lattice, members: dict[int, int]) -> Configuration:
-    counts = np.zeros(lattice.n_sites, dtype=np.int64)
-    for s in members.values():
-        counts[s] += 1
-    return Configuration(lattice, counts, dict(members))
+def _count_cap(log_rate: float) -> int:
+    """How many multiplicities the sums over ``c`` keep, given the largest log rate.
 
-
-def run_coupled_forward(traj: EventTrajectory, validate: bool = False) -> CouplingState:
-    """Replay the trajectory from ``-horizon`` with coupled upper/lower chains.
-
-    The upper chain starts from the full dominating state, the lower from
-    its worst-case thinning.  A recorded birth at a site holding ``cl``
-    lower and ``cu`` upper points is accepted against the extrema, over
-    every count in ``[cl, cu]``, of the joint count-dependent acceptance
-    factor, times the clustering power of the accepting chain's own
-    uncovered-neighbourhood size.  Any configuration sandwiched between the
-    chains has its count at the site inside that interval and its coverage
-    between the two chains' coverages, so its own acceptance probability
-    lies between the two bounds and the sandwich survives every event.
-    Once the chains hold the same points they evolve identically, so from
-    that moment a single chain is advanced.  With ``validate=True`` every
-    event additionally checks the sandwich and bound invariants by brute
-    force (slow; for tests).
+    With ``r = exp(log_rate)`` the terms obey ``a_{c+1} <= a_c * r / (c+1)``,
+    so ``a_c <= a_1 * r**(c-1) / c!``; past ``c >= 2r`` they at least halve
+    at each step.  The mass dropped beyond ``cap`` is then at most
+    ``2 * r**cap / (cap+1)!`` times ``a_1 <= W_s``, which the loop pushes
+    below ``2**-60`` (about 175 terms at the default ``t1 = e**4``).
     """
-    if validate:
-        return _run_coupled_forward_checked(traj)
-    lat = traj.lattice
-    tb = traj.tables
-    neighbours = lat.neighbours
-    covered_by = lat.covered_by
-    gpow = tb.gpow
-    joint = tb.joint
-    joint_row = tb.joint_row
-
-    counts_u = [0] * lat.n_sites
-    counts_l = [0] * lat.n_sites
-    ncov_u = list(tb.base_cov)
-    ncov_l = list(tb.base_cov)
-    unc_u = list(tb.base_unc)
-    unc_l = list(tb.base_unc)
-    in_u: dict[int, int] = {}
-    in_l: dict[int, int] = {}
-
-    def cover(s: int, ncov: list, unc: list) -> None:
-        for v in neighbours[s]:
-            nv = ncov[v]
-            ncov[v] = nv + 1
-            if nv == 0:
-                for u in covered_by[v]:
-                    unc[u] -= 1
-
-    def uncover(s: int, ncov: list, unc: list) -> None:
-        for v in neighbours[s]:
-            nv = ncov[v] - 1
-            ncov[v] = nv
-            if nv == 0:
-                for u in covered_by[v]:
-                    unc[u] += 1
-
-    thin = tb.thin
-    marks = traj.marks
-    for pid, s in traj.frontier_points.items():
-        key = pid + 1
-        in_u[key] = s
-        c = counts_u[s]
-        counts_u[s] = c + 1
-        if c == 0:
-            cover(s, ncov_u, unc_u)
-        if marks[pid] < thin[s]:
-            in_l[key] = s
-            c = counts_l[s]
-            counts_l[s] = c + 1
-            if c == 0:
-                cover(s, ncov_l, unc_l)
-
-    # dominating-state bookkeeping reduces to a count and an id checksum;
-    # the exact-membership comparison runs under validate=True
-    d_count = len(traj.frontier_points)
-    d_sum = sum(in_u.keys())
-    gap = len(in_u) - len(in_l)
-
-    n = traj.n_events
-    coalescence_time: float | None = -traj.horizon if gap == 0 else None
-    coal = gap == 0
-    chunk = 1 << 20
-
-    for times, codes, sites, marksv in reversed(traj._segments):
-        hi = len(codes)
-        while hi > 0:
-            lo = max(0, hi - chunk)
-            it = zip(
-                codes[lo:hi][::-1].tolist(),
-                sites[lo:hi][::-1].tolist(),
-                marksv[lo:hi][::-1].tolist(),
-            )
-            if not coal:
-                k = 0
-                for code, s, m in it:
-                    k += 1
-                    if code > 0:
-                        d_count += 1
-                        d_sum += code
-                        cu = counts_u[s]
-                        row = joint[s]
-                        if len(row) <= cu:
-                            row = joint_row(s, cu + 1)
-                        cl = counts_l[s]
-                        if cl == cu:
-                            w = row[cu]
-                            p_up = w * gpow[unc_u[s]]
-                            if m < p_up:
-                                p_low = w * gpow[unc_l[s]]
-                            else:
-                                continue
-                        else:
-                            # counts differ: bound the joint factor over the
-                            # whole count interval (it is not monotone, its
-                            # extrema need not sit at the endpoints)
-                            seg = row[cl : cu + 1]
-                            p_up = max(seg) * gpow[unc_u[s]]
-                            if m < p_up:
-                                p_low = min(seg) * gpow[unc_l[s]]
-                            else:
-                                continue
-                        in_u[code] = s
-                        counts_u[s] = cu + 1
-                        if cu == 0:
-                            cover(s, ncov_u, unc_u)
-                        if m < p_low:
-                            in_l[code] = s
-                            counts_l[s] = cl + 1
-                            if cl == 0:
-                                cover(s, ncov_l, unc_l)
-                        else:
-                            gap += 1
-                    else:
-                        d_count -= 1
-                        d_sum += code
-                        su = in_u.pop(-code, -1)
-                        if su >= 0:
-                            c = counts_u[su] - 1
-                            counts_u[su] = c
-                            if c == 0:
-                                uncover(su, ncov_u, unc_u)
-                            sl = in_l.pop(-code, -1)
-                            if sl >= 0:
-                                c = counts_l[sl] - 1
-                                counts_l[sl] = c
-                                if c == 0:
-                                    uncover(sl, ncov_l, unc_l)
-                            else:
-                                gap -= 1
-                                if gap == 0:
-                                    coalescence_time = float(times[hi - k])
-                                    coal = True
-                                    break
-            if coal:
-                # coalesced: both chains hold the same points and see the
-                # same bounds, so one chain carries the common state on
-                for code, s, m in it:
-                    if code > 0:
-                        d_count += 1
-                        d_sum += code
-                        c = counts_u[s]
-                        row = joint[s]
-                        if len(row) <= c:
-                            row = joint_row(s, c + 1)
-                        if m < row[c] * gpow[unc_u[s]]:
-                            in_u[code] = s
-                            counts_u[s] = c + 1
-                            if c == 0:
-                                cover(s, ncov_u, unc_u)
-                    else:
-                        d_count -= 1
-                        d_sum += code
-                        su = in_u.pop(-code, -1)
-                        if su >= 0:
-                            c = counts_u[su] - 1
-                            counts_u[su] = c
-                            if c == 0:
-                                uncover(su, ncov_u, unc_u)
-            hi = lo
-
-    end_keys = traj.end_points.keys()
-    if d_count != len(end_keys) or d_sum != sum(pid + 1 for pid in end_keys):
-        raise AssertionError("replayed dominating state disagrees with the recorded endpoint")
-
-    coalesced = coalescence_time is not None
-    upper_members = {pid - 1: s for pid, s in in_u.items()}
-    upper = _members_to_config(lat, upper_members)
-    if coalesced:
-        lower = Configuration(lat, upper.counts.copy(), dict(upper_members))
-    else:
-        lower = _members_to_config(lat, {pid - 1: s for pid, s in in_l.items()})
-    return CouplingState(
-        upper=upper,
-        lower=lower,
-        dominating=_members_to_config(lat, traj.end_points),
-        coalesced=coalesced,
-        coalescence_time=coalescence_time if coalesced else None,
-        n_events=n,
-    )
+    if log_rate > math.log(_MAX_SIMULATED_RATE):
+        raise ValueError(
+            f"a simulated site has dominating rate {math.exp(log_rate):.3g}; lower the cutoff t1"
+        )
+    cap = max(1, math.ceil(2.0 * math.exp(log_rate)))
+    while math.log(2.0) + cap * log_rate - math.lgamma(cap + 2) > _LOG_TAIL_SHARE:
+        cap += 1
+    return cap
 
 
-def _run_coupled_forward_checked(traj: EventTrajectory) -> CouplingState:
-    """Reference replay: full bookkeeping with brute-force invariant checks."""
-    lat = traj.lattice
-    tb = traj.tables
-    neighbours = lat.neighbours
-    covered_by = lat.covered_by
-    gpow, gain, vratio = tb.gpow, tb.gain, tb.vratio
-    inv_dom, thin, dhat2 = tb.inv_dom, tb.thin, tb.dhat2
-    exp = math.exp
-
-    counts_u = [0] * lat.n_sites
-    counts_l = [0] * lat.n_sites
-    ncov_u = list(tb.base_cov)
-    ncov_l = list(tb.base_cov)
-    unc_u = list(tb.base_unc)
-    unc_l = list(tb.base_unc)
-    in_u: dict[int, int] = {}
-    in_l: dict[int, int] = {}
-    in_d: dict[int, int] = {}
-
-    def add(pid: int, s: int, counts, ncov, unc, members) -> None:
-        members[pid] = s
-        c = counts[s]
-        counts[s] = c + 1
-        if c == 0:
-            for v in neighbours[s]:
-                nv = ncov[v]
-                ncov[v] = nv + 1
-                if nv == 0:
-                    for u in covered_by[v]:
-                        unc[u] -= 1
-
-    def remove(pid: int, counts, ncov, unc, members) -> None:
-        s = members.pop(pid)
-        c = counts[s] - 1
-        counts[s] = c
-        if c == 0:
-            for v in neighbours[s]:
-                nv = ncov[v] - 1
-                ncov[v] = nv
-                if nv == 0:
-                    for u in covered_by[v]:
-                        unc[u] += 1
-
-    def check_invariants() -> None:
-        assert set(in_l) <= set(in_u) <= set(in_d), "replay sandwich violated"
-        for members, counts, ncov, unc in (
-            (in_u, counts_u, ncov_u, unc_u),
-            (in_l, counts_l, ncov_l, unc_l),
-        ):
-            ref = [0] * lat.n_sites
-            for s in members.values():
-                ref[s] += 1
-            assert ref == counts, "replay counts out of sync"
-            rcov = list(tb.base_cov)
-            for s in range(lat.n_sites):
-                if counts[s] > 0:
-                    for v in neighbours[s]:
-                        rcov[v] += 1
-            assert rcov == ncov, "replay coverage out of sync"
-            assert [sum(1 for v in neighbours[u] if ncov[v] == 0) for u in range(lat.n_sites)] == unc
-
-    for pid, s in traj.frontier_points.items():
-        in_d[pid] = s
-        add(pid, s, counts_u, ncov_u, unc_u, in_u)
-        if traj.marks[pid] < thin[s]:
-            add(pid, s, counts_l, ncov_l, unc_l, in_l)
-
-    coalescence_time: float | None = None
-    if len(in_u) == len(in_l):
-        coalescence_time = -traj.horizon
-    check_invariants()
-
-    n_events = 0
-    for ev in reversed(traj.events):
-        n_events += 1
-        if ev.kind == BIRTH:
-            s = ev.site
-            cu = counts_u[s]
-            cl = counts_l[s]
-            tb.ensure_count(cu + 1)
-            base = inv_dom[s]
-            d2 = dhat2[s]
-            w = [base * exp(d2 * gain[c]) * vratio[c] for c in range(cl, cu + 1)]
-            p_up = max(w) * gpow[unc_u[s]]
-            p_low = min(w) * gpow[unc_l[s]]
-            if not 0.0 <= p_low <= p_up <= 1.0 + 1e-9:
-                raise AssertionError(f"acceptance bounds out of order: {p_low} {p_up}")
-            if p_low < thin[s] - 1e-12:
-                raise AssertionError("lower acceptance fell below the thinning floor")
-            in_d[ev.point] = s
-            if ev.mark < p_up:
-                add(ev.point, s, counts_u, ncov_u, unc_u, in_u)
-                if ev.mark < p_low:
-                    add(ev.point, s, counts_l, ncov_l, unc_l, in_l)
-        else:
-            del in_d[ev.point]
-            if ev.point in in_u:
-                remove(ev.point, counts_u, ncov_u, unc_u, in_u)
-            if ev.point in in_l:
-                remove(ev.point, counts_l, ncov_l, unc_l, in_l)
-        if coalescence_time is None and len(in_u) == len(in_l):
-            coalescence_time = ev.time
-        check_invariants()
-
-    if in_d != traj.end_points:
-        raise AssertionError("replayed dominating state disagrees with the recorded endpoint")
-    coalesced = len(in_u) == len(in_l)
-    if not coalesced:
-        coalescence_time = None
-    return CouplingState(
-        upper=_members_to_config(lat, in_u),
-        lower=_members_to_config(lat, in_l),
-        dominating=_members_to_config(lat, in_d),
-        coalesced=coalesced,
-        coalescence_time=coalescence_time,
-        n_events=n_events,
-    )
+def _key(root: np.random.SeedSequence, t: int) -> np.random.Generator:
+    """The stream of one draw at sweep ``t`` (``t >= 1`` steps before time zero; 0 for counts)."""
+    return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
 
 
-def cftp_sample(
+def _root(seed) -> np.random.SeedSequence:
+    """A draw's root key; taken from the generator, so a reused generator gives fresh draws."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return np.random.SeedSequence(rng.integers(2**63, size=2).tolist())
+
+
+class _OccupancyField:
+    """Heat-bath dynamics of the tier-conditioned occupancy posterior of one signal.
+
+    Chain states are boolean arrays ``occ[..., n_sites + 1]`` (the last entry
+    pads the neighbour table and stays empty) with matching coverage counts
+    ``cov[..., v]``: how many occupied sites lie in ``B(v)``, which by the
+    symmetry of neighbourhoods is how many cover ``v``.
+    """
+
+    def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, tiers: np.ndarray):
+        n = lattice.n_sites
+        sim = np.asarray(tiers) == Tier.SIMULATED
+        self.lattice = lattice
+        self.sim = sim
+        self.clamped = np.append(~sim, False)
+        self.log_gamma = math.log(params.gamma)
+        self.classes = []
+        for members in lattice.colour_classes:
+            sites = members[sim[members]]
+            if sites.size:
+                nb = lattice.nbr[sites]
+                self.classes.append((sites, nb, nb < n))
+        self.dhat = dhat
+        self.params = params
+        sim_sites = np.flatnonzero(sim)
+        self.cap = 1
+        if sim_sites.size:
+            self.cap = _count_cap(float(np.max(log_dominating_rate(dhat[sim_sites], params))))
+        self.log_w = np.zeros(n)
+        for sites, terms in self._count_terms(sim_sites):
+            top = terms.max(axis=1)
+            self.log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+    def _count_terms(self, sites: np.ndarray):
+        """``(sites, log_count_terms)`` in chunks of bounded size."""
+        rows = max(1, _CHUNK_TERMS // self.cap)
+        for lo in range(0, sites.size, rows):
+            chunk = sites[lo : lo + rows]
+            yield chunk, log_count_terms(self.dhat[chunk], self.params, self.cap)
+
+    def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top chains (all occupied) and bottom chains (tier sites only), shape ``(2, n_draws, n+1)``."""
+        occ = np.empty((2, n_draws, self.lattice.n_sites + 1), dtype=bool)
+        occ[0] = True
+        occ[0, :, -1] = False
+        occ[1] = self.clamped
+        return occ, self.coverage(occ)
+
+    def coverage(self, occ: np.ndarray) -> np.ndarray:
+        cov = np.zeros(occ.shape, dtype=np.int8)
+        cov[..., :-1] = occ[..., self.lattice.nbr].sum(axis=-1)
+        return cov
+
+    def class_log_odds(self, occ: np.ndarray, cov: np.ndarray, c: int) -> np.ndarray:
+        """``log W_s - unc_s * log(gamma)`` for the sites of class ``c``."""
+        sites, nb, valid = self.classes[c]
+        others = cov[..., nb] - occ[..., sites, None]
+        unc = ((others == 0) & valid).sum(axis=-1)
+        return self.log_w[sites] - unc * self.log_gamma
+
+    def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, logit_u: np.ndarray) -> None:
+        """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``."""
+        sites, nb, _ = self.classes[c]
+        new = logit_u[..., sites] < self.class_log_odds(occ, cov, c)
+        cov[..., nb] += (new.astype(np.int8) - occ[..., sites])[..., None]
+        occ[..., sites] = new
+
+    def run(self, roots: list[np.random.SeedSequence], sweeps: int) -> np.ndarray:
+        """Both chains at time zero after ``sweeps`` sweeps, each sweep's uniforms from its key."""
+        occ, cov = self.start(len(roots))
+        n = self.lattice.n_sites
+        for t in range(sweeps, 0, -1):
+            u = np.stack([_key(root, t).random(n) for root in roots])
+            with np.errstate(divide="ignore"):
+                logit_u = np.log(u) - np.log1p(-u)
+            for c in range(len(self.classes)):
+                self.update_class(occ, cov, c, logit_u)
+        return occ[..., :-1]
+
+    def draw_counts(self, occ: np.ndarray, roots: list[np.random.SeedSequence]) -> np.ndarray:
+        """Multiplicities of the occupied simulated sites from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``."""
+        counts = np.zeros(occ.shape, dtype=np.int64)
+        for i, root in enumerate(roots):
+            u = _key(root, 0).random(self.lattice.n_sites)
+            for sites, terms in self._count_terms(np.flatnonzero(occ[i] & self.sim)):
+                cdf = np.cumsum(np.exp(terms - self.log_w[sites, None]), axis=1)
+                counts[i, sites] = np.minimum(1 + (cdf < u[sites, None]).sum(axis=1), self.cap)
+        return counts
+
+
+def cftp_counts(
     dhat: np.ndarray,
     params: ModelParams,
-    seed: int | np.random.Generator = 0,
-    t0: float = 1.0,
+    seeds,
     max_doublings: int = 20,
     *,
     lattice: Lattice | None = None,
     tiers: np.ndarray | None = None,
-    validate: bool = False,
-) -> Configuration:
-    """One exact draw from the posterior point process over simulated sites.
+) -> np.ndarray:
+    """Exact posterior multiplicities over simulated sites, one row per seed.
 
-    Doubles the lookback horizon starting from ``t0`` until the coupled
-    replays meet at time zero, reusing all randomness between attempts.
-    Raises :class:`CoalescenceError` if they have not met after
+    All draws run along one leading axis from a shared lookback of 1, 2,
+    4, ... sweeps.  A draw whose chains agree at time zero is final: a start
+    further back sandwiches the same two chains and meets the same state,
+    so only the rest go on to the next doubling.  Raises
+    :class:`CoalescenceError` if some draw has not coalesced after
     ``max_doublings`` doublings.
 
     Args:
         dhat: flat detail coefficients, one per lattice site.
         params: model hyperparameters.
-        seed: integer seed or a generator to consume.
-        t0: first lookback horizon.
-        max_doublings: how many times the horizon may double.
-        lattice: prebuilt lattice (inferred from ``dhat`` size if omitted).
+        seeds: one integer seed, ``SeedSequence`` or generator per draw.
+        max_doublings: how many times the lookback may double.
+        lattice: prebuilt lattice (the shared one for ``dhat.size`` if omitted).
         tiers: precomputed tier map (default cutoffs applied if omitted).
-        validate: run brute-force invariant checks at every event (slow).
-
-    Returns:
-        The common state of the coupled replays at time zero.
     """
     dhat = np.asarray(dhat, dtype=float)
     if lattice is None:
-        n_levels = (dhat.size + 1).bit_length() - 1
-        if 2**n_levels - 1 != dhat.size:
-            raise ValueError("dhat length must be 2**J - 1 for some J >= 1")
-        lattice = Lattice(n_levels)
+        lattice = lattice_for(dhat.size)
+    if dhat.shape != (lattice.n_sites,):
+        raise ValueError("dhat must hold one value per lattice site")
     if tiers is None:
         tiers = classify_sites(dhat, params)
-    traj = EventTrajectory(lattice, dhat, params, tiers, seed)
-    horizon = float(t0)
-    state = None
+    roots = [_root(s) for s in seeds]
+    field = _OccupancyField(lattice, dhat, params, tiers)
+    occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
+    active = np.arange(len(roots))
+    sweeps = 1
     for _ in range(max_doublings + 1):
-        extend_backward(traj, horizon)
-        state = run_coupled_forward(traj, validate=validate)
+        top, bottom = field.run([roots[i] for i in active], sweeps)
+        agree = (top == bottom).all(axis=1)
+        occ[active[agree]] = top[agree]
+        gap = int((top != bottom).sum())
         if logger.isEnabledFor(logging.DEBUG):
-            census = np.bincount(traj.tiers, minlength=3).tolist()
             logger.debug(
                 "coupling run %s",
-                json.dumps(
-                    {
-                        "horizon": traj.horizon,
-                        "events": state.n_events,
-                        "coalesced": state.coalesced,
-                        "coalescence_time": state.coalescence_time,
-                        "gap": state.upper.n_points - state.lower.n_points,
-                        "tier_census": census,
-                    }
-                ),
+                json.dumps({
+                    "sweeps": sweeps,
+                    "draws": int(active.size),
+                    "coalesced": int(agree.sum()),
+                    "gap": gap,
+                    "tier_census": np.bincount(np.asarray(tiers), minlength=3).tolist(),
+                }),
             )
-        if state.coalesced:
-            return state.upper
-        horizon *= 2.0
-    raise CoalescenceError(state.upper.n_points - state.lower.n_points, traj.horizon)
+        active = active[~agree]
+        if not active.size:
+            return field.draw_counts(occ, roots)
+        sweeps *= 2
+    raise CoalescenceError(gap, sweeps // 2)
+
+
+def cftp_sample(
+    dhat: np.ndarray,
+    params: ModelParams,
+    seed: int | np.random.SeedSequence | np.random.Generator = 0,
+    max_doublings: int = 20,
+    *,
+    lattice: Lattice | None = None,
+    tiers: np.ndarray | None = None,
+) -> Configuration:
+    """One exact draw from the tier-conditioned posterior over simulated sites.
+
+    Non-simulated sites carry zero counts; see :func:`cftp_counts`.
+    """
+    dhat = np.asarray(dhat, dtype=float)
+    if lattice is None:
+        lattice = lattice_for(dhat.size)
+    counts = cftp_counts(dhat, params, [seed], max_doublings, lattice=lattice, tiers=tiers)
+    return Configuration(lattice, counts[0])

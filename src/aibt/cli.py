@@ -13,11 +13,17 @@ import sys
 import numpy as np
 
 from .bench import METHODS, emit_csv, load_config, run_experiment
-from .cftp import CoalescenceError, cftp_sample, classify_sites
+from .cftp import (
+    DEFAULT_DIRECT_CUTOFF,
+    DEFAULT_SIMULATION_CUTOFF,
+    CoalescenceError,
+    cftp_sample,
+    classify_sites,
+)
 from .estimator import denoise
-from .lattice import Lattice
+from .lattice import lattice_for
 from .model import ModelParams, estimate_sigma_mad
-from .wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, make_test_signal
+from .wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, make_test_signal, resolve_wavelet
 
 __all__ = ["main"]
 
@@ -51,25 +57,22 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=3.0, help="clustering reward (>= 1)")
     p.add_argument("--tau", type=float, default=1.0, help="prior coefficient scale")
     p.add_argument("--z", type=float, default=1.0, help="multiplicity power in the variance")
-    p.add_argument("--t1", type=float, default=None, help="simulation-tier rate cutoff")
-    p.add_argument("--t2", type=float, default=None, help="direct-tier rate cutoff")
+    p.add_argument("--t1", type=float, default=DEFAULT_SIMULATION_CUTOFF, help="simulation-tier rate cutoff")
+    p.add_argument("--t2", type=float, default=DEFAULT_DIRECT_CUTOFF, help="direct-tier rate cutoff")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
 
 def _resolve_input(args) -> tuple[np.ndarray, float, str]:
     """Load or synthesize the noisy signal; return (samples, sigma, filter name)."""
+    wavelet = resolve_wavelet(args.wavelet, args.signal)
     if args.signal is not None:
         if args.rsnr is None:
             raise ValueError("--rsnr is required with --signal")
         truth = make_test_signal(args.signal, args.n)
         sigma = 1.0 / args.rsnr
         y = add_noise(truth, sigma, args.noise_seed)
-        wavelet = args.wavelet
-        if wavelet == "auto":
-            wavelet = "haar" if args.signal == "Blocks" else "la10"
     else:
         y = np.loadtxt(args.infile)
-        wavelet = args.wavelet if args.wavelet != "auto" else "la10"
         if args.sigma is not None:
             sigma = args.sigma
         elif args.estimate_sigma:
@@ -81,22 +84,10 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
     return np.asarray(y, dtype=float), float(sigma), wavelet
 
 
-def _tier_kwargs(args) -> dict:
-    kw = {}
-    if args.t1 is not None:
-        kw["t1"] = args.t1
-    if args.t2 is not None:
-        kw["t2"] = args.t2
-    return kw
-
-
 def _cmd_denoise(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
-    est = denoise(
-        y, get_filter(wavelet), params, args.draws, args.seed,
-        **{k: v for k, v in (("t1", args.t1), ("t2", args.t2)) if v is not None},
-    )
+    est = denoise(y, get_filter(wavelet), params, args.draws, args.seed, t1=args.t1, t2=args.t2)
     np.savetxt(args.out, est, fmt="%.17g")
     return 0
 
@@ -104,10 +95,9 @@ def _cmd_denoise(args) -> int:
 def _cmd_sample(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
-    dec = forward_dwt(y, get_filter(wavelet))
-    dhat = dec.flat_details()
-    lattice = Lattice(dec.n_levels)
-    tiers = classify_sites(dhat, params, **_tier_kwargs(args))
+    dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
+    lattice = lattice_for(dhat.size)
+    tiers = classify_sites(dhat, params, args.t1, args.t2)
     xi = cftp_sample(dhat, params, args.seed, lattice=lattice, tiers=tiers)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,k,xi\n")

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .cftp import Tier, cftp_sample, classify_sites
-from .lattice import Configuration, Lattice
+from .cftp import DEFAULT_DIRECT_CUTOFF, DEFAULT_SIMULATION_CUTOFF, Tier, cftp_counts, classify_sites
+from .lattice import Configuration, Lattice, lattice_for
 from .model import ModelParams, log_dominating_rate
 from .wavelet import WaveletDecomposition, WaveletFilter, forward_dwt, inverse_dwt
 
@@ -91,34 +91,28 @@ def posterior_median_estimate(
     *,
     lattice: Lattice | None = None,
     tiers: np.ndarray | None = None,
-    t0: float = 1.0,
     max_doublings: int = 20,
 ) -> np.ndarray:
     """Per-site posterior median of the detail coefficients over exact draws.
 
-    Each draw runs its own coupling from an independent substream, then
-    draws coefficients conditionally.  The median is the lower middle order
-    statistic, so with few draws and mostly-empty sites it is exactly zero;
-    estimates are genuinely sparse.
+    Draw ``i`` uses the generator of the ``i``-th child of ``seed`` for its
+    coupling and then its coefficients; all couplings run as one batch.
+    The median is the lower middle order statistic, so with few draws and
+    mostly-empty sites it is exactly zero; estimates are genuinely sparse.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     dhat = np.asarray(dhat, dtype=float)
     if lattice is None:
-        n_levels = (dhat.size + 1).bit_length() - 1
-        if 2**n_levels - 1 != dhat.size:
-            raise ValueError("dhat length must be 2**J - 1 for some J >= 1")
-        lattice = Lattice(n_levels)
+        lattice = lattice_for(dhat.size)
     if tiers is None:
         tiers = classify_sites(dhat, params)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
+    counts = cftp_counts(dhat, params, rngs, max_doublings, lattice=lattice, tiers=tiers)
     draws = np.empty((n_draws, dhat.size))
-    for i, child in enumerate(ss.spawn(n_draws)):
-        rng = np.random.default_rng(child)
-        xi = cftp_sample(
-            dhat, params, rng, t0=t0, max_doublings=max_doublings, lattice=lattice, tiers=tiers
-        )
-        draws[i] = sample_coefficients(xi, dhat, params, tiers, rng)
+    for i, rng in enumerate(rngs):
+        draws[i] = sample_coefficients(Configuration(lattice, counts[i]), dhat, params, tiers, rng)
     return np.sort(draws, axis=0)[(n_draws - 1) // 2]
 
 
@@ -129,25 +123,17 @@ def denoise(
     n_draws: int = 25,
     seed: int = 0,
     *,
-    t1: float | None = None,
-    t2: float | None = None,
-    t0: float = 1.0,
+    t1: float = DEFAULT_SIMULATION_CUTOFF,
+    t2: float = DEFAULT_DIRECT_CUTOFF,
     max_doublings: int = 20,
 ) -> np.ndarray:
     """Denoise a signal end to end: transform, estimate details, invert.
 
-    The scaling coefficient passes through unchanged.  Tier cutoffs default
-    to the module defaults when not given.
+    The scaling coefficient passes through unchanged; ``t1`` and ``t2`` are
+    the tier cutoffs of :func:`classify_sites`.
     """
     dec = forward_dwt(y, filt)
     dhat = dec.flat_details()
-    kw = {}
-    if t1 is not None:
-        kw["t1"] = t1
-    if t2 is not None:
-        kw["t2"] = t2
-    tiers = classify_sites(dhat, params, **kw)
-    est = posterior_median_estimate(
-        dhat, params, n_draws, seed, tiers=tiers, t0=t0, max_doublings=max_doublings
-    )
+    tiers = classify_sites(dhat, params, t1, t2)
+    est = posterior_median_estimate(dhat, params, n_draws, seed, tiers=tiers, max_doublings=max_doublings)
     return inverse_dwt(dec.with_details(est))

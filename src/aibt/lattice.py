@@ -4,13 +4,14 @@ Sites are pairs ``(j, k)``: resolution level ``j`` (0 coarsest) holding
 ``2**j`` positions, periodic in ``k`` within each level.  Each site has a
 nine-site neighbourhood reaching one level up, one level down, and sideways,
 truncated at the top and bottom levels and deduplicated on narrow levels.
-Configurations are multisets of marked points living on the sites; coverage
-of a configuration is the union of neighbourhoods of its occupied sites.
+Configurations give a multiplicity per site; coverage of a configuration is
+the union of neighbourhoods of its occupied sites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "Site",
     "Lattice",
     "Configuration",
+    "lattice_for",
     "neighbourhood",
     "coverage_measure",
     "uncovered_measure",
@@ -59,31 +61,51 @@ def neighbourhood(x: Site, n_levels: int) -> frozenset[Site]:
 
 
 class Lattice:
-    """Precomputed site indexing and adjacency for a fixed number of levels.
+    """Site indexing, padded neighbour table and colour classes for a fixed depth.
 
     Flat site order is level-major: site ``(j, k)`` sits at index
     ``2**j - 1 + k``, so all ``2**n_levels - 1`` sites pack into one vector
-    aligned with flattened detail coefficients.
+    aligned with flattened detail coefficients.  ``nbr[s]`` lists the flat
+    indices of ``B(s)`` in increasing order, padded with ``n_sites``.  The
+    colour classes partition the sites so that no two sites of one class
+    have intersecting neighbourhoods: site ``(j, k)`` has class
+    ``(j mod 3, k mod 4)``.  Neighbourhoods span three adjacent levels, and
+    on one level they meet only for positions at most three apart, so this
+    closed form is enough (checked exhaustively by the test suite).
     """
 
     def __init__(self, n_levels: int):
         if n_levels < 1:
             raise ValueError("n_levels must be at least 1")
         self.n_levels = int(n_levels)
-        self.n_sites = 2**self.n_levels - 1
-        nbrs = []
-        for s in range(self.n_sites):
-            b = neighbourhood(self.site_of(s), self.n_levels)
-            nbrs.append(tuple(sorted(self.site_index(*v) for v in b)))
-        self.neighbours: tuple[tuple[int, ...], ...] = tuple(nbrs)
-        self.neighbourhood_sizes = np.array([len(t) for t in nbrs])
+        self.n_sites = n = 2**self.n_levels - 1
+        levels = np.arange(self.n_levels)
+        j = np.repeat(levels, 2**levels)
+        k = np.arange(n) - (2**j - 1)
+        width = 2**j
+        p = k // 2
+        step = np.where(k % 2 == 0, -1, 1)
+        up = np.maximum(width // 2, 1)
+        # the nine candidates of ``neighbourhood``, as (level, position) columns
+        lev = np.stack([j, j, j, j - 1, j - 1, j + 1, j + 1, j + 1, j + 1], axis=1)
+        pos = np.stack(
+            [k, (k - 1) % width, (k + 1) % width, p, (p + step) % up,
+             2 * k, 2 * k + 1, (2 * k - 1) % (2 * width), (2 * k + 2) % (2 * width)],
+            axis=1,
+        )
+        inside = (lev >= 0) & (lev < self.n_levels)
+        cand = np.sort(np.where(inside, 2**np.clip(lev, 0, None) - 1 + pos, n), axis=1)
+        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = n  # merge duplicates on narrow levels
+        self.nbr = np.sort(cand, axis=1)
+        self.neighbourhood_sizes = (self.nbr < n).sum(axis=1)
         self.max_neighbourhood = int(self.neighbourhood_sizes.max())
-        covers: list[list[int]] = [[] for _ in range(self.n_sites)]
-        for u, t in enumerate(nbrs):
-            for v in t:
-                covers[v].append(u)
-        # covered_by[v]: sites whose neighbourhood contains v
-        self.covered_by: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in covers)
+        self.nbr = self.nbr[:, : self.max_neighbourhood]
+        colour = (j % 3) * 4 + k % 4
+        self.colour_classes: tuple[np.ndarray, ...] = tuple(
+            np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()
+        )
+        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes):
+            a.flags.writeable = False
 
     def site_index(self, j: int, k: int) -> int:
         if not (0 <= j < self.n_levels and 0 <= k < 2**j):
@@ -100,17 +122,21 @@ class Lattice:
         return f"Lattice(n_levels={self.n_levels})"
 
 
+@functools.lru_cache(maxsize=32)
+def lattice_for(n_sites: int) -> Lattice:
+    """The shared lattice with ``n_sites == 2**J - 1`` sites, built once per size."""
+    n_levels = (n_sites + 1).bit_length() - 1
+    if n_levels < 1 or 2**n_levels - 1 != n_sites:
+        raise ValueError("dhat length must be 2**J - 1 for some J >= 1")
+    return Lattice(n_levels)
+
+
 @dataclass
 class Configuration:
-    """A finite point configuration: identified points placed on lattice sites.
-
-    ``counts[s]`` is the multiplicity at flat site ``s`` and always agrees
-    with the point registry; several points may share a site.
-    """
+    """A finite point configuration: a multiplicity per lattice site."""
 
     lattice: Lattice
     counts: np.ndarray
-    points: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -123,7 +149,7 @@ class Configuration:
 
     @classmethod
     def from_counts(cls, lattice: Lattice, counts) -> "Configuration":
-        """Build a configuration with synthetic point ids from per-site counts."""
+        """Build a configuration from per-site counts, as an array or a ``{site: count}`` dict."""
         if isinstance(counts, dict):
             arr = np.zeros(lattice.n_sites, dtype=np.int64)
             for (j, k), c in counts.items():
@@ -132,38 +158,30 @@ class Configuration:
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (lattice.n_sites,) or (counts < 0).any():
             raise ValueError("counts must be nonnegative with one entry per site")
-        points: dict[int, int] = {}
-        pid = 0
-        for s in np.flatnonzero(counts):
-            for _ in range(counts[s]):
-                points[pid] = int(s)
-                pid += 1
-        return cls(lattice, counts, points)
+        return cls(lattice, counts)
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return int(self.counts.sum())
 
     def occupied(self) -> np.ndarray:
         """Boolean occupancy per flat site (multiplicity ignored)."""
         return self.counts > 0
 
-    def validate(self) -> None:
-        """Check that counts and the point registry agree."""
-        ref = np.zeros(self.lattice.n_sites, dtype=np.int64)
-        for s in self.points.values():
-            ref[s] += 1
-        if not np.array_equal(ref, self.counts):
-            raise AssertionError("counts disagree with the point registry")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return (
-            self.lattice.n_levels == other.lattice.n_levels
-            and self.points == other.points
-            and np.array_equal(self.counts, other.counts)
+        return self.lattice.n_levels == other.lattice.n_levels and np.array_equal(
+            self.counts, other.counts
         )
+
+
+def _occupied_padded(xi: Configuration, forced_occupied: np.ndarray | None) -> np.ndarray:
+    """Occupancy with ``forced_occupied`` applied and a trailing always-empty pad entry."""
+    occ = xi.occupied()
+    if forced_occupied is not None:
+        occ = occ | np.asarray(forced_occupied, dtype=bool)
+    return np.append(occ, False)
 
 
 def coverage_measure(xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
@@ -171,15 +189,11 @@ def coverage_measure(xi: Configuration, forced_occupied: np.ndarray | None = Non
 
     ``forced_occupied`` optionally marks sites treated as occupied whatever
     their count (used when part of the lattice is handled analytically).
+    Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an
+    occupied site.
     """
-    lat = xi.lattice
-    occ = xi.occupied()
-    if forced_occupied is not None:
-        occ = occ | np.asarray(forced_occupied, dtype=bool)
-    covered: set[int] = set()
-    for s in np.flatnonzero(occ):
-        covered.update(lat.neighbours[s])
-    return len(covered)
+    occ = _occupied_padded(xi, forced_occupied)
+    return int(occ[xi.lattice.nbr].any(axis=1).sum())
 
 
 def uncovered_measure(u: Site, xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
@@ -189,11 +203,7 @@ def uncovered_measure(u: Site, xi: Configuration, forced_occupied: np.ndarray | 
     clustering term of the model prices.
     """
     lat = xi.lattice
-    occ = xi.occupied()
-    if forced_occupied is not None:
-        occ = occ | np.asarray(forced_occupied, dtype=bool)
-    n_unc = 0
-    for v in lat.neighbours[lat.site_index(*u)]:
-        if not any(occ[w] for w in lat.covered_by[v]):
-            n_unc += 1
-    return n_unc
+    occ = _occupied_padded(xi, forced_occupied)
+    b = lat.nbr[lat.site_index(*u)]
+    b = b[b < lat.n_sites]
+    return int((~occ[lat.nbr[b]].any(axis=1)).sum())

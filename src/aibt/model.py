@@ -7,8 +7,11 @@ with variance ``tau**2 * c**z``.  The point process prior has density
 proportional to ``lam**N(xi) * gamma**(-coverage(xi))`` against a unit-rate
 Poisson process, so for ``gamma > 1`` configurations whose neighbourhoods
 overlap are rewarded.  Integrating the coefficients out leaves a point
-process posterior whose conditional intensity factorizes into four terms;
-the factors and the bounds needed to dominate them are provided here.
+process posterior.  Coverage depends on occupancy alone, so given which
+sites are occupied the multiplicities are independent: each occupied site
+weighs ``lam**c / c! * N(dhat; 0, v(c))`` for ``c >= 1``, and summing them
+out leaves a binary area-interaction field over occupancy
+(:func:`log_count_terms` gives the summands).
 """
 
 from __future__ import annotations
@@ -19,19 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Configuration, Site, coverage_measure, uncovered_measure
+from .lattice import Configuration, coverage_measure
 from .wavelet import WaveletDecomposition
 
 __all__ = [
     "ModelParams",
-    "cond_intensity_f1",
-    "cond_intensity_f2",
-    "cond_intensity_f3",
-    "cond_intensity_f4",
     "log_marginal_posterior",
-    "dominating_rate",
+    "log_count_terms",
     "log_dominating_rate",
-    "lower_thinning_prob",
     "estimate_sigma_mad",
 ]
 
@@ -47,9 +45,6 @@ class ModelParams:
         sigma: observation noise standard deviation; positive.
         z: power through which site multiplicity enters the coefficient
             variance ``tau**2 * c**z``.
-        neighbourhood_bound: upper bound on the neighbourhood size used in
-            worst-case bounds; must be at least the realized maximum (9 for
-            any lattice built here).
     """
 
     lam: float
@@ -57,7 +52,6 @@ class ModelParams:
     tau: float
     sigma: float
     z: float = 1.0
-    neighbourhood_bound: int = 9
 
     def __post_init__(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -70,8 +64,6 @@ class ModelParams:
             raise ValueError("sigma must be positive and finite")
         if not (self.z > 0 and math.isfinite(self.z)):
             raise ValueError("z must be positive and finite")
-        if self.neighbourhood_bound < 1:
-            raise ValueError("neighbourhood_bound must be at least 1")
 
     def variance(self, count) -> np.ndarray | float:
         """Marginal coefficient variance ``sigma**2 + tau**2 * count**z``."""
@@ -80,7 +72,7 @@ class ModelParams:
         return float(v) if v.ndim == 0 else v
 
     def gain_exponent(self, count) -> np.ndarray | float:
-        """Coefficient of ``dhat**2`` in ``log f3`` when multiplicity grows from ``count``.
+        """Coefficient of ``dhat**2`` in the log likelihood ratio of one more point at a site.
 
         Adding one point changes the marginal variance from ``v(c)`` to
         ``v(c+1)``; the likelihood-ratio exponent is
@@ -99,7 +91,7 @@ class ModelParams:
         For ``z <= 1`` the gain is largest at an empty site.  For ``z > 1``
         the supremum sits at an interior multiplicity; it is bracketed by a
         continuous scan (an upper bound for the integer supremum, which is
-        all domination needs) with a tail-decay check.
+        all the dominating rate needs) with a tail-decay check.
         """
         base = self.gain_exponent(0)
         if self.z <= 1.0:
@@ -114,57 +106,6 @@ class ModelParams:
             raise ValueError("failed to bound the gain exponent; parameters out of supported range")
         return max(base, best) * (1.0 + 1e-12)
 
-    @cached_property
-    def min_variance_ratio_factor(self) -> float:
-        """Infimum of ``sqrt(v(c) / v(c+1))`` over all multiplicities.
-
-        For ``z <= 1`` the infimum is at ``c = 0``; for ``z > 1`` it sits at
-        an interior multiplicity and is bracketed by the same scan as
-        ``max_gain_exponent``.
-        """
-        v0 = self.sigma**2
-        if self.z <= 1.0:
-            return math.sqrt(v0 / (v0 + self.tau**2))
-        cstar = (self.sigma**2 / self.tau**2) ** (1.0 / self.z)
-        hi = 10.0 * (cstar + 1.0) + 1000.0
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, hi, 4096)])
-        ratio = self.variance(grid) / self.variance(grid + 1.0)
-        return float(np.sqrt(ratio.min())) * (1.0 - 1e-12)
-
-
-def cond_intensity_f1(params: ModelParams) -> float:
-    """Constant factor of the conditional intensity: the prior intensity ``lam``."""
-    return params.lam
-
-
-def cond_intensity_f2(
-    u: Site,
-    xi: Configuration,
-    params: ModelParams,
-    forced_occupied: np.ndarray | None = None,
-) -> float:
-    """Clustering factor ``gamma ** -(coverage a point at u would add)``; at most 1.
-
-    ``forced_occupied`` marks sites treated as occupied regardless of their
-    count in ``xi`` (sites handled analytically rather than by simulation).
-    """
-    m = uncovered_measure(u, xi, forced_occupied)
-    return params.gamma**-m
-
-
-def cond_intensity_f3(u: Site, xi: Configuration, dhat: np.ndarray, params: ModelParams) -> float:
-    """Data gain factor ``exp(dhat_u**2 * gain_exponent(xi_u))``; at least 1."""
-    s = xi.lattice.site_index(*u)
-    c = int(xi.counts[s])
-    e = float(dhat[s]) ** 2 * params.gain_exponent(c)
-    return math.exp(e) if e < 709.0 else math.inf
-
-
-def cond_intensity_f4(u: Site, xi: Configuration, params: ModelParams) -> float:
-    """Variance penalty factor ``sqrt(v(xi_u) / v(xi_u + 1))``; at most 1."""
-    c = int(xi.counts[xi.lattice.site_index(*u)])
-    return math.sqrt(params.variance(c) / params.variance(c + 1))
-
 
 def log_marginal_posterior(
     xi: Configuration,
@@ -176,9 +117,7 @@ def log_marginal_posterior(
 
     Up to one additive constant shared by all configurations:
     ``N(xi)*log(lam) - coverage(xi)*log(gamma)`` plus, per site, the log
-    Gaussian likelihood of ``dhat`` under variance ``v(count)``.  Adding a
-    single point changes this by exactly the log of the product of the four
-    conditional intensity factors.
+    Gaussian likelihood of ``dhat`` under variance ``v(count)``.
     """
     dhat = np.asarray(dhat, dtype=float)
     if dhat.shape != (xi.lattice.n_sites,):
@@ -189,42 +128,31 @@ def log_marginal_posterior(
     return xi.n_points * math.log(params.lam) - m_cov * math.log(params.gamma) + loglik
 
 
+def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:
+    """``log(lam**c / c! * N(dhat; 0, v(c)) / N(dhat; 0, v(0)))`` for ``c = 1..cap``.
+
+    One row per entry of ``dhat_u`` (last axis: ``c``).  Summed over ``c``
+    the terms give an occupied site's weight against an empty one;
+    normalized they give its multiplicity law.  The ratio of consecutive
+    terms, ``lam / (c+1) * sqrt(v(c)/v(c+1)) * exp(dhat**2 * gain_exponent(c))``,
+    is at most ``exp(log_dominating_rate) / (c+1)``.
+    """
+    d2 = np.asarray(dhat_u, dtype=float)[..., None] ** 2
+    c = np.arange(1, cap + 1, dtype=float)
+    v0 = params.variance(0)
+    v = params.variance(c)
+    log_ratio = d2 * (1.0 / v0 - 1.0 / v) / 2.0 - 0.5 * np.log(v / v0)
+    return c * math.log(params.lam) - np.cumsum(np.log(c)) + log_ratio
+
+
 def log_dominating_rate(dhat_u, params: ModelParams):
-    """Log of the per-site birth rate that bounds the conditional intensity."""
+    """Log of ``lam * exp(dhat**2 * max_gain_exponent)``, which bounds the count ratio.
+
+    The tiers compare it with their cutoffs; among simulated sites its
+    maximum fixes how far the multiplicity law has to be summed.
+    """
     d2 = np.asarray(dhat_u, dtype=float) ** 2
     out = math.log(params.lam) + d2 * params.max_gain_exponent
-    return float(out) if out.ndim == 0 else out
-
-
-_SATURATION_LOG = 700.0  # exp stays finite; anything this large tiers out of simulation
-
-
-def dominating_rate(dhat_u, params: ModelParams):
-    """Per-site dominating birth rate ``lam * exp(dhat**2 * max_gain_exponent)``.
-
-    Saturates at ``exp(700)`` so the value stays finite; rates anywhere near
-    saturation are far beyond the simulation tier threshold.
-    """
-    lg = np.minimum(log_dominating_rate(dhat_u, params), _SATURATION_LOG)
-    out = np.exp(lg)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def lower_thinning_prob(dhat_u, params: ModelParams):
-    """Worst-case acceptance probability used to start the lower process.
-
-    The product of the infima of the four intensity factors divided by the
-    dominating rate: ``exp(-dhat**2 * max_gain_exponent)`` times
-    ``gamma ** -neighbourhood_bound`` times the minimal variance-ratio
-    factor.  Always a valid lower bound on the acceptance probability of a
-    birth in any configuration.
-    """
-    d2 = np.asarray(dhat_u, dtype=float) ** 2
-    out = (
-        np.exp(-d2 * params.max_gain_exponent)
-        * params.gamma ** -float(params.neighbourhood_bound)
-        * params.min_variance_ratio_factor
-    )
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "HAAR",
     "DAUB_LA10",
     "get_filter",
+    "resolve_wavelet",
     "forward_dwt",
     "inverse_dwt",
     "make_test_signal",
@@ -112,6 +113,16 @@ def get_filter(name: str) -> WaveletFilter:
         return _FILTERS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown wavelet filter {name!r}; choose from {sorted(_FILTERS)}") from None
+
+
+def resolve_wavelet(policy: str, signal: str | None = None) -> str:
+    """The filter name a policy picks: 'auto' is haar for Blocks and la10 otherwise.
+
+    ``signal`` is a test signal name, or None for data read from a file.
+    """
+    if policy != "auto":
+        return policy
+    return "haar" if signal == "Blocks" else "la10"
 
 
 @dataclass

@@ -12,25 +12,10 @@ import numpy as np
 import pytest
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import (
-    EventTrajectory,
-    Tier,
-    cftp_sample,
-    classify_sites,
-    extend_backward,
-    run_coupled_forward,
-)
+from aibt.cftp import Tier, _count_cap, _key, _OccupancyField, _root, cftp_sample, classify_sites
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Configuration, Lattice
-from aibt.model import (
-    ModelParams,
-    cond_intensity_f1,
-    cond_intensity_f2,
-    cond_intensity_f3,
-    cond_intensity_f4,
-    dominating_rate,
-    log_marginal_posterior,
-)
+from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
 from oracles import enumerate_posterior, gillespie_occupancy, occupancy_pattern_probs
 
@@ -84,80 +69,139 @@ def test_occupancy_matches_forward_equilibrium_chain():
 
 
 def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
-    """Over 1e5 replayed events of the validated coupling, every event keeps
-    lower <= upper <= dominating and acceptance bounds ordered inside [0, 1]."""
+    """Over 1e5 heat-bath site updates of coupled top and bottom chains, every
+    class update keeps bottom <= top, with acceptance probabilities ordered in [0, 1]
+    and the incremental coverage counts exact."""
     total = 0
     params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
     hot = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     rng = np.random.default_rng(2)
+    # a high-rate site first, then random signals with a random third of sites held occupied
+    cases = [(Lattice(2), np.array([0.35, 0.0, 0.22]), hot, np.zeros(3, dtype=np.int8))]
     seed = 0
-    # a high-rate site drives deep count intervals through the same checks
-    t = EventTrajectory(Lattice(2), np.array([0.35, 0.0, 0.22]), hot, seed=999)
-    extend_backward(t, 1024.0)
-    state = run_coupled_forward(t, validate=True)
-    total += state.n_events
     while total < 100_000:
-        lat = Lattice(4)
-        dhat = rng.normal(0.0, 1.0, lat.n_sites)
-        t = EventTrajectory(lat, dhat, params, seed=seed)
-        extend_backward(t, 256.0)
-        state = run_coupled_forward(t, validate=True)
-        assert np.all(state.lower.counts <= state.upper.counts)
-        total += state.n_events
-        seed += 1
+        if not cases:
+            lat = Lattice(4)
+            dhat = rng.normal(0.0, 1.0, lat.n_sites)
+            held = rng.random(lat.n_sites) < 1 / 3
+            tiers = np.where(held, Tier.OCCUPIED_ASSUMED, classify_sites(dhat, params))
+            cases.append((lat, dhat, params, tiers.astype(np.int8)))
+        lat, dhat, p, tiers = cases.pop()
+        field = _OccupancyField(lat, dhat, p, tiers)
+        roots = [_root(seed + i) for i in range(8)]
+        occ, cov = field.start(len(roots))
+        for t in range(32, 0, -1):
+            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots])
+            logit_u = np.log(u) - np.log1p(-u)
+            for c in range(len(field.classes)):
+                prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)))
+                assert np.all((0.0 <= prob[1]) & (prob[1] <= prob[0]) & (prob[0] <= 1.0))
+                field.update_class(occ, cov, c, logit_u)
+                assert np.all(occ[1] <= occ[0])
+                total += prob[0].size
+            assert np.array_equal(cov[..., :-1], field.coverage(occ)[..., :-1])
+        seed += len(roots)
     assert total >= 100_000
-    print(f"PASS sandwich and ordering: {total} events replayed with per-event checks")
+    print(f"PASS sandwich and ordering: {total} site updates with per-class checks")
 
 
 def test_conditional_intensity_factor_bounds():
-    """f2, f4 never exceed one; f3 at least one and within its stated bound."""
+    """The clustering factor lies in (0, 1]; count terms shrink at least as fast as
+    the dominating rate over c+1, and the multiplicity cap drops under 2**-60 of W_s."""
     rng = np.random.default_rng(11)
-    params = ModelParams(lam=0.3, gamma=2.5, tau=1.1, sigma=0.4)
     lat = Lattice(4)
     checked = 0
-    for _ in range(10_000):
-        counts = rng.poisson(0.4, lat.n_sites)
-        xi = Configuration.from_counts(lat, counts)
-        s = int(rng.integers(lat.n_sites))
-        u = lat.site_of(s)
+    while checked < 10_000:
+        params = ModelParams(
+            lam=float(rng.uniform(0.02, 1.0)), gamma=float(rng.uniform(1.0, 4.0)),
+            tau=float(rng.uniform(0.3, 2.0)), sigma=float(rng.uniform(0.1, 1.0)),
+            z=float(rng.choice([0.7, 1.0, 2.0])),
+        )
         d = float(rng.normal(0.0, 1.5))
-        f2 = cond_intensity_f2(u, xi, params)
-        f3 = cond_intensity_f3(u, xi, np.full(lat.n_sites, d), params)
-        f4 = cond_intensity_f4(u, xi, params)
-        assert 0.0 < f2 <= 1.0
-        assert 0.0 < f4 <= 1.0
-        assert 1.0 <= f3 <= math.exp(d**2 * params.max_gain_exponent) * (1 + 1e-12)
-        assert params.lam * f2 * f3 * f4 <= dominating_rate(d, params) * (1 + 1e-12)
+        log_rate = float(log_dominating_rate(d, params))
+        if log_rate > math.log(54.6):  # beyond the default simulation tier
+            continue
+        dhat = np.full(lat.n_sites, d)
+        field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=np.int8))
+        occ = np.zeros((1, 1, lat.n_sites + 1), dtype=bool)
+        occ[0, 0, :-1] = rng.random(lat.n_sites) < 0.3
+        cov = field.coverage(occ)
+        c = int(rng.integers(len(field.classes)))
+        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.classes[c][0]]
+        assert np.all((clustering <= 0.0) & np.isfinite(clustering))
+        cap = _count_cap(log_rate)
+        terms = log_count_terms(d, params, 4 * cap + 40)
+        k = np.arange(1, terms.size)
+        assert np.all(np.diff(terms) <= log_rate - np.log(k + 1) + 1e-12)
+        top = terms.max()
+        weights = np.exp(terms - top)
+        assert weights[cap:].sum() <= 2.0**-60 * weights.sum()
         checked += 1
     print(f"PASS factor bounds: {checked} random states within bounds")
 
 
 def test_intensity_consistent_with_density():
-    """Adding one point moves the log density by the log intensity, to 1e-10."""
+    """The sampler's heat-bath log-odds equal the log density summed over the
+    site's multiplicities, to 1e-10, with tier sites held occupied."""
     rng = np.random.default_rng(17)
     params = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     lat = Lattice(4)
     worst = 0.0
-    for _ in range(10_000):
+    for _ in range(1_000):
         counts = rng.poisson(0.4, lat.n_sites)
         dhat = rng.normal(0.0, 1.2, lat.n_sites)
-        s = int(rng.integers(lat.n_sites))
-        u = lat.site_of(s)
-        xi = Configuration.from_counts(lat, counts)
-        plus = counts.copy()
-        plus[s] += 1
-        delta = log_marginal_posterior(
-            Configuration.from_counts(lat, plus), dhat, params
-        ) - log_marginal_posterior(xi, dhat, params)
-        log_intensity = math.log(
-            cond_intensity_f1(params)
-            * cond_intensity_f2(u, xi, params)
-            * cond_intensity_f3(u, xi, dhat, params)
-            * cond_intensity_f4(u, xi, params)
-        )
-        worst = max(worst, abs(delta - log_intensity))
+        tiers = classify_sites(dhat, params)
+        clamped = tiers != Tier.SIMULATED
+        field = _OccupancyField(lat, dhat, params, tiers)
+        c = int(rng.integers(len(field.classes)))
+        sites = field.classes[c][0]
+        occ = np.append((counts > 0) | clamped, False)[None, None, :]
+        odds = field.class_log_odds(occ, field.coverage(occ), c)[0, 0]
+        for i, s in enumerate(sites.tolist()):
+            base = counts.copy()
+            base[s] = 0
+            xi = Configuration(lat, base)
+            lp0 = log_marginal_posterior(xi, dhat, params, forced_occupied=clamped)
+            terms = []
+            for m in range(1, 40):
+                base[s] = m
+                lp = log_marginal_posterior(xi, dhat, params, forced_occupied=clamped)
+                terms.append(lp - lp0 - math.lgamma(m + 1))
+            top = max(terms)
+            expected = top + math.log(sum(math.exp(t - top) for t in terms))
+            worst = max(worst, abs(odds[i] - expected))
     assert worst < 1e-10
     print(f"PASS intensity vs density: worst |delta| = {worst:.2e} < 1e-10")
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_heat_bath_conditional_matches_enumeration(clamped):
+    """On the three-site lattice the heat-bath conditional of each simulated site
+    equals the conditional of the enumerated posterior to 1e-9, with the third
+    site held occupied when it is a tier site."""
+    params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
+    lat = Lattice(2)
+    dhat = np.array([0.3, -0.6, 1.8863236699596295 if clamped else 0.5])
+    tiers = classify_sites(dhat, params)
+    expect = [Tier.SIMULATED, Tier.SIMULATED, Tier.OCCUPIED_ASSUMED if clamped else Tier.SIMULATED]
+    assert tiers.tolist() == expect
+    field = _OccupancyField(lat, dhat, params, tiers)
+    patterns = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(40, 40, 4 if clamped else 40)))
+    worst = 0.0
+    for pattern in patterns:
+        if clamped and not pattern[2]:
+            continue
+        occ = np.append(np.array(pattern, dtype=bool), False)[None, None, :]
+        cov = field.coverage(occ)
+        for c, (sites, _, _) in enumerate(field.classes):
+            prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)[0, 0]))
+            for s, p_on in zip(sites.tolist(), prob):
+                on = pattern[:s] + (1,) + pattern[s + 1 :]
+                off = pattern[:s] + (0,) + pattern[s + 1 :]
+                exact = patterns[on] / (patterns[on] + patterns[off])
+                worst = max(worst, abs(p_on - exact))
+    assert worst < 1e-9
+    print(f"PASS heat-bath conditional vs enumeration: worst error {worst:.1e} < 1e-9")
 
 
 def test_site_likelihood_quadrature():

@@ -1,4 +1,4 @@
-"""Perfect sampler: tiers, trajectory replay invariants, exactness oracles."""
+"""Perfect sampler: tiers, heat-bath sweep invariants, exactness oracles."""
 
 import itertools
 import math
@@ -10,16 +10,17 @@ from aibt.cftp import (
     DEFAULT_DIRECT_CUTOFF,
     DEFAULT_SIMULATION_CUTOFF,
     CoalescenceError,
-    EventTrajectory,
     Tier,
+    _key,
+    _OccupancyField,
+    _root,
+    cftp_counts,
     cftp_sample,
     classify_sites,
-    extend_backward,
-    run_coupled_forward,
-    sample_stationary_dominating,
 )
-from aibt.lattice import Lattice
-from aibt.model import ModelParams, dominating_rate
+from aibt.estimator import sample_coefficients
+from aibt.lattice import Lattice, neighbourhood
+from aibt.model import ModelParams, log_dominating_rate
 from oracles import brute_coverage, enumerate_posterior, occupancy_pattern_probs
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
@@ -69,82 +70,84 @@ def test_classify_sites_cutoff_validation():
     assert DEFAULT_SIMULATION_CUTOFF < DEFAULT_DIRECT_CUTOFF
 
 
-def test_stationary_dominating_moments():
-    lat = Lattice(2)
-    dhat = np.zeros(3)
-    n = 4000
-    counts = np.array(
-        [sample_stationary_dominating(lat, dhat, MODERATE, seed=s).counts for s in range(n)]
-    )
-    rate = MODERATE.lam  # dominating rate at zero signal
-    se = math.sqrt(rate / n)
-    assert np.allclose(counts.mean(axis=0), rate, atol=4 * se)
-    assert np.allclose(counts.var(axis=0), rate, atol=6 * se)
+# --- heat-bath sweeps --------------------------------------------------------------
 
 
-def test_stationary_dominating_skips_non_simulated_sites():
-    lat = Lattice(2)
-    dhat = np.array([0.0, 1.8863236699596295, 3.682148420127842])
-    xi = sample_stationary_dominating(lat, dhat, MODERATE, seed=11)
-    assert xi.counts[1] == 0 and xi.counts[2] == 0
-
-
-# --- trajectory generation ---------------------------------------------------------
-
-
-def _trajectory(seed, dhat=None, params=MODERATE, n_levels=3):
+def _field(seed, params=MODERATE, n_levels=3, clamp=False):
     lat = Lattice(n_levels)
-    if dhat is None:
-        dhat = np.random.default_rng(seed + 1000).normal(0.0, 1.0, lat.n_sites)
-    return EventTrajectory(lat, np.asarray(dhat, dtype=float), params, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    dhat = rng.normal(0.0, 1.0, lat.n_sites)
+    tiers = classify_sites(dhat, params)
+    if clamp:  # hold a random third of the sites occupied, as the upper tiers are
+        tiers = np.where(rng.random(lat.n_sites) < 1 / 3, Tier.OCCUPIED_ASSUMED, tiers).astype(np.int8)
+    return _OccupancyField(lat, dhat, params, tiers), dhat, tiers
+
+
+def _coalescence_sweeps(field, root):
+    sweeps = 1
+    while True:
+        top, bottom = field.run([root], sweeps)
+        if np.array_equal(top, bottom):
+            return sweeps, top[0]
+        sweeps *= 2
 
 
 def test_extension_preserves_prefix_and_endpoint():
-    t1 = _trajectory(3)
-    extend_backward(t1, 1.0)
-    ev1 = t1.events
-    end1 = dict(t1.end_points)
-    extend_backward(t1, 2.0)
-    extend_backward(t1, 8.0)
-    ev3 = t1.events
-    assert ev3[: len(ev1)] == ev1  # newest-first: deeper events only append
-    assert t1.end_points == end1  # the time-zero state never changes
-    assert t1.horizon == 8.0
-    times = [e.time for e in ev3]
-    assert times == sorted(times, reverse=True)
-    assert all(-8.0 < e.time <= 0.0 for e in ev3)
-    assert all(0.0 <= e.mark < 1.0 for e in ev3)
+    """A sweep's uniforms depend on its draw and its time only, never on the batch or horizon."""
+    root = _root(3)
+    assert np.array_equal(_key(root, 5).random(7), _key(root, 5).random(7))
+    assert not np.array_equal(_key(root, 5).random(7), _key(root, 6).random(7))
+    field, dhat, tiers = _field(3, n_levels=4, clamp=True)
+    seeds = [11, 12, 13, 14]
+    batch = cftp_counts(dhat, MODERATE, seeds, lattice=field.lattice, tiers=tiers)
+    for i, s in enumerate(seeds):
+        alone = cftp_sample(dhat, MODERATE, s, lattice=field.lattice, tiers=tiers)
+        assert np.array_equal(batch[i], alone.counts)
+    reordered = cftp_counts(dhat, MODERATE, seeds[::-1], lattice=field.lattice, tiers=tiers)
+    assert np.array_equal(reordered, batch[::-1])
 
 
 def test_same_seed_same_schedule_is_deterministic():
-    a = _trajectory(9)
-    b = _trajectory(9)
-    for h in (1.0, 2.0, 4.0):
-        extend_backward(a, h)
-        extend_backward(b, h)
-    assert a.events == b.events
-    sa = run_coupled_forward(a)
-    sb = run_coupled_forward(b)
-    assert np.array_equal(sa.upper.counts, sb.upper.counts)
-    assert np.array_equal(sa.lower.counts, sb.lower.counts)
-    assert sa.coalesced == sb.coalesced
-    assert sa.n_events == sb.n_events
+    field, _, _ = _field(9, n_levels=4)
+    roots = [_root(9), _root(10)]
+    for sweeps in (1, 2, 4, 8):
+        a = field.run(roots, sweeps)
+        b = field.run([np.random.SeedSequence(r.entropy) for r in roots], sweeps)
+        assert np.array_equal(a, b)
 
 
-def test_trajectory_input_validation():
-    lat = Lattice(2)
-    with pytest.raises(ValueError):
-        EventTrajectory(lat, np.zeros(5), MODERATE)
-    tight = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5, neighbourhood_bound=3)
-    with pytest.raises(ValueError):
-        EventTrajectory(Lattice(4), np.zeros(15), tight)
-
-
-# --- coupled replay invariants -------------------------------------------------------
+def _reference_run(field, dhat, params, tiers, root, sweeps):
+    """Site-by-site heat bath from first principles: brute-force coverage, direct sums."""
+    lat = field.lattice
+    n = lat.n_sites
+    nbhd = [{lat.site_index(*v) for v in neighbourhood(lat.site_of(s), lat.n_levels)} for s in range(n)]
+    log_w = []
+    for s in range(n):
+        terms = [
+            c * math.log(params.lam) - math.lgamma(c + 1)
+            - dhat[s] ** 2 / (2 * params.variance(c)) + dhat[s] ** 2 / (2 * params.variance(0))
+            - 0.5 * math.log(params.variance(c) / params.variance(0))
+            for c in range(1, 400)
+        ]
+        top = max(terms)
+        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)))
+    sim = [t == Tier.SIMULATED for t in tiers]
+    chains = [[True] * n, [not x for x in sim]]
+    for t in range(sweeps, 0, -1):
+        u = _key(root, t).random(n)
+        for members in lat.colour_classes:
+            for s in members.tolist():
+                if not sim[s]:
+                    continue
+                for occ in chains:
+                    unc = sum(1 for v in nbhd[s] if not any(occ[w] for w in nbhd[v] if w != s))
+                    p = 1.0 / (1.0 + math.exp(-(log_w[s] - unc * math.log(params.gamma))))
+                    occ[s] = bool(u[s] < p)
+    return np.array(chains)
 
 
 def test_fast_replay_matches_checked_replay():
-    """The production replay and the brute-force validated replay agree exactly."""
+    """Vectorized class updates reproduce a sequential site-by-site heat bath exactly."""
     rng = np.random.default_rng(55)
     for case in range(25):
         params = ModelParams(
@@ -154,44 +157,49 @@ def test_fast_replay_matches_checked_replay():
             sigma=float(rng.uniform(0.2, 1.0)),
             z=float(rng.choice([0.7, 1.0, 2.0])),
         )
-        lat = Lattice(int(rng.integers(1, 4)))
-        dhat = rng.normal(0.0, 1.0, lat.n_sites)
-        a = EventTrajectory(lat, dhat, params, seed=case)
-        b = EventTrajectory(lat, dhat, params, seed=case)
-        extend_backward(a, 4.0)
-        extend_backward(b, 4.0)
-        fast = run_coupled_forward(a)
-        checked = run_coupled_forward(b, validate=True)
-        assert np.array_equal(fast.upper.counts, checked.upper.counts)
-        assert np.array_equal(fast.lower.counts, checked.lower.counts)
-        assert np.array_equal(fast.dominating.counts, checked.dominating.counts)
-        assert fast.coalesced == checked.coalesced
-        assert fast.coalescence_time == checked.coalescence_time
-        assert fast.n_events == checked.n_events
+        field, dhat, tiers = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
+        root = _root(case)
+        sweeps = int(rng.choice([1, 2, 4]))
+        assert np.array_equal(
+            field.run([root], sweeps)[:, 0], _reference_run(field, dhat, params, tiers, root, sweeps)
+        )
 
 
 def test_sandwich_order_holds_eventwise():
-    # the validated replay asserts lower <= upper <= dominating, the
-    # acceptance-probability ordering, and the thinning floor at every event
-    total = 0
-    for seed in range(10):
-        t = _trajectory(seed, params=MODERATE, n_levels=4)
-        extend_backward(t, 8.0)
-        state = run_coupled_forward(t, validate=True)
-        total += state.n_events
-        low, up = state.lower.counts, state.upper.counts
-        assert np.all(low <= up)
-    assert total > 2000
+    """Any ordered pair of states stays ordered after every class update, as do their odds."""
+    rng = np.random.default_rng(8)
+    updates = 0
+    for case in range(40):
+        field, _, _ = _field(case, n_levels=5, clamp=case % 2 == 1)
+        n = field.lattice.n_sites
+        occ = np.zeros((2, 6, n + 1), dtype=bool)
+        occ[1, :, :n] = (rng.random((6, n)) < 0.4) | ~field.sim
+        occ[0, :, :n] = occ[1, :, :n] | (rng.random((6, n)) < 0.5)
+        cov = field.coverage(occ)
+        for _ in range(3):
+            u = rng.random((6, n))
+            logit_u = np.log(u) - np.log1p(-u)
+            for c in range(len(field.classes)):
+                odds = field.class_log_odds(occ, cov, c)
+                assert np.all(odds[0] >= odds[1])
+                field.update_class(occ, cov, c, logit_u)
+                assert np.all(occ[0] >= occ[1])
+                updates += field.classes[c][0].size * 6
+        assert np.array_equal(cov[..., :n], field.coverage(occ)[..., :n])
+    assert updates > 10_000
 
 
 def test_coalesced_replay_returns_identical_chains():
-    xi = cftp_sample(np.array([0.4, -0.2, 0.9]), MODERATE, seed=5)
-    t = EventTrajectory(Lattice(2), np.array([0.4, -0.2, 0.9]), MODERATE, seed=5)
-    extend_backward(t, 64.0)
-    state = run_coupled_forward(t)
-    if state.coalesced:
-        assert np.array_equal(state.upper.counts, state.lower.counts)
-    assert xi.validate() is None
+    """A start 2T sweeps back returns the draw that coalesced at T."""
+    for seed in range(6):
+        field, dhat, tiers = _field(seed, n_levels=4, clamp=seed % 2 == 1)
+        root = _root(seed)
+        sweeps, state = _coalescence_sweeps(field, root)
+        for deeper in (2 * sweeps, 4 * sweeps):
+            top, bottom = field.run([root], deeper)
+            assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
+        xi = cftp_sample(dhat, MODERATE, seed, lattice=field.lattice, tiers=tiers)
+        assert np.array_equal(xi.counts > 0, state & field.sim)
 
 
 # --- sampler behaviour ---------------------------------------------------------------
@@ -225,13 +233,22 @@ def test_cftp_sample_zeroes_non_simulated_sites():
         assert xi.counts[0] == 0 and xi.counts[2] == 0
 
 
+def test_simulation_cutoff_too_large_is_rejected():
+    # a simulated rate near e**18 would need a multiplicity sum of ~1e8 terms
+    dhat = np.array([3.0, 0.0, 0.0])
+    tiers = classify_sites(dhat, MODERATE, t1=math.exp(30.0), t2=math.exp(30.0))
+    assert (tiers == Tier.SIMULATED).all()
+    with pytest.raises(ValueError, match="t1"):
+        cftp_sample(dhat, MODERATE, seed=0, tiers=tiers)
+
+
 def test_non_coalescence_raises_with_diagnostics():
     params = ModelParams(lam=2.0, gamma=2.0, tau=1.0, sigma=0.5)
     with pytest.raises(CoalescenceError) as exc:
-        cftp_sample(np.full(7, 0.4), params, seed=0, t0=1e-9, max_doublings=0)
+        cftp_sample(np.full(7, 0.4), params, seed=0, max_doublings=0)
     assert exc.value.gap > 0
-    assert exc.value.horizon == pytest.approx(1e-9)
-    assert "horizon" in str(exc.value)
+    assert exc.value.horizon == 1
+    assert "sweeps" in str(exc.value)
 
 
 # --- exactness against enumeration ---------------------------------------------------
@@ -289,7 +306,7 @@ def test_small_lattice_matches_enumeration_hot_site():
     # one site carries a dominating rate near 22: deep count intervals in play
     p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     dhat = np.array([0.35, 0.0, 0.22])
-    assert float(np.max(dominating_rate(dhat, p))) > 20.0
+    assert math.exp(float(np.max(log_dominating_rate(dhat, p)))) > 20.0
     exact = occupancy_pattern_probs(enumerate_posterior(dhat, p, caps=(60, 10, 25)))
     mc = _empirical_patterns(dhat, p, n_draws=1500)
     assert _tv(exact, mc) < 0.06
@@ -334,9 +351,25 @@ def test_forced_occupied_site_conditions_the_chain():
     assert _tv(exact, mc) < 0.06
 
 
-def test_validate_mode_agrees_on_full_sampler():
-    dhat = np.array([0.8, -0.3, 0.5])
-    for seed in range(6):
-        a = cftp_sample(dhat, MODERATE, seed=seed)
-        b = cftp_sample(dhat, MODERATE, seed=seed, validate=True)
-        assert np.array_equal(a.counts, b.counts)
+@pytest.mark.xfail(
+    strict=True,
+    reason="tier bias: an OCCUPIED_ASSUMED site is held occupied although its exact "
+    "posterior occupancy is 0.173",
+)
+def test_occupied_assumed_site_matches_enumeration():
+    p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
+    dhat = np.array([0.3763, 0.0, 0.0])
+    tiers = classify_sites(dhat, p)
+    assert tiers.tolist() == [Tier.OCCUPIED_ASSUMED, Tier.SIMULATED, Tier.SIMULATED]
+    exact = sum(
+        pr for counts, pr in enumerate_posterior(dhat, p, caps=(200, 8, 8)).items() if counts[0] > 0
+    )
+    assert exact == pytest.approx(0.173, abs=1e-3)
+    n = 2000
+    occupied = 0
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        xi = cftp_sample(dhat, p, rng, tiers=tiers)
+        occupied += sample_coefficients(xi, dhat, p, tiers, rng)[0] != 0.0
+    freq = occupied / n
+    assert abs(freq - exact) < 4.0 * math.sqrt(exact * (1 - exact) / n)

@@ -7,6 +7,7 @@ from aibt.lattice import (
     Configuration,
     Lattice,
     coverage_measure,
+    lattice_for,
     neighbourhood,
     uncovered_measure,
 )
@@ -76,6 +77,35 @@ def test_neighbourhood_size_bound(n_levels):
     assert sizes.max() == lat.max_neighbourhood <= 9
     for s in range(lat.n_sites):
         assert sizes[s] == len(neighbourhood(lat.site_of(s), n_levels))
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5, 6, 7])
+def test_padded_neighbour_table_matches_neighbourhood(n_levels):
+    lat = Lattice(n_levels)
+    assert lat.nbr.shape == (lat.n_sites, lat.max_neighbourhood)
+    for s in range(lat.n_sites):
+        row = lat.nbr[s]
+        expected = sorted(lat.site_index(*v) for v in neighbourhood(lat.site_of(s), n_levels))
+        assert row[row < lat.n_sites].tolist() == expected
+        assert (row[len(expected):] == lat.n_sites).all()
+
+
+@pytest.mark.parametrize("n_levels", range(1, 13))
+def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
+    lat = Lattice(n_levels)
+    members = np.concatenate(lat.colour_classes)
+    assert np.array_equal(np.sort(members), np.arange(lat.n_sites))
+    for cls in lat.colour_classes:
+        covered = lat.nbr[cls]
+        covered = covered[covered < lat.n_sites]
+        assert np.unique(covered).size == covered.size  # no site lies in two neighbourhoods
+
+
+def test_lattice_for_shares_one_lattice_per_size():
+    assert lattice_for(15) is lattice_for(15)
+    assert lattice_for(15).n_levels == 4
+    with pytest.raises(ValueError):
+        lattice_for(14)
 
 
 def test_lattice_indexing_round_trip():
@@ -179,7 +209,6 @@ def test_configuration_basics():
         lat.site_index(0, 0),
         lat.site_index(2, 3),
     }
-    xi.validate()
 
     same = Configuration.from_counts(lat, xi.counts.copy())
     assert same == xi

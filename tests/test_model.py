@@ -1,4 +1,4 @@
-"""Model terms: variances, intensity factors, density identity, quadrature check."""
+"""Model terms: variances, count terms, density identity, quadrature check."""
 
 import math
 
@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from aibt.lattice import Configuration, Lattice
+from aibt.lattice import Configuration, Lattice, uncovered_measure
 from aibt.model import (
     ModelParams,
-    cond_intensity_f1,
-    cond_intensity_f2,
-    cond_intensity_f3,
-    cond_intensity_f4,
-    dominating_rate,
     estimate_sigma_mad,
+    log_count_terms,
     log_dominating_rate,
     log_marginal_posterior,
-    lower_thinning_prob,
 )
 from aibt.wavelet import HAAR, WaveletDecomposition
 from oracles import log_density
@@ -36,7 +31,6 @@ def test_params_validation():
         dict(lam=1.0, gamma=2.0, tau=0.0, sigma=1.0),
         dict(lam=1.0, gamma=2.0, tau=1.0, sigma=-1.0),
         dict(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0, z=0.0),
-        dict(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0, neighbourhood_bound=0),
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)
@@ -79,86 +73,74 @@ def test_max_gain_analytic_example():
     assert p.max_gain_exponent == pytest.approx(0.25, rel=1e-12)
 
 
-def test_min_variance_ratio():
-    p = ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0)
-    assert p.min_variance_ratio_factor == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    p2 = ModelParams(lam=1.0, gamma=2.0, tau=0.5, sigma=1.5, z=2.0)
-    ratios = [math.sqrt(p2.variance(c) / p2.variance(c + 1)) for c in range(3000)]
-    assert p2.min_variance_ratio_factor <= min(ratios) * (1 + 1e-9)
-
-
 # --- conditional intensity factors -----------------------------------------------
+#
+# In the factorization of the conditional intensity of a new point at u,
+# f1 = lam, f2 = gamma**-(coverage it adds), f3 = exp(dhat**2 * gain(c)) and
+# f4 = sqrt(v(c) / v(c+1)).  The occupancy field uses f2 through the
+# uncovered count, and f1*f3*f4 / (c+1) as the ratio of consecutive count terms.
 
 
 def test_factor_frozen_values():
     lat = Lattice(6)
     p = ModelParams(lam=0.5, gamma=3.0, tau=1.0, sigma=0.1)
     empty = Configuration.empty(lat)
-    dhat = np.zeros(lat.n_sites)
     u = (3, 4)  # interior site with the full 9-site neighbourhood
-    dhat[lat.site_index(*u)] = 2.0
-    assert cond_intensity_f1(p) == 0.5
-    assert cond_intensity_f2(u, empty, p) == pytest.approx(3.0**-9, rel=1e-12)
-    assert math.log(cond_intensity_f3(u, empty, dhat, p)) == pytest.approx(
-        198.019801980198, abs=1e-9
-    )
-    assert cond_intensity_f4(u, empty, p) == pytest.approx(
-        math.sqrt(0.01 / 1.01), rel=1e-12
+    assert p.gamma ** -uncovered_measure(u, empty) == pytest.approx(3.0**-9, rel=1e-12)
+    # a_1 = f1 * f3 * f4 at an empty site with dhat = 2
+    log_a1 = float(log_count_terms(2.0, p, 1)[0])
+    assert log_a1 == pytest.approx(
+        math.log(0.5) + 198.019801980198 + 0.5 * math.log(0.01 / 1.01), abs=1e-9
     )
 
 
 def test_f4_multiplicity_example():
-    lat = Lattice(1)
     p = ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0)
-    xi = Configuration.from_counts(lat, np.array([5]))
-    assert cond_intensity_f4((0, 0), xi, p) == pytest.approx(math.sqrt(6.0 / 7.0), rel=1e-12)
-
-
-def test_f3_overflow_saturates():
-    lat = Lattice(1)
-    p = ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=0.05)
-    assert cond_intensity_f3((0, 0), Configuration.empty(lat), np.array([60.0]), p) == math.inf
+    terms = log_count_terms(0.0, p, 6)
+    # a_6 / a_5 = f1 * f3 * f4 / 6 with f3 = 1 at dhat = 0 and f4 = sqrt(6/7)
+    assert terms[5] - terms[4] == pytest.approx(math.log(math.sqrt(6.0 / 7.0) / 6.0), abs=1e-12)
 
 
 def test_factor_bounds_random_states():
+    """f2 never exceeds one; the count-term ratio stays under the dominating rate over c+1."""
     lat = Lattice(4)
-    p = ModelParams(lam=0.3, gamma=2.5, tau=1.2, sigma=0.4)
     for _ in range(300):
-        counts = RNG.poisson(0.5, lat.n_sites)
-        xi = Configuration.from_counts(lat, counts)
-        dhat = RNG.normal(0, 1.0, lat.n_sites)
-        s = int(RNG.integers(lat.n_sites))
-        u = lat.site_of(s)
-        f2 = cond_intensity_f2(u, xi, p)
-        f3 = cond_intensity_f3(u, xi, dhat, p)
-        f4 = cond_intensity_f4(u, xi, p)
-        assert 0 < f2 <= 1.0
-        assert 0 < f4 <= 1.0
-        assert 1.0 <= f3 <= math.exp(dhat[s] ** 2 * p.max_gain_exponent) * (1 + 1e-12)
-        assert cond_intensity_f1(p) * f2 * f3 * f4 <= dominating_rate(dhat[s], p) * (1 + 1e-12)
+        p = ModelParams(
+            lam=float(RNG.uniform(0.05, 2.0)), gamma=float(RNG.uniform(1.0, 4.0)),
+            tau=float(RNG.uniform(0.3, 2.0)), sigma=float(RNG.uniform(0.1, 1.0)),
+            z=float(RNG.choice([0.6, 1.0, 1.8])),
+        )
+        xi = Configuration.from_counts(lat, RNG.poisson(0.5, lat.n_sites))
+        u = lat.site_of(int(RNG.integers(lat.n_sites)))
+        assert 0 < p.gamma ** -uncovered_measure(u, xi) <= 1.0
+        d = float(RNG.normal(0, 1.0))
+        terms = log_count_terms(d, p, 40)
+        c = np.arange(1, 40)
+        assert np.all(terms[1:] - terms[:-1] <= log_dominating_rate(d, p) - np.log(c + 1) + 1e-12)
 
 
 def test_intensity_equals_density_ratio():
-    """Adding one point changes the log density by the log conditional intensity."""
+    """Moving a site's count from 0 to c changes the log density by its count term and f2."""
     lat = Lattice(3)
-    p = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
+    p = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6, z=1.3)
     for _ in range(120):
         counts = RNG.poisson(0.6, lat.n_sites)
         dhat = RNG.normal(0, 1.2, lat.n_sites)
         s = int(RNG.integers(lat.n_sites))
-        u = lat.site_of(s)
+        c = int(RNG.integers(1, 6))
+        counts[s] = 0
         xi = Configuration.from_counts(lat, counts)
         plus = counts.copy()
-        plus[s] += 1
-        xi_plus = Configuration.from_counts(lat, plus)
-        delta = log_marginal_posterior(xi_plus, dhat, p) - log_marginal_posterior(xi, dhat, p)
-        lam_u = (
-            cond_intensity_f1(p)
-            * cond_intensity_f2(u, xi, p)
-            * cond_intensity_f3(u, xi, dhat, p)
-            * cond_intensity_f4(u, xi, p)
+        plus[s] = c
+        delta = log_marginal_posterior(Configuration.from_counts(lat, plus), dhat, p) - (
+            log_marginal_posterior(xi, dhat, p)
         )
-        assert delta == pytest.approx(math.log(lam_u), abs=1e-10)
+        # the density is against unit-rate Poisson, the count terms carry 1/c!
+        expected = (
+            float(log_count_terms(dhat[s], p, c)[-1]) + math.lgamma(c + 1)
+            - uncovered_measure(lat.site_of(s), xi) * math.log(p.gamma)
+        )
+        assert delta == pytest.approx(expected, abs=1e-10)
 
 
 def test_log_marginal_posterior_matches_independent_formula():
@@ -187,9 +169,7 @@ def test_forced_occupied_enters_density_and_f2():
     with_force[2] = 1
     xi_force = Configuration.from_counts(lat, with_force)
     u = lat.site_of(0)
-    assert cond_intensity_f2(u, xi, p, forced_occupied=forced) == cond_intensity_f2(
-        u, xi_force, p
-    )
+    assert uncovered_measure(u, xi, forced) == uncovered_measure(u, xi_force)
     dhat = RNG.normal(0, 1, lat.n_sites)
     # coverage term must see the forced site; the count terms must not
     delta = log_marginal_posterior(xi, dhat, p, forced_occupied=forced) - log_marginal_posterior(
@@ -230,7 +210,7 @@ def test_site_likelihood_matches_gauss_hermite(c, z):
         assert closed == pytest.approx(integral, rel=1e-6)
 
 
-# --- dominating rate and thinning ----------------------------------------------------
+# --- dominating rate ----------------------------------------------------------------
 
 
 def test_dominating_rate_identity():
@@ -239,27 +219,18 @@ def test_dominating_rate_identity():
         assert log_dominating_rate(d, p) == pytest.approx(
             math.log(0.5) + d**2 * p.max_gain_exponent, abs=1e-12
         )
-        assert dominating_rate(d, p) == pytest.approx(
-            math.exp(log_dominating_rate(d, p)), rel=1e-12
-        )
-    # vector form and saturation of the huge-rate branch
-    rates = dominating_rate(np.array([0.0, 40.0]), p)
-    assert rates.shape == (2,)
+    # vector form; huge signals stay finite in log space
+    rates = log_dominating_rate(np.array([0.0, 40.0, 1e6]), p)
+    assert rates.shape == (3,)
     assert np.isfinite(rates).all()
-    assert rates[1] == pytest.approx(math.exp(700.0))
+    assert rates[1] == pytest.approx(math.log(0.5) + 1600.0 * p.max_gain_exponent)
 
 
-def test_lower_thinning_prob_identity():
-    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
-    for d in (0.0, 0.9, -1.5):
-        expected = (
-            math.exp(-(d**2) * p.max_gain_exponent)
-            * p.gamma**-p.neighbourhood_bound
-            * p.min_variance_ratio_factor
-        )
-        got = lower_thinning_prob(d, p)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert 0.0 < got <= 1.0
+def test_count_terms_stay_finite_for_huge_signals():
+    p = ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=0.05)
+    terms = log_count_terms(np.array([60.0, 1e6]), p, 50)
+    assert terms.shape == (2, 50)
+    assert np.isfinite(terms).all()
 
 
 # --- noise scale estimate --------------------------------------------------------------

@@ -18,6 +18,7 @@ from aibt.wavelet import (
     get_filter,
     inverse_dwt,
     make_test_signal,
+    resolve_wavelet,
 )
 from oracles import haar_matrix
 
@@ -79,6 +80,14 @@ def test_get_filter_lookup():
     assert get_filter("LA10") is DAUB_LA10
     with pytest.raises(ValueError, match="haar"):
         get_filter("db4")
+
+
+def test_resolve_wavelet_auto_rule():
+    assert resolve_wavelet("auto", "Blocks") == "haar"
+    assert resolve_wavelet("auto", "Doppler") == "la10"
+    assert resolve_wavelet("auto", None) == "la10"  # file input
+    assert resolve_wavelet("haar", "Doppler") == "haar"
+    assert resolve_wavelet("la10", "Blocks") == "la10"
 
 
 # --- transform vs explicit matrix -------------------------------------------
