@@ -15,7 +15,6 @@ close approximation the sampler targets.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from aibt import (
     Configuration,
@@ -41,7 +40,7 @@ for c0 in range(cap):
         for c2 in range(cap):
             counts = np.array([c0, c1, c2])
             xi = Configuration.from_counts(lat, counts)
-            logw = log_marginal_posterior(xi, dhat, params) - float(gammaln(counts + 1).sum())
+            logw = log_marginal_posterior(xi, dhat, params) - sum(math.lgamma(c + 1) for c in counts)
             probs[(c0, c1, c2)] = math.exp(logw)
 total = sum(probs.values())
 probs = {k: v / total for k, v in probs.items()}

@@ -6,8 +6,10 @@ coefficients shrunk; the scaling coefficient always passes through.
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy.stats import norm
 
 from .wavelet import WaveletDecomposition
 
@@ -20,6 +22,22 @@ __all__ = [
     "estimate_mixture_hyperparams",
     "fdr_threshold",
 ]
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+
+
+def _norm_pdf(x: np.ndarray, scale: float) -> np.ndarray:
+    """Density of ``N(0, scale**2)``."""
+    z = x / scale
+    return np.exp(-(z**2) / 2.0) / _SQRT_2PI / scale
+
+
+def _norm_sf(x: np.ndarray) -> np.ndarray:
+    """Upper tail ``P(Z > x)`` of the standard normal; ``erfc`` keeps it accurate far out."""
+    return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
@@ -100,17 +118,17 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float, tau: float) -> np.nd
     if pi == 0.0 or tau <= 0.0:
         return np.zeros_like(d)
     s2 = sigma**2 + tau**2
-    g1 = norm.pdf(d, scale=np.sqrt(s2))
-    g0 = norm.pdf(d, scale=sigma)
+    g1 = _norm_pdf(d, np.sqrt(s2))
+    g0 = _norm_pdf(d, sigma)
     w = pi * g1 / (pi * g1 + (1.0 - pi) * g0)
     mu = tau**2 / s2 * np.abs(d)
     nu = np.sqrt(sigma**2 * tau**2 / s2)
     # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2
-    take = w * norm.cdf(mu / nu) > 0.5
+    take = w * _norm_sf(-mu / nu) > 0.5
     med = np.zeros_like(d)
     if take.any():
         q = 1.0 - 1.0 / (2.0 * w[take])
-        med[take] = np.sign(d[take]) * (mu[take] + nu * norm.ppf(q))
+        med[take] = np.sign(d[take]) * (mu[take] + nu * _inv_cdf(q))
     return med
 
 
@@ -170,7 +188,7 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
         raise ValueError("sigma must be positive")
     flat = dec.flat_details()
     m = flat.size
-    p = 2.0 * norm.sf(np.abs(flat) / sigma)
+    p = 2.0 * _norm_sf(np.abs(flat) / sigma)
     order = np.argsort(p)
     ladder = q * (np.arange(1, m + 1) / m)
     passed = np.flatnonzero(p[order] <= ladder)

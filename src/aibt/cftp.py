@@ -140,8 +140,10 @@ class _OccupancyField:
         sim = np.asarray(tiers) == Tier.SIMULATED
         self.lattice = lattice
         self.sim = sim
-        self.clamped = np.append(~sim, False)
         self.log_gamma = math.log(params.gamma)
+        # both start states are constants of the field, built once and copied per run
+        self.start_occ = np.stack([np.arange(n + 1) < n, np.append(~sim, False)])
+        self.start_cov = self.coverage(self.start_occ)
         self.classes = []
         for members in lattice.colour_classes:
             sites = members[sim[members]]
@@ -168,11 +170,11 @@ class _OccupancyField:
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
         """Top chains (all occupied) and bottom chains (tier sites only), shape ``(2, n_draws, n+1)``."""
-        occ = np.empty((2, n_draws, self.lattice.n_sites + 1), dtype=bool)
-        occ[0] = True
-        occ[0, :, -1] = False
-        occ[1] = self.clamped
-        return occ, self.coverage(occ)
+        shape = (2, n_draws, self.lattice.n_sites + 1)
+        return (
+            np.broadcast_to(self.start_occ[:, None], shape).copy(),
+            np.broadcast_to(self.start_cov[:, None], shape).copy(),
+        )
 
     def coverage(self, occ: np.ndarray) -> np.ndarray:
         cov = np.zeros(occ.shape, dtype=np.int8)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import Tier, _count_cap, _key, _OccupancyField, _root, cftp_sample, classify_sites
+from aibt.cftp import Tier, _count_cap, _key, _OccupancyField, _root, cftp_counts, classify_sites
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Configuration, Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
@@ -28,9 +28,8 @@ def test_exact_draws_match_enumeration():
     exact = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(14, 14, 14)))
     n_draws = 10_000
     freq: dict[tuple[int, ...], float] = {}
-    for seed in range(n_draws):
-        xi = cftp_sample(dhat, params, seed=seed)
-        pat = tuple(int(c > 0) for c in xi.counts)
+    for counts in cftp_counts(dhat, params, range(n_draws)):
+        pat = tuple(int(c > 0) for c in counts)
         freq[pat] = freq.get(pat, 0.0) + 1.0 / n_draws
     tv = 0.5 * sum(abs(exact.get(k, 0.0) - freq.get(k, 0.0)) for k in set(exact) | set(freq))
     elapsed = time.perf_counter() - start
@@ -52,9 +51,7 @@ def test_occupancy_matches_forward_equilibrium_chain():
     assert (classify_sites(dhat, params) == Tier.SIMULATED).all()
     mc_est, mc_se = gillespie_occupancy(dhat, params, lattice, n_events=10_000_000, seed=42)
     n_draws = 10_000
-    occ = np.zeros(lattice.n_sites)
-    for seed in range(n_draws):
-        occ += cftp_sample(dhat, params, seed=seed).counts > 0
+    occ = (cftp_counts(dhat, params, range(n_draws)) > 0).sum(axis=0)
     p_cftp = occ / n_draws
     se_cftp = np.sqrt(p_cftp * (1 - p_cftp) / n_draws)
     combined = np.sqrt(mc_se**2 + se_cftp**2)

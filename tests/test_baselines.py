@@ -8,6 +8,9 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from aibt.baselines import (
+    _inv_cdf,
+    _norm_pdf,
+    _norm_sf,
     bayes_thresh,
     estimate_mixture_hyperparams,
     fdr_threshold,
@@ -233,3 +236,62 @@ def test_rules_preserve_scaling_and_shapes():
         out = rule(dec)
         assert out.scaling == dec.scaling
         assert [d.size for d in out.details] == [d.size for d in dec.details]
+
+
+# --- normal-law helpers against scipy ---------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def test_normal_helpers_match_scipy():
+    x = np.linspace(-38.0, 38.0, 20001)
+    for scale in (0.1, 1.0, 3.7):
+        np.testing.assert_allclose(_norm_pdf(x * scale, scale), norm.pdf(x * scale, scale=scale),
+                                   rtol=2 * EPS, atol=0)
+    # erfc(x / sqrt 2) has condition number ~x**2, so rounding x / sqrt 2 alone costs
+    # about 38**2 * eps ~ 3e-13 relative at the ends; subnormal tails differ absolutely
+    np.testing.assert_allclose(_norm_sf(x), norm.sf(x), rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(_norm_sf(-x), norm.cdf(x), rtol=1e-12, atol=1e-300)
+    q = np.append(np.logspace(-300.0, math.log10(0.5), 2001), 0.5)
+    np.testing.assert_allclose(_inv_cdf(q), norm.ppf(q), rtol=8 * EPS, atol=0)
+    assert _inv_cdf(0.5) == 0.0  # w = 1: the median is the slab mean
+
+
+def _scipy_bayes_thresh(flat, sigma, pi, tau):
+    """The spike-and-slab median computed with ``scipy.stats.norm``."""
+    s2 = sigma**2 + tau**2
+    g1 = norm.pdf(flat, scale=math.sqrt(s2))
+    g0 = norm.pdf(flat, scale=sigma)
+    w = pi * g1 / (pi * g1 + (1.0 - pi) * g0)
+    mu = tau**2 / s2 * np.abs(flat)
+    nu = math.sqrt(sigma**2 * tau**2 / s2)
+    take = w * norm.cdf(mu / nu) > 0.5
+    med = np.zeros_like(flat)
+    med[take] = np.sign(flat[take]) * (mu[take] + nu * norm.ppf(1.0 - 1.0 / (2.0 * w[take])))
+    return med
+
+
+def _scipy_fdr(flat, sigma, q):
+    p = 2.0 * norm.sf(np.abs(flat) / sigma)
+    order = np.argsort(p)
+    passed = np.flatnonzero(p[order] <= q * np.arange(1, flat.size + 1) / flat.size)
+    if passed.size == 0:
+        return np.zeros_like(flat)
+    t = np.abs(flat[order[passed[-1]]])
+    return np.where(np.abs(flat) >= t, flat, 0.0)
+
+
+def test_bayes_thresh_and_fdr_match_scipy_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        sigma = float(rng.uniform(0.05, 2.0))
+        pi, tau = float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.1, 5.0))
+        x = np.where(rng.random(256) < 0.2, rng.normal(0.0, 6.0 * sigma, 256), 0.0)
+        dec = forward_dwt(x + rng.normal(0.0, sigma, 256), HAAR)
+        flat = dec.flat_details()
+        got = bayes_thresh(dec, sigma, pi, tau).flat_details()
+        want = _scipy_bayes_thresh(flat, sigma, pi, tau)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        q = float(rng.uniform(0.01, 0.5))
+        assert np.array_equal(fdr_threshold(dec, sigma, q).flat_details(), _scipy_fdr(flat, sigma, q))

@@ -19,7 +19,7 @@ from aibt.cftp import (
     classify_sites,
 )
 from aibt.estimator import sample_coefficients
-from aibt.lattice import Lattice, neighbourhood
+from aibt.lattice import Configuration, Lattice, neighbourhood
 from aibt.model import ModelParams, log_dominating_rate
 from oracles import brute_coverage, enumerate_posterior, occupancy_pattern_probs
 
@@ -256,9 +256,8 @@ def test_non_coalescence_raises_with_diagnostics():
 
 def _empirical_patterns(dhat, params, n_draws, seed0=0):
     freq: dict[tuple[int, ...], float] = {}
-    for seed in range(seed0, seed0 + n_draws):
-        xi = cftp_sample(dhat, params, seed=seed)
-        pat = tuple(int(c > 0) for c in xi.counts)
+    for counts in cftp_counts(dhat, params, range(seed0, seed0 + n_draws)):
+        pat = tuple(int(c > 0) for c in counts)
         freq[pat] = freq.get(pat, 0.0) + 1.0 / n_draws
     return freq
 
@@ -288,8 +287,7 @@ def test_single_site_chain_matches_hand_enumeration():
         assert enum[(c,)] == pytest.approx(hand[c], abs=1e-12)
     n = 4000
     freq = np.zeros(cap + 1)
-    for seed in range(n):
-        c = int(cftp_sample(dhat, p, seed=seed).counts[0])
+    for c in cftp_counts(dhat, p, range(n))[:, 0]:
         assert c <= cap
         freq[c] += 1.0 / n
     assert 0.5 * float(np.abs(freq - hand).sum()) < 0.05
@@ -344,9 +342,8 @@ def test_forced_occupied_site_conditions_the_chain():
         exact[pat] = exact.get(pat, 0.0) + math.exp(lw - mx) / z
     n = 1500
     mc: dict[tuple[int, int], float] = {}
-    for seed in range(n):
-        xi = cftp_sample(dhat, p, seed=seed)
-        pat = (int(xi.counts[0] > 0), int(xi.counts[1] > 0))
+    for counts in cftp_counts(dhat, p, range(n)):
+        pat = (int(counts[0] > 0), int(counts[1] > 0))
         mc[pat] = mc.get(pat, 0.0) + 1.0 / n
     assert _tv(exact, mc) < 0.06
 
@@ -367,9 +364,9 @@ def test_occupied_assumed_site_matches_enumeration():
     assert exact == pytest.approx(0.173, abs=1e-3)
     n = 2000
     occupied = 0
-    for seed in range(n):
-        rng = np.random.default_rng(seed)
-        xi = cftp_sample(dhat, p, rng, tiers=tiers)
-        occupied += sample_coefficients(xi, dhat, p, tiers, rng)[0] != 0.0
+    lat = Lattice(2)
+    rngs = [np.random.default_rng(seed) for seed in range(n)]
+    for counts, rng in zip(cftp_counts(dhat, p, rngs, tiers=tiers), rngs):
+        occupied += sample_coefficients(Configuration(lat, counts), dhat, p, tiers, rng)[0] != 0.0
     freq = occupied / n
     assert abs(freq - exact) < 4.0 * math.sqrt(exact * (1 - exact) / n)

@@ -132,3 +132,20 @@ def test_module_entry_point_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_bench_load_no_scipy(tmp_path):
+    """The package, its CLI and a bench over all five methods run without scipy."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"signals": ["Bumps"], "rsnr": [10.0]}))
+    argv = ["bench", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"),
+            "--n", "32", "--reps", "1", "--draws", "2", "--no-runtime", "--seed", "5"]
+    code = (
+        "import sys, aibt, aibt.cli\n"
+        f"assert aibt.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len((tmp_path / "rows.csv").read_text().strip().splitlines()) == 6
