@@ -24,7 +24,7 @@ from .baselines import (
     sure_shrink,
     universal_threshold,
 )
-from .cftp import DEFAULT_DIRECT_CUTOFF, DEFAULT_SIMULATION_CUTOFF, CoalescenceError
+from .cftp import CoalescenceError
 from .estimator import denoise
 from .model import ModelParams
 from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
@@ -60,8 +60,6 @@ class ExperimentConfig:
     tau: float = 1.0
     z: float = 1.0
     seed: int = 0
-    t1: float = DEFAULT_SIMULATION_CUTOFF
-    t2: float = DEFAULT_DIRECT_CUTOFF
     max_doublings: int = 20
     methods: tuple[str, ...] = METHODS
     wavelet_policy: str = "auto"
@@ -124,10 +122,7 @@ def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: ExperimentConfig, seed) -> np.ndarray:
     if method == "AIBT":
         params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma, cfg.z)
-        return denoise(
-            y, filt, params, cfg.n_draws, seed,
-            t1=cfg.t1, t2=cfg.t2, max_doublings=cfg.max_doublings,
-        )
+        return denoise(y, filt, params, cfg.n_draws, seed, max_doublings=cfg.max_doublings)
     dec = forward_dwt(y, filt)
     if method == "Universal":
         return inverse_dwt(universal_threshold(dec, sigma))

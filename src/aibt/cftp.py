@@ -15,16 +15,16 @@ no two sites of one class have intersecting neighbourhoods, so a class
 updates as one vectorized step.  Occupied sites then draw their
 multiplicity from its one-dimensional law.
 
-Sites whose dominating rate ``lam * exp(dhat**2 * max_gain_exponent)`` is
-too large are not simulated: above ``t1`` they are held occupied in both
-chains (their count drawn by the estimator), above ``t2`` they are handed
-to the estimator directly.  Draws are exact for this tier-conditioned
-posterior, the close approximation the sampler targets.
+Sites are either simulated or held.  A site whose dominating rate ``lam *
+exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held occupied in
+both chains and its count is not drawn; the estimator takes its
+coefficient from the observation.  Draws are exact for this posterior
+conditioned on the held sites being occupied, the close approximation the
+sampler targets.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import math
@@ -35,10 +35,7 @@ from .lattice import Configuration, Lattice, lattice_for
 from .model import ModelParams, log_count_terms, log_dominating_rate
 
 __all__ = [
-    "Tier",
-    "DEFAULT_SIMULATION_CUTOFF",
-    "DEFAULT_DIRECT_CUTOFF",
-    "classify_sites",
+    "held_sites",
     "CoalescenceError",
     "cftp_counts",
     "cftp_sample",
@@ -46,45 +43,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SIMULATION_CUTOFF = math.exp(4.0)
-DEFAULT_DIRECT_CUTOFF = math.exp(20.0)
-
+# log dominating rate above which a site is held rather than simulated
+_HELD_LOG_RATE = 4.0
 # the multiplicity sum is cut where the dropped tail is below this share of W_s
 _LOG_TAIL_SHARE = -60.0 * math.log(2.0)
-# largest dominating rate a simulated site may have (about e**10.4); its
-# multiplicity sum then runs to some 2**16 terms
-_MAX_SIMULATED_RATE = 2.0**15
 _CHUNK_TERMS = 2**20  # count terms evaluated at once
 
 
-class Tier(enum.IntEnum):
-    """How a site is handled by the sampler, by dominating-rate magnitude."""
+def held_sites(dhat: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Mask of the sites held occupied: dominating rate above ``e**4``.
 
-    SIMULATED = 0
-    OCCUPIED_ASSUMED = 1
-    DIRECT = 2
-
-
-def classify_sites(
-    dhat: np.ndarray,
-    params: ModelParams,
-    t1: float = DEFAULT_SIMULATION_CUTOFF,
-    t2: float = DEFAULT_DIRECT_CUTOFF,
-) -> np.ndarray:
-    """Assign each site a tier from its dominating rate.
-
-    Rates at most ``t1`` are simulated exactly; rates in ``(t1, t2]`` are
-    treated as permanently occupied (only the multiplicity is random);
-    rates above ``t2`` are estimated directly from the observation.
-    Comparison happens in log space so no finite cutoff can overflow.
+    The rest are simulated.  The comparison is made in log space, so no
+    coefficient is too large for it.
     """
-    if not (0 < t1 <= t2):
-        raise ValueError("cutoffs must satisfy 0 < t1 <= t2")
-    log_rate = np.asarray(log_dominating_rate(dhat, params))
-    tiers = np.full(log_rate.shape, Tier.SIMULATED, dtype=np.int8)
-    tiers[log_rate > math.log(t1)] = Tier.OCCUPIED_ASSUMED
-    tiers[log_rate > math.log(t2)] = Tier.DIRECT
-    return tiers
+    return np.asarray(log_dominating_rate(dhat, params)) > _HELD_LOG_RATE
 
 
 class CoalescenceError(RuntimeError):
@@ -103,12 +75,9 @@ def _count_cap(log_rate: float) -> int:
     so ``a_c <= a_1 * r**(c-1) / c!``; past ``c >= 2r`` they at least halve
     at each step.  The mass dropped beyond ``cap`` is then at most
     ``2 * r**cap / (cap+1)!`` times ``a_1 <= W_s``, which the loop pushes
-    below ``2**-60`` (about 175 terms at the default ``t1 = e**4``).
+    below ``2**-60``: at most about 175 terms, since no simulated rate
+    exceeds ``e**4``.
     """
-    if log_rate > math.log(_MAX_SIMULATED_RATE):
-        raise ValueError(
-            f"a simulated site has dominating rate {math.exp(log_rate):.3g}; lower the cutoff t1"
-        )
     cap = max(1, math.ceil(2.0 * math.exp(log_rate)))
     while math.log(2.0) + cap * log_rate - math.lgamma(cap + 2) > _LOG_TAIL_SHARE:
         cap += 1
@@ -127,7 +96,7 @@ def _root(seed) -> np.random.SeedSequence:
 
 
 class _OccupancyField:
-    """Heat-bath dynamics of the tier-conditioned occupancy posterior of one signal.
+    """Heat-bath dynamics of the occupancy posterior of one signal, given its held sites.
 
     Chain states are boolean arrays ``occ[..., n_sites + 1]`` (the last entry
     pads the neighbour table and stays empty) with matching coverage counts
@@ -135,9 +104,9 @@ class _OccupancyField:
     symmetry of neighbourhoods is how many cover ``v``.
     """
 
-    def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, tiers: np.ndarray):
+    def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, held: np.ndarray):
         n = lattice.n_sites
-        sim = np.asarray(tiers) == Tier.SIMULATED
+        sim = ~np.asarray(held)
         self.lattice = lattice
         self.sim = sim
         self.log_gamma = math.log(params.gamma)
@@ -169,7 +138,7 @@ class _OccupancyField:
             yield chunk, log_count_terms(self.dhat[chunk], self.params, self.cap)
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top chains (all occupied) and bottom chains (tier sites only), shape ``(2, n_draws, n+1)``."""
+        """Top chains (all occupied) and bottom chains (held sites only), shape ``(2, n_draws, n+1)``."""
         shape = (2, n_draws, self.lattice.n_sites + 1)
         return (
             np.broadcast_to(self.start_occ[:, None], shape).copy(),
@@ -225,9 +194,11 @@ def cftp_counts(
     max_doublings: int = 20,
     *,
     lattice: Lattice | None = None,
-    tiers: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact posterior multiplicities over simulated sites, one row per seed.
+    """Exact posterior multiplicities of the simulated sites, one row per seed.
+
+    Held sites (see :func:`held_sites`) are occupied in every draw and
+    carry count zero here.
 
     All draws run along one leading axis from a shared lookback of 1, 2,
     4, ... sweeps.  A draw whose chains agree at time zero is final: a start
@@ -242,17 +213,14 @@ def cftp_counts(
         seeds: one integer seed, ``SeedSequence`` or generator per draw.
         max_doublings: how many times the lookback may double.
         lattice: prebuilt lattice (the shared one for ``dhat.size`` if omitted).
-        tiers: precomputed tier map (default cutoffs applied if omitted).
     """
     dhat = np.asarray(dhat, dtype=float)
     if lattice is None:
         lattice = lattice_for(dhat.size)
     if dhat.shape != (lattice.n_sites,):
         raise ValueError("dhat must hold one value per lattice site")
-    if tiers is None:
-        tiers = classify_sites(dhat, params)
     roots = [_root(s) for s in seeds]
-    field = _OccupancyField(lattice, dhat, params, tiers)
+    field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
     active = np.arange(len(roots))
     sweeps = 1
@@ -269,7 +237,7 @@ def cftp_counts(
                     "draws": int(active.size),
                     "coalesced": int(agree.sum()),
                     "gap": gap,
-                    "tier_census": np.bincount(np.asarray(tiers), minlength=3).tolist(),
+                    "held": int((~field.sim).sum()),
                 }),
             )
         active = active[~agree]
@@ -286,14 +254,13 @@ def cftp_sample(
     max_doublings: int = 20,
     *,
     lattice: Lattice | None = None,
-    tiers: np.ndarray | None = None,
 ) -> Configuration:
-    """One exact draw from the tier-conditioned posterior over simulated sites.
+    """One exact draw of the simulated sites' multiplicities, given the held sites occupied.
 
-    Non-simulated sites carry zero counts; see :func:`cftp_counts`.
+    Held sites carry zero counts; see :func:`cftp_counts`.
     """
     dhat = np.asarray(dhat, dtype=float)
     if lattice is None:
         lattice = lattice_for(dhat.size)
-    counts = cftp_counts(dhat, params, [seed], max_doublings, lattice=lattice, tiers=tiers)
+    counts = cftp_counts(dhat, params, [seed], max_doublings, lattice=lattice)
     return Configuration(lattice, counts[0])

@@ -13,13 +13,7 @@ import sys
 import numpy as np
 
 from .bench import METHODS, emit_csv, load_config, run_experiment
-from .cftp import (
-    DEFAULT_DIRECT_CUTOFF,
-    DEFAULT_SIMULATION_CUTOFF,
-    CoalescenceError,
-    cftp_sample,
-    classify_sites,
-)
+from .cftp import CoalescenceError, cftp_sample, held_sites
 from .estimator import denoise
 from .lattice import lattice_for
 from .model import ModelParams, estimate_sigma_mad
@@ -57,8 +51,6 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=3.0, help="clustering reward (>= 1)")
     p.add_argument("--tau", type=float, default=1.0, help="prior coefficient scale")
     p.add_argument("--z", type=float, default=1.0, help="multiplicity power in the variance")
-    p.add_argument("--t1", type=float, default=DEFAULT_SIMULATION_CUTOFF, help="simulation-tier rate cutoff")
-    p.add_argument("--t2", type=float, default=DEFAULT_DIRECT_CUTOFF, help="direct-tier rate cutoff")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
 
@@ -87,7 +79,7 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
 def _cmd_denoise(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
-    est = denoise(y, get_filter(wavelet), params, args.draws, args.seed, t1=args.t1, t2=args.t2)
+    est = denoise(y, get_filter(wavelet), params, args.draws, args.seed)
     np.savetxt(args.out, est, fmt="%.17g")
     return 0
 
@@ -97,13 +89,13 @@ def _cmd_sample(args) -> int:
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
     dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
     lattice = lattice_for(dhat.size)
-    tiers = classify_sites(dhat, params, args.t1, args.t2)
-    xi = cftp_sample(dhat, params, args.seed, lattice=lattice, tiers=tiers)
+    xi = cftp_sample(dhat, params, args.seed, lattice=lattice)
+    held = held_sites(dhat, params)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("j,k,xi\n")
+        fh.write("j,k,xi,held\n")
         for s in range(lattice.n_sites):
             j, k = lattice.site_of(s)
-            fh.write(f"{j},{k},{int(xi.counts[s])}\n")
+            fh.write(f"{j},{k},{int(xi.counts[s])},{int(held[s])}\n")
     return 0
 
 
@@ -125,8 +117,6 @@ def _cmd_bench(args) -> int:
         "tau": args.tau,
         "z": args.z,
         "seed": args.seed,
-        "t1": args.t1,
-        "t2": args.t2,
         "methods": args.methods.split(",") if args.methods else None,
         "wavelet_policy": args.wavelet_policy,
         "record_runtime": False if args.no_runtime else None,
@@ -152,7 +142,7 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("sample", help="write one exact posterior occupancy draw")
     _add_input_options(s)
     _add_param_options(s)
-    s.add_argument("--out", required=True, help="output CSV with columns j,k,xi")
+    s.add_argument("--out", required=True, help="output CSV with columns j,k,xi,held")
     s.set_defaults(func=_cmd_sample)
 
     b = sub.add_parser("bench", help="run the benchmark grid and write CSV")
@@ -168,8 +158,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--tau", type=float, help="prior coefficient scale")
     b.add_argument("--z", type=float, help="multiplicity power")
     b.add_argument("--seed", type=int, help="root seed")
-    b.add_argument("--t1", type=float, help="simulation-tier cutoff")
-    b.add_argument("--t2", type=float, help="direct-tier cutoff")
     b.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
     b.add_argument("--wavelet-policy", choices=("auto", "haar", "la10"))
     b.add_argument("--no-runtime", action="store_true", help="record zero runtimes (byte-stable output)")

@@ -148,8 +148,9 @@ def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:
 def log_dominating_rate(dhat_u, params: ModelParams):
     """Log of ``lam * exp(dhat**2 * max_gain_exponent)``, which bounds the count ratio.
 
-    The tiers compare it with their cutoffs; among simulated sites its
-    maximum fixes how far the multiplicity law has to be summed.
+    Above ``e**4`` the sampler holds a site occupied instead of simulating
+    it; among simulated sites its maximum fixes how far the multiplicity
+    law has to be summed.
     """
     d2 = np.asarray(dhat_u, dtype=float) ** 2
     out = math.log(params.lam) + d2 * params.max_gain_exponent

@@ -93,100 +93,76 @@ def gillespie_occupancy(
     dhat: np.ndarray,
     params: ModelParams,
     lattice: Lattice,
+    n_chains: int,
     n_events: int,
     seed: int,
-    n_batches: int = 50,
+    n_groups: int = 50,
     count_cap: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time-weighted occupancy of the forward birth-death chain, with batch SE.
+    """Time-weighted occupancy of independent forward birth-death chains, with group SE.
 
     Birth rates are ratios of :func:`log_density` at neighbouring states
     (each point also dies at unit rate), which is detailed balance with the
-    target posterior; the chain therefore equilibrates to the same law the
-    coupled sampler draws from, by a completely different route.  The first
-    5% of events are discarded as burn-in and the rest are split into
-    batches whose time-weighted means give the standard error.
+    target posterior; the chains therefore equilibrate to the same law the
+    coupled sampler draws from, by a completely different route.  All
+    ``n_chains`` chains start empty and run ``n_events`` events each, side
+    by side; the first 5% of each chain's events are discarded as burn-in.
+    The chains are split into ``n_groups`` groups whose time-weighted means
+    give the standard error.
     """
     ns = lattice.n_sites
     dhat = np.asarray(dhat, dtype=float)
+    if n_chains % n_groups:
+        raise ValueError("n_chains must be a multiple of n_groups")
 
     def gauss(s: int, c: int) -> float:
         v = params.sigma**2 + params.tau**2 * float(c) ** params.z
         return -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
 
     # birth rate tables: count part per site, coverage part per occupancy pattern
-    exp_g = [
-        [math.exp(math.log(params.lam) + gauss(s, c + 1) - gauss(s, c)) for c in range(count_cap)]
-        for s in range(ns)
-    ]
+    exp_g = np.array(
+        [
+            [math.exp(math.log(params.lam) + gauss(s, c + 1) - gauss(s, c)) for c in range(count_cap)]
+            for s in range(ns)
+        ]
+    )
     cov_tab = [
         brute_coverage(lattice, {s for s in range(ns) if pat >> s & 1})
         for pat in range(1 << ns)
     ]
-    dcov_pow = [
-        [params.gamma ** -(cov_tab[pat | 1 << s] - cov_tab[pat]) for s in range(ns)]
-        for pat in range(1 << ns)
-    ]
+    dcov_pow = np.array(
+        [
+            [params.gamma ** -(cov_tab[pat | 1 << s] - cov_tab[pat]) for s in range(ns)]
+            for pat in range(1 << ns)
+        ]
+    )
 
     rng = np.random.default_rng(seed)
-    counts = [0] * ns
-    pat = 0
+    chains = np.arange(n_chains)
+    sites = np.arange(ns)
+    bits = 1 << sites
+    counts = np.zeros((n_chains, ns), dtype=np.int64)
     burn = n_events // 20
-    per_batch = (n_events - burn) // n_batches
-    occ_time = [[0.0] * ns for _ in range(n_batches)]
-    t_batch = [0.0] * n_batches
-    u = rng.random(1 << 21)
-    ui = 0
+    occ_time = np.zeros((n_chains, ns))
+    t_total = np.zeros(n_chains)
     for ev in range(n_events):
-        if ui + 2 > u.size:
-            u = rng.random(1 << 21)
-            ui = 0
-        rates = []
-        tot = 0.0
-        row = dcov_pow[pat]
-        for s in range(ns):
-            c = counts[s]
-            b = exp_g[s][c] * (row[s] if c == 0 else 1.0)
-            tot += b + c
-            rates.append(b)
-        dt = -math.log(u[ui]) / tot
-        pick = u[ui + 1] * tot
-        ui += 2
+        occupied = counts > 0
+        # IndexError if a count reaches count_cap: the tables would be too short
+        births = exp_g[sites, counts] * np.where(occupied, 1.0, dcov_pow[occupied @ bits])
+        rates = np.concatenate([births, counts], axis=1)
+        cum = np.cumsum(rates, axis=1)
+        tot = cum[:, -1]
+        u = rng.random((2, n_chains))
+        dt = -np.log(u[0]) / tot
         if ev >= burn:
-            b_idx = min((ev - burn) // per_batch, n_batches - 1)
-            t_batch[b_idx] += dt
-            ot = occ_time[b_idx]
-            for s in range(ns):
-                if counts[s] > 0:
-                    ot[s] += dt
-        site = -1
-        birth = True
-        acc = 0.0
-        for s in range(ns):
-            acc += rates[s]
-            if pick < acc:
-                site = s
-                break
-        if site < 0:
-            birth = False
-            for s in range(ns):
-                acc += counts[s]
-                if pick < acc:
-                    site = s
-                    break
-            if site < 0:
-                site = ns - 1
-        if birth:
-            counts[site] += 1
-            if counts[site] == 1:
-                pat |= 1 << site
-        else:
-            counts[site] -= 1
-            if counts[site] == 0:
-                pat &= ~(1 << site)
-    means = np.array(
-        [[occ_time[b][s] / t_batch[b] for s in range(ns)] for b in range(n_batches)]
-    )
-    est = np.average(means, axis=0, weights=np.array(t_batch))
-    se = means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+            t_total += dt
+            occ_time += dt[:, None] * occupied
+        # the first event whose cumulative rate exceeds the pick; its rate is positive
+        pick = (cum <= (u[1] * tot)[:, None]).sum(axis=1)
+        counts[chains, pick % ns] += np.where(pick < ns, 1, -1)
+    groups = n_chains // n_groups
+    group_time = t_total.reshape(n_groups, groups).sum(axis=1)
+    means = occ_time.reshape(n_groups, groups, ns).sum(axis=1) / group_time[:, None]
+    est = np.average(means, axis=0, weights=group_time)
+    se = means.std(axis=0, ddof=1) / math.sqrt(n_groups)
     return est, se

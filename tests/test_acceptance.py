@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import Tier, _count_cap, _key, _OccupancyField, _root, cftp_counts, classify_sites
+from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, cftp_counts, held_sites
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Configuration, Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
@@ -41,15 +41,18 @@ def test_exact_draws_match_enumeration():
 def test_occupancy_matches_forward_equilibrium_chain():
     """Per-site occupancy agrees with an independent forward birth-death chain.
 
-    1e4 exact draws against 1e7 events of a chain in detailed balance with
-    the same density; every site within three combined standard errors.
+    1e4 exact draws against 1000 chains of 1e4 events each (1e7 in all) in
+    detailed balance with the same density; every site within three
+    combined standard errors.
     """
     start = time.perf_counter()
     params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
     lattice = Lattice(3)
     dhat = np.array([1.2, -0.8, 0.3, 0.9, 0.05, -0.45, 0.6])
-    assert (classify_sites(dhat, params) == Tier.SIMULATED).all()
-    mc_est, mc_se = gillespie_occupancy(dhat, params, lattice, n_events=10_000_000, seed=42)
+    assert not held_sites(dhat, params).any()
+    mc_est, mc_se = gillespie_occupancy(
+        dhat, params, lattice, n_chains=1000, n_events=10_000, seed=42
+    )
     n_draws = 10_000
     occ = (cftp_counts(dhat, params, range(n_draws)) > 0).sum(axis=0)
     p_cftp = occ / n_draws
@@ -74,17 +77,16 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
     hot = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     rng = np.random.default_rng(2)
     # a high-rate site first, then random signals with a random third of sites held occupied
-    cases = [(Lattice(2), np.array([0.35, 0.0, 0.22]), hot, np.zeros(3, dtype=np.int8))]
+    cases = [(Lattice(2), np.array([0.35, 0.0, 0.22]), hot, np.zeros(3, dtype=bool))]
     seed = 0
     while total < 100_000:
         if not cases:
             lat = Lattice(4)
             dhat = rng.normal(0.0, 1.0, lat.n_sites)
-            held = rng.random(lat.n_sites) < 1 / 3
-            tiers = np.where(held, Tier.OCCUPIED_ASSUMED, classify_sites(dhat, params))
-            cases.append((lat, dhat, params, tiers.astype(np.int8)))
-        lat, dhat, p, tiers = cases.pop()
-        field = _OccupancyField(lat, dhat, p, tiers)
+            held = (rng.random(lat.n_sites) < 1 / 3) | held_sites(dhat, params)
+            cases.append((lat, dhat, params, held))
+        lat, dhat, p, held = cases.pop()
+        field = _OccupancyField(lat, dhat, p, held)
         roots = [_root(seed + i) for i in range(8)]
         occ, cov = field.start(len(roots))
         for t in range(32, 0, -1):
@@ -116,10 +118,10 @@ def test_conditional_intensity_factor_bounds():
         )
         d = float(rng.normal(0.0, 1.5))
         log_rate = float(log_dominating_rate(d, params))
-        if log_rate > math.log(54.6):  # beyond the default simulation tier
+        if log_rate > _HELD_LOG_RATE:  # a held site, never simulated
             continue
         dhat = np.full(lat.n_sites, d)
-        field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=np.int8))
+        field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=bool))
         occ = np.zeros((1, 1, lat.n_sites + 1), dtype=bool)
         occ[0, 0, :-1] = rng.random(lat.n_sites) < 0.3
         cov = field.coverage(occ)
@@ -139,7 +141,7 @@ def test_conditional_intensity_factor_bounds():
 
 def test_intensity_consistent_with_density():
     """The sampler's heat-bath log-odds equal the log density summed over the
-    site's multiplicities, to 1e-10, with tier sites held occupied."""
+    site's multiplicities, to 1e-10, with held sites occupied."""
     rng = np.random.default_rng(17)
     params = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     lat = Lattice(4)
@@ -147,9 +149,8 @@ def test_intensity_consistent_with_density():
     for _ in range(1_000):
         counts = rng.poisson(0.4, lat.n_sites)
         dhat = rng.normal(0.0, 1.2, lat.n_sites)
-        tiers = classify_sites(dhat, params)
-        clamped = tiers != Tier.SIMULATED
-        field = _OccupancyField(lat, dhat, params, tiers)
+        clamped = held_sites(dhat, params)
+        field = _OccupancyField(lat, dhat, params, clamped)
         c = int(rng.integers(len(field.classes)))
         sites = field.classes[c][0]
         occ = np.append((counts > 0) | clamped, False)[None, None, :]
@@ -175,14 +176,13 @@ def test_intensity_consistent_with_density():
 def test_heat_bath_conditional_matches_enumeration(clamped):
     """On the three-site lattice the heat-bath conditional of each simulated site
     equals the conditional of the enumerated posterior to 1e-9, with the third
-    site held occupied when it is a tier site."""
+    site occupied when it is held."""
     params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
     lat = Lattice(2)
     dhat = np.array([0.3, -0.6, 1.8863236699596295 if clamped else 0.5])
-    tiers = classify_sites(dhat, params)
-    expect = [Tier.SIMULATED, Tier.SIMULATED, Tier.OCCUPIED_ASSUMED if clamped else Tier.SIMULATED]
-    assert tiers.tolist() == expect
-    field = _OccupancyField(lat, dhat, params, tiers)
+    held = held_sites(dhat, params)
+    assert held.tolist() == [False, False, clamped]
+    field = _OccupancyField(lat, dhat, params, held)
     patterns = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(40, 40, 4 if clamped else 40)))
     worst = 0.0
     for pattern in patterns:
@@ -287,13 +287,13 @@ def test_pure_noise_estimates_mostly_exact_zeros():
 
 
 def test_tier_assignment_monotone_in_signal():
-    """Larger observed coefficients never move a site to a cheaper tier."""
+    """A larger observed coefficient never turns a held site back into a simulated one."""
     params = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     grid = np.linspace(0.0, 100.0, 4001)
-    tiers = classify_sites(grid, params).astype(int)
-    assert np.all(np.diff(tiers) >= 0)
-    assert tiers[0] == Tier.SIMULATED and tiers[-1] == Tier.DIRECT
-    print("PASS tier monotonicity: 4001-point signal grid is non-decreasing")
+    held = held_sites(grid, params).astype(int)
+    assert np.all(np.diff(held) >= 0)
+    assert held[0] == 0 and held[-1] == 1
+    print("PASS held-site monotonicity: the held mask is non-decreasing on a 4001-point grid")
 
 
 def test_benchmark_csv_is_byte_deterministic(tmp_path):

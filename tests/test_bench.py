@@ -75,8 +75,9 @@ def test_load_config_from_file_and_mapping(tmp_path):
     cfg = load_config(str(path))
     assert cfg.signals == ("Blocks",) and cfg.reps == 3 and cfg.rsnr == (7.0,)
     assert load_config({"n": 64}).n == 64
-    with pytest.raises(ValueError, match="unknown configuration keys"):
-        load_config({"repz": 3})
+    for key in ("repz", "t0", "t1", "t2"):  # the sampler has no cutoff to configure
+        with pytest.raises(ValueError, match="unknown configuration keys"):
+            load_config({key: 3})
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(ValueError):

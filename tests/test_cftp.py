@@ -1,4 +1,4 @@
-"""Perfect sampler: tiers, heat-bath sweep invariants, exactness oracles."""
+"""Perfect sampler: held sites, heat-bath sweep invariants, exactness oracles."""
 
 import itertools
 import math
@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from aibt.cftp import (
-    DEFAULT_DIRECT_CUTOFF,
-    DEFAULT_SIMULATION_CUTOFF,
     CoalescenceError,
-    Tier,
     _key,
     _OccupancyField,
     _root,
     cftp_counts,
     cftp_sample,
-    classify_sites,
+    held_sites,
 )
 from aibt.estimator import sample_coefficients
 from aibt.lattice import Configuration, Lattice, neighbourhood
@@ -26,48 +23,33 @@ from oracles import brute_coverage, enumerate_posterior, occupancy_pattern_probs
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 
 
-# --- tiers ----------------------------------------------------------------------
+# --- held sites ------------------------------------------------------------------
 
 
 def test_classify_sites_frozen_examples():
     # with max gain 1.6 these signal values put the log rate at 5 and 21
     assert MODERATE.max_gain_exponent == pytest.approx(1.6, rel=1e-12)
     dhat = np.array([0.0, 1.8863236699596295, 3.682148420127842])
-    tiers = classify_sites(dhat, MODERATE)
-    assert tiers.tolist() == [Tier.SIMULATED, Tier.OCCUPIED_ASSUMED, Tier.DIRECT]
+    assert held_sites(dhat, MODERATE).tolist() == [False, True, True]
 
 
 def test_classify_sites_boundary_is_exclusive():
-    # a rate exactly at a cutoff stays in the lower tier
-    lam = MODERATE.lam
-    assert classify_sites(np.array([0.0]), MODERATE, t1=lam, t2=lam)[0] == Tier.SIMULATED
-    assert (
-        classify_sites(np.array([0.0]), MODERATE, t1=lam * (1 - 1e-12), t2=2.0)[0]
-        == Tier.OCCUPIED_ASSUMED
-    )
-    assert (
-        classify_sites(np.array([0.0]), MODERATE, t1=lam / 4, t2=lam / 2)[0] == Tier.DIRECT
-    )
+    # at dhat = 0 the dominating rate is lam: a rate of exactly e**4 is still simulated
+    at = ModelParams(lam=math.exp(4.0), gamma=2.0, tau=1.0, sigma=0.5)
+    above = ModelParams(lam=math.exp(4.0) * (1 + 1e-12), gamma=2.0, tau=1.0, sigma=0.5)
+    assert not held_sites(np.array([0.0]), at)[0]
+    assert held_sites(np.array([0.0]), above)[0]
 
 
 def test_classify_sites_handles_huge_signals_in_log_space():
-    tiers = classify_sites(np.array([1e6]), MODERATE)
-    assert tiers[0] == Tier.DIRECT
+    assert held_sites(np.array([1e6, -1e6]), MODERATE).all()
 
 
 def test_classify_sites_monotone_in_signal():
     p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     grid = np.linspace(0.0, 100.0, 2001)
-    tiers = classify_sites(grid, p).astype(int)
-    assert np.all(np.diff(tiers) >= 0)
-
-
-def test_classify_sites_cutoff_validation():
-    with pytest.raises(ValueError):
-        classify_sites(np.array([0.0]), MODERATE, t1=0.0)
-    with pytest.raises(ValueError):
-        classify_sites(np.array([0.0]), MODERATE, t1=10.0, t2=5.0)
-    assert DEFAULT_SIMULATION_CUTOFF < DEFAULT_DIRECT_CUTOFF
+    held = held_sites(grid, p).astype(int)
+    assert np.all(np.diff(held) >= 0)
 
 
 # --- heat-bath sweeps --------------------------------------------------------------
@@ -77,10 +59,10 @@ def _field(seed, params=MODERATE, n_levels=3, clamp=False):
     lat = Lattice(n_levels)
     rng = np.random.default_rng(seed + 1000)
     dhat = rng.normal(0.0, 1.0, lat.n_sites)
-    tiers = classify_sites(dhat, params)
-    if clamp:  # hold a random third of the sites occupied, as the upper tiers are
-        tiers = np.where(rng.random(lat.n_sites) < 1 / 3, Tier.OCCUPIED_ASSUMED, tiers).astype(np.int8)
-    return _OccupancyField(lat, dhat, params, tiers), dhat, tiers
+    if clamp:  # a random third of the sites observe a coefficient large enough to be held
+        dhat[rng.random(lat.n_sites) < 1 / 3] = 1e3
+    held = held_sites(dhat, params)
+    return _OccupancyField(lat, dhat, params, held), dhat, held
 
 
 def _coalescence_sweeps(field, root):
@@ -97,13 +79,13 @@ def test_extension_preserves_prefix_and_endpoint():
     root = _root(3)
     assert np.array_equal(_key(root, 5).random(7), _key(root, 5).random(7))
     assert not np.array_equal(_key(root, 5).random(7), _key(root, 6).random(7))
-    field, dhat, tiers = _field(3, n_levels=4, clamp=True)
+    field, dhat, _ = _field(3, n_levels=4, clamp=True)
     seeds = [11, 12, 13, 14]
-    batch = cftp_counts(dhat, MODERATE, seeds, lattice=field.lattice, tiers=tiers)
+    batch = cftp_counts(dhat, MODERATE, seeds, lattice=field.lattice)
     for i, s in enumerate(seeds):
-        alone = cftp_sample(dhat, MODERATE, s, lattice=field.lattice, tiers=tiers)
+        alone = cftp_sample(dhat, MODERATE, s, lattice=field.lattice)
         assert np.array_equal(batch[i], alone.counts)
-    reordered = cftp_counts(dhat, MODERATE, seeds[::-1], lattice=field.lattice, tiers=tiers)
+    reordered = cftp_counts(dhat, MODERATE, seeds[::-1], lattice=field.lattice)
     assert np.array_equal(reordered, batch[::-1])
 
 
@@ -116,7 +98,7 @@ def test_same_seed_same_schedule_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def _reference_run(field, dhat, params, tiers, root, sweeps):
+def _reference_run(field, dhat, params, held, root, sweeps):
     """Site-by-site heat bath from first principles: brute-force coverage, direct sums."""
     lat = field.lattice
     n = lat.n_sites
@@ -131,7 +113,7 @@ def _reference_run(field, dhat, params, tiers, root, sweeps):
         ]
         top = max(terms)
         log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)))
-    sim = [t == Tier.SIMULATED for t in tiers]
+    sim = [not h for h in held]
     chains = [[True] * n, [not x for x in sim]]
     for t in range(sweeps, 0, -1):
         u = _key(root, t).random(n)
@@ -157,11 +139,11 @@ def test_fast_replay_matches_checked_replay():
             sigma=float(rng.uniform(0.2, 1.0)),
             z=float(rng.choice([0.7, 1.0, 2.0])),
         )
-        field, dhat, tiers = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
+        field, dhat, held = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
         root = _root(case)
         sweeps = int(rng.choice([1, 2, 4]))
         assert np.array_equal(
-            field.run([root], sweeps)[:, 0], _reference_run(field, dhat, params, tiers, root, sweeps)
+            field.run([root], sweeps)[:, 0], _reference_run(field, dhat, params, held, root, sweeps)
         )
 
 
@@ -192,13 +174,13 @@ def test_sandwich_order_holds_eventwise():
 def test_coalesced_replay_returns_identical_chains():
     """A start 2T sweeps back returns the draw that coalesced at T."""
     for seed in range(6):
-        field, dhat, tiers = _field(seed, n_levels=4, clamp=seed % 2 == 1)
+        field, dhat, _ = _field(seed, n_levels=4, clamp=seed % 2 == 1)
         root = _root(seed)
         sweeps, state = _coalescence_sweeps(field, root)
         for deeper in (2 * sweeps, 4 * sweeps):
             top, bottom = field.run([root], deeper)
             assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
-        xi = cftp_sample(dhat, MODERATE, seed, lattice=field.lattice, tiers=tiers)
+        xi = cftp_sample(dhat, MODERATE, seed, lattice=field.lattice)
         assert np.array_equal(xi.counts > 0, state & field.sim)
 
 
@@ -226,20 +208,10 @@ def test_cftp_sample_validates_dhat_length():
 
 def test_cftp_sample_zeroes_non_simulated_sites():
     dhat = np.array([1.8863236699596295, 0.1, 3.682148420127842])
-    tiers = classify_sites(dhat, MODERATE)
-    assert tiers.tolist() == [Tier.OCCUPIED_ASSUMED, Tier.SIMULATED, Tier.DIRECT]
+    assert held_sites(dhat, MODERATE).tolist() == [True, False, True]
     for seed in range(20):
         xi = cftp_sample(dhat, MODERATE, seed=seed)
         assert xi.counts[0] == 0 and xi.counts[2] == 0
-
-
-def test_simulation_cutoff_too_large_is_rejected():
-    # a simulated rate near e**18 would need a multiplicity sum of ~1e8 terms
-    dhat = np.array([3.0, 0.0, 0.0])
-    tiers = classify_sites(dhat, MODERATE, t1=math.exp(30.0), t2=math.exp(30.0))
-    assert (tiers == Tier.SIMULATED).all()
-    with pytest.raises(ValueError, match="t1"):
-        cftp_sample(dhat, MODERATE, seed=0, tiers=tiers)
 
 
 def test_non_coalescence_raises_with_diagnostics():
@@ -321,9 +293,7 @@ def test_forced_occupied_site_conditions_the_chain():
     lat = Lattice(2)
     d_occ = 1.8863236699596295
     dhat = np.array([0.3, 0.15, d_occ])
-    assert classify_sites(dhat, p).tolist() == [
-        Tier.SIMULATED, Tier.SIMULATED, Tier.OCCUPIED_ASSUMED,
-    ]
+    assert held_sites(dhat, p).tolist() == [False, False, True]
     caps = (12, 12)
     logw = {}
     for c0, c1 in itertools.product(range(caps[0] + 1), range(caps[1] + 1)):
@@ -350,14 +320,13 @@ def test_forced_occupied_site_conditions_the_chain():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="tier bias: an OCCUPIED_ASSUMED site is held occupied although its exact "
+    reason="held-site bias: a held site is occupied in every draw although its exact "
     "posterior occupancy is 0.173",
 )
 def test_occupied_assumed_site_matches_enumeration():
     p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     dhat = np.array([0.3763, 0.0, 0.0])
-    tiers = classify_sites(dhat, p)
-    assert tiers.tolist() == [Tier.OCCUPIED_ASSUMED, Tier.SIMULATED, Tier.SIMULATED]
+    assert held_sites(dhat, p).tolist() == [True, False, False]
     exact = sum(
         pr for counts, pr in enumerate_posterior(dhat, p, caps=(200, 8, 8)).items() if counts[0] > 0
     )
@@ -366,7 +335,7 @@ def test_occupied_assumed_site_matches_enumeration():
     occupied = 0
     lat = Lattice(2)
     rngs = [np.random.default_rng(seed) for seed in range(n)]
-    for counts, rng in zip(cftp_counts(dhat, p, rngs, tiers=tiers), rngs):
-        occupied += sample_coefficients(Configuration(lat, counts), dhat, p, tiers, rng)[0] != 0.0
+    for counts, rng in zip(cftp_counts(dhat, p, rngs), rngs):
+        occupied += sample_coefficients(Configuration(lat, counts), dhat, p, rng)[0] != 0.0
     freq = occupied / n
     assert abs(freq - exact) < 4.0 * math.sqrt(exact * (1 - exact) / n)

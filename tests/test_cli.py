@@ -17,10 +17,14 @@ def _stderr_json(capsys):
 
 
 def test_usage_error_exits_2_with_json(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["denoise", "--signal", "Blocks"])  # missing --rsnr is caught later; --out now
-    assert exc.value.code == 2
-    assert "error" in _stderr_json(capsys)
+    for argv in (
+        ["denoise", "--signal", "Blocks"],  # missing --rsnr is caught later; --out now
+        ["denoise", "--signal", "Blocks", "--rsnr", "7", "--out", "x.txt", "--t1", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error" in _stderr_json(capsys)
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -84,14 +88,18 @@ def test_sample_writes_site_csv(tmp_path):
                "--wavelet", "haar", "--seed", "3", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "j,k,xi"
+    assert lines[0] == "j,k,xi,held"
     assert len(lines) == 1 + 31  # one row per lattice site
     levels = {}
+    n_held = 0
     for row in lines[1:]:
-        j, k, xi = (int(v) for v in row.split(","))
-        assert xi >= 0
+        j, k, xi, held = (int(v) for v in row.split(","))
+        assert xi >= 0 and held in (0, 1)
+        assert not (held and xi)  # a held site's count is not simulated
+        n_held += held
         levels.setdefault(j, []).append(k)
     assert {j: len(ks) for j, ks in levels.items()} == {0: 1, 1: 2, 2: 4, 3: 8, 4: 16}
+    assert 0 < n_held < 31  # Blocks at rsnr 10 has both kinds of site
 
 
 def test_bench_end_to_end(tmp_path):

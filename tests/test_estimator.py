@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aibt.cftp import Tier, cftp_sample, classify_sites
+from aibt.cftp import cftp_sample, held_sites
 from aibt.estimator import denoise, posterior_median_estimate, sample_coefficients
 from aibt.lattice import Configuration, Lattice
 from aibt.model import ModelParams
@@ -21,10 +21,10 @@ def _fixed_config(counts):
 
 def test_empty_sites_give_exact_zeros():
     xi = _fixed_config([0, 2, 0])
-    dhat = np.array([1.5, 0.3, -0.7])
-    tiers = np.zeros(3, dtype=np.int8)
+    dhat = np.array([1.0, 0.3, -0.7])
+    assert not held_sites(dhat, PARAMS).any()
     for seed in range(10):
-        d = sample_coefficients(xi, dhat, PARAMS, tiers, seed)
+        d = sample_coefficients(xi, dhat, PARAMS, seed)
         assert d[0] == 0.0 and d[2] == 0.0
         assert d[1] != 0.0
 
@@ -34,10 +34,9 @@ def test_occupied_site_conditional_moments():
     c = 2
     xi = _fixed_config([c, 0, 0])
     dhat = np.array([1.1, 0.0, 0.0])
-    tiers = np.zeros(3, dtype=np.int8)
     rng = np.random.default_rng(123)
     n = 20000
-    draws = np.array([sample_coefficients(xi, dhat, PARAMS, tiers, rng)[0] for _ in range(n)])
+    draws = np.array([sample_coefficients(xi, dhat, PARAMS, rng)[0] for _ in range(n)])
     v_signal = PARAMS.tau**2 * c  # z = 1
     w = v_signal / (PARAMS.sigma**2 + v_signal)
     mean_se = math.sqrt(w) * PARAMS.sigma / math.sqrt(n)
@@ -45,45 +44,32 @@ def test_occupied_site_conditional_moments():
     assert draws.var(ddof=1) == pytest.approx(w * PARAMS.sigma**2, rel=0.05)
 
 
-def test_direct_tier_moments():
-    xi = _fixed_config([0, 0, 0])
-    dhat = np.array([3.7, 0.0, 0.0])
-    tiers = np.array([Tier.DIRECT, Tier.SIMULATED, Tier.SIMULATED], dtype=np.int8)
+def test_held_site_moments():
+    """A held site's coefficient is drawn from N(dhat, sigma**2) whatever its count."""
+    d_held = 1.8863236699596295  # dominating rate e**5 under these parameters
+    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
+    dhat = np.array([d_held, 0.0, 0.0])
+    assert held_sites(dhat, p).tolist() == [True, False, False]
     rng = np.random.default_rng(9)
     n = 20000
-    draws = np.array([sample_coefficients(xi, dhat, PARAMS, tiers, rng)[0] for _ in range(n)])
-    assert draws.mean() == pytest.approx(3.7, abs=4 * PARAMS.sigma / math.sqrt(n))
-    assert draws.var(ddof=1) == pytest.approx(PARAMS.sigma**2, rel=0.05)
-
-
-def test_occupied_assumed_tier_draws_heavy_counts():
-    d_occ = 1.8863236699596295  # dominating rate e^5 under these parameters
-    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
-    dhat = np.array([d_occ, 0.0, 0.0])
-    tiers = classify_sites(dhat, p)
-    assert tiers[0] == Tier.OCCUPIED_ASSUMED
-    xi = _fixed_config([0, 0, 0])
-    rng = np.random.default_rng(77)
-    n = 4000
-    draws = np.array([sample_coefficients(xi, dhat, p, tiers, rng)[0] for _ in range(n)])
-    assert np.all(draws != 0.0)
-    rate = math.exp(5.0)
-    w = rate / (p.sigma**2 + rate)  # count concentrates near the rate
-    assert draws.mean() == pytest.approx(w * d_occ, abs=4 * p.sigma / math.sqrt(n))
+    for counts in ([0, 0, 0], [3, 0, 0]):
+        xi = _fixed_config(counts)
+        draws = np.array([sample_coefficients(xi, dhat, p, rng)[0] for _ in range(n)])
+        assert draws.mean() == pytest.approx(d_held, abs=4 * p.sigma / math.sqrt(n))
+        assert draws.std(ddof=1) == pytest.approx(p.sigma, rel=0.025)
 
 
 def test_posterior_median_is_lower_middle_order_statistic():
     """The estimator equals replaying its seed discipline by hand."""
     dhat = np.array([0.8, -0.3, 0.5])
     lat = Lattice(2)
-    tiers = classify_sites(dhat, PARAMS)
     n_draws = 6
     ss = np.random.SeedSequence(2024)
     draws = np.empty((n_draws, 3))
     for i, child in enumerate(ss.spawn(n_draws)):
         rng = np.random.default_rng(child)
-        xi = cftp_sample(dhat, PARAMS, rng, lattice=lat, tiers=tiers)
-        draws[i] = sample_coefficients(xi, dhat, PARAMS, tiers, rng)
+        xi = cftp_sample(dhat, PARAMS, rng, lattice=lat)
+        draws[i] = sample_coefficients(xi, dhat, PARAMS, rng)
     expected = np.sort(draws, axis=0)[(n_draws - 1) // 2]
     got = posterior_median_estimate(dhat, PARAMS, n_draws=n_draws, seed=2024)
     assert np.array_equal(got, expected)
@@ -129,16 +115,3 @@ def test_denoise_end_to_end():
     assert np.mean((est - truth) ** 2) < 0.75 * np.mean((y - truth) ** 2)
     again = denoise(y, get_filter("la10"), p, n_draws=9, seed=4)
     assert np.array_equal(est, again)
-
-
-def test_denoise_respects_tier_overrides():
-    truth = make_test_signal("Blocks", 64)
-    y = add_noise(truth, 0.2, seed=2)
-    p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.2)
-    # forcing every site into the direct tier reproduces noisy coefficients
-    est = denoise(y, get_filter("haar"), p, n_draws=3, seed=0, t1=1e-300, t2=1e-300)
-    dec_y = forward_dwt(y, get_filter("haar"))
-    dec_e = forward_dwt(est, get_filter("haar"))
-    # direct draws are centred on the observed details, not shrunk to zero
-    assert np.corrcoef(dec_y.flat_details(), dec_e.flat_details())[0, 1] > 0.9
-    assert np.mean(dec_e.flat_details() == 0.0) < 0.1
