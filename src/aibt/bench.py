@@ -24,7 +24,7 @@ from .baselines import (
     sure_shrink,
     universal_threshold,
 )
-from .cftp import CoalescenceError
+from .cftp import DEFAULT_MAX_DOUBLINGS, CoalescenceError
 from .estimator import denoise
 from .model import ModelParams
 from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
@@ -60,7 +60,7 @@ class ExperimentConfig:
     tau: float = 1.0
     z: float = 1.0
     seed: int = 0
-    max_doublings: int = 20
+    max_doublings: int = DEFAULT_MAX_DOUBLINGS
     methods: tuple[str, ...] = METHODS
     wavelet_policy: str = "auto"
     record_runtime: bool = True

@@ -12,8 +12,11 @@ on it: a top chain started all occupied and a bottom chain started all
 empty share every uniform; once they agree at time zero the common pattern
 is an exact draw.  Each sweep updates the lattice's colour classes in turn;
 no two sites of one class have intersecting neighbourhoods, so a class
-updates as one vectorized step.  Occupied sites then draw their
-multiplicity from its one-dimensional law.
+updates as one vectorized step.  The chains of all draws are stored site
+by site, one row per site, and a class update gathers and scatters whole
+rows, so its cost hardly grows with the number of draws.  Occupied sites
+then draw their multiplicity from its one-dimensional law, summed over
+chunks of sites sorted by rate, each only as far as its own rates need.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
 exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held occupied in
@@ -47,7 +50,10 @@ logger = logging.getLogger(__name__)
 _HELD_LOG_RATE = 4.0
 # the multiplicity sum is cut where the dropped tail is below this share of W_s
 _LOG_TAIL_SHARE = -60.0 * math.log(2.0)
-_CHUNK_TERMS = 2**20  # count terms evaluated at once
+_CHUNK_SITES = 256  # simulated sites whose count terms are evaluated at once
+_PAD_COVERAGE = -1  # coverage of the neighbour table's pad row: never equal to an occupancy
+# how many times the lookback may double by default: up to 2**20 sweeps
+DEFAULT_MAX_DOUBLINGS = 20
 
 
 def held_sites(dhat: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -75,8 +81,9 @@ def _count_cap(log_rate: float) -> int:
     so ``a_c <= a_1 * r**(c-1) / c!``; past ``c >= 2r`` they at least halve
     at each step.  The mass dropped beyond ``cap`` is then at most
     ``2 * r**cap / (cap+1)!`` times ``a_1 <= W_s``, which the loop pushes
-    below ``2**-60``: at most about 175 terms, since no simulated rate
-    exceeds ``e**4``.
+    below ``2**-60``.  The sampler asks once per chunk of rate-sorted
+    sites, with the chunk's largest rate: 10 terms at a rate of ``e**-3``,
+    19 at 1 and 180 at the largest simulated rate, ``e**4``.
     """
     cap = max(1, math.ceil(2.0 * math.exp(log_rate)))
     while math.log(2.0) + cap * log_rate - math.lgamma(cap + 2) > _LOG_TAIL_SHARE:
@@ -95,13 +102,25 @@ def _root(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(rng.integers(2**63, size=2).tolist())
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Each row along the last axis of a contiguous 1-byte array as one ``np.void`` element."""
+    return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
+
+
+def _take(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[index]`` as int8 for a site-major state, gathered one row per index."""
+    return _rows(a)[index].view(np.int8).reshape(*index.shape, a.shape[-1])
+
+
 class _OccupancyField:
     """Heat-bath dynamics of the occupancy posterior of one signal, given its held sites.
 
-    Chain states are boolean arrays ``occ[..., n_sites + 1]`` (the last entry
-    pads the neighbour table and stays empty) with matching coverage counts
-    ``cov[..., v]``: how many occupied sites lie in ``B(v)``, which by the
-    symmetry of neighbourhoods is how many cover ``v``.
+    Chain states are site-major int8 arrays ``occ[n_sites + 1, 2 * draws]``:
+    row ``s`` holds site ``s`` in the top chains of every draw, then in the
+    bottom chains.  ``cov[v]`` counts the occupied sites in ``B(v)``, which
+    by the symmetry of neighbourhoods is how many cover ``v``.  The last row
+    pads the neighbour table: it stays empty in ``occ`` and holds
+    ``_PAD_COVERAGE`` in ``cov``, so it never counts as uncovered.
     """
 
     def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, held: np.ndarray):
@@ -110,80 +129,91 @@ class _OccupancyField:
         self.lattice = lattice
         self.sim = sim
         self.log_gamma = math.log(params.gamma)
-        # both start states are constants of the field, built once and copied per run
-        self.start_occ = np.stack([np.arange(n + 1) < n, np.append(~sim, False)])
+        # both start states are constants of the field, built once and repeated per run
+        self.start_occ = np.stack([np.arange(n + 1) < n, np.append(~sim, False)], axis=1).astype(np.int8)
         self.start_cov = self.coverage(self.start_occ)
         self.classes = []
         for members in lattice.colour_classes:
             sites = members[sim[members]]
             if sites.size:
-                nb = lattice.nbr[sites]
-                self.classes.append((sites, nb, nb < n))
-        self.dhat = dhat
-        self.params = params
+                self.classes.append((sites, lattice.nbr[sites]))
+        # simulated sites in order of their dominating rate, so each chunk's cap fits its sites
         sim_sites = np.flatnonzero(sim)
-        self.cap = 1
-        if sim_sites.size:
-            self.cap = _count_cap(float(np.max(log_dominating_rate(dhat[sim_sites], params))))
+        log_rate = log_dominating_rate(dhat[sim_sites], params)
+        order = np.argsort(log_rate, kind="stable")
         self.log_w = np.zeros(n)
-        for sites, terms in self._count_terms(sim_sites):
+        self.count_cdfs = []
+        for lo in range(0, order.size, _CHUNK_SITES):
+            chunk = order[lo : lo + _CHUNK_SITES]
+            sites = sim_sites[chunk]
+            terms = log_count_terms(dhat[sites], params, _count_cap(float(log_rate[chunk[-1]])))
             top = terms.max(axis=1)
             self.log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-
-    def _count_terms(self, sites: np.ndarray):
-        """``(sites, log_count_terms)`` in chunks of bounded size."""
-        rows = max(1, _CHUNK_TERMS // self.cap)
-        for lo in range(0, sites.size, rows):
-            chunk = sites[lo : lo + rows]
-            yield chunk, log_count_terms(self.dhat[chunk], self.params, self.cap)
+            self.count_cdfs.append((sites, np.cumsum(np.exp(terms - self.log_w[sites, None]), axis=1)))
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top chains (all occupied) and bottom chains (held sites only), shape ``(2, n_draws, n+1)``."""
-        shape = (2, n_draws, self.lattice.n_sites + 1)
-        return (
-            np.broadcast_to(self.start_occ[:, None], shape).copy(),
-            np.broadcast_to(self.start_cov[:, None], shape).copy(),
-        )
+        """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
+        return np.repeat(self.start_occ, n_draws, axis=1), np.repeat(self.start_cov, n_draws, axis=1)
 
     def coverage(self, occ: np.ndarray) -> np.ndarray:
-        cov = np.zeros(occ.shape, dtype=np.int8)
-        cov[..., :-1] = occ[..., self.lattice.nbr].sum(axis=-1)
+        cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
+        cov[:-1] = _take(occ, self.lattice.nbr).sum(axis=1)
         return cov
 
+    def _gather(self, occ: np.ndarray, cov: np.ndarray, c: int):
+        """Coverage around class ``c``, its occupancy and its log-odds ``log W_s - unc_s * log(gamma)``.
+
+        ``cov`` counts ``s`` itself when it is occupied, so a site of ``B(s)``
+        that no other occupied site covers is one where ``cov == occ[s]``.
+        """
+        sites, nb = self.classes[c]
+        near = _take(cov, nb)
+        here = _take(occ, sites)
+        unc = (near == here[:, None]).sum(axis=1, dtype=np.int8)
+        return near, here, self.log_w[sites, None] - unc * self.log_gamma
+
     def class_log_odds(self, occ: np.ndarray, cov: np.ndarray, c: int) -> np.ndarray:
-        """``log W_s - unc_s * log(gamma)`` for the sites of class ``c``."""
-        sites, nb, valid = self.classes[c]
-        others = cov[..., nb] - occ[..., sites, None]
-        unc = ((others == 0) & valid).sum(axis=-1)
-        return self.log_w[sites] - unc * self.log_gamma
+        """``log W_s - unc_s * log(gamma)`` for the sites of class ``c``, one row per site."""
+        return self._gather(occ, cov, c)[2]
 
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, logit_u: np.ndarray) -> None:
-        """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``."""
-        sites, nb, _ = self.classes[c]
-        new = logit_u[..., sites] < self.class_log_odds(occ, cov, c)
-        cov[..., nb] += (new.astype(np.int8) - occ[..., sites])[..., None]
-        occ[..., sites] = new
+        """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``.
+
+        ``logit_u[s, i]`` is draw ``i``'s uniform at site ``s``, shared by its
+        top and bottom chain.  No two sites of a class share a neighbour, so
+        the scattered rows are distinct, apart from the pad row, which is
+        reset after.
+        """
+        sites, nb = self.classes[c]
+        near, here, odds = self._gather(occ, cov, c)
+        new = (logit_u[sites, None] < odds.reshape(sites.size, 2, -1)).reshape(odds.shape).view(np.int8)
+        _rows(cov)[nb] = _rows(near + (new - here)[:, None])
+        cov[-1] = _PAD_COVERAGE
+        _rows(occ)[sites] = _rows(new)
 
     def run(self, roots: list[np.random.SeedSequence], sweeps: int) -> np.ndarray:
-        """Both chains at time zero after ``sweeps`` sweeps, each sweep's uniforms from its key."""
+        """Both chains at time zero after ``sweeps`` sweeps, shape ``(2, draws, n_sites)``.
+
+        Each sweep's uniforms come from the draw's key for that sweep.
+        """
         occ, cov = self.start(len(roots))
         n = self.lattice.n_sites
         for t in range(sweeps, 0, -1):
-            u = np.stack([_key(root, t).random(n) for root in roots])
+            u = np.stack([_key(root, t).random(n) for root in roots], axis=1)
             with np.errstate(divide="ignore"):
                 logit_u = np.log(u) - np.log1p(-u)
             for c in range(len(self.classes)):
                 self.update_class(occ, cov, c, logit_u)
-        return occ[..., :-1]
+        return occ[:-1].reshape(n, 2, len(roots)).transpose(1, 2, 0).astype(bool)
 
     def draw_counts(self, occ: np.ndarray, roots: list[np.random.SeedSequence]) -> np.ndarray:
         """Multiplicities of the occupied simulated sites from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``."""
         counts = np.zeros(occ.shape, dtype=np.int64)
-        for i, root in enumerate(roots):
-            u = _key(root, 0).random(self.lattice.n_sites)
-            for sites, terms in self._count_terms(np.flatnonzero(occ[i] & self.sim)):
-                cdf = np.cumsum(np.exp(terms - self.log_w[sites, None]), axis=1)
-                counts[i, sites] = np.minimum(1 + (cdf < u[sites, None]).sum(axis=1), self.cap)
+        u = np.stack([_key(root, 0).random(self.lattice.n_sites) for root in roots])
+        for sites, cdf in self.count_cdfs:
+            draw, row = np.nonzero(occ[:, sites])
+            at = sites[row]
+            counts[draw, at] = np.minimum(1 + (cdf[row] < u[draw, at, None]).sum(axis=1), cdf.shape[1])
         return counts
 
 
@@ -191,7 +221,7 @@ def cftp_counts(
     dhat: np.ndarray,
     params: ModelParams,
     seeds,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
     *,
     lattice: Lattice | None = None,
 ) -> np.ndarray:
@@ -200,12 +230,13 @@ def cftp_counts(
     Held sites (see :func:`held_sites`) are occupied in every draw and
     carry count zero here.
 
-    All draws run along one leading axis from a shared lookback of 1, 2,
-    4, ... sweeps.  A draw whose chains agree at time zero is final: a start
-    further back sandwiches the same two chains and meets the same state,
-    so only the rest go on to the next doubling.  Raises
-    :class:`CoalescenceError` if some draw has not coalesced after
-    ``max_doublings`` doublings.
+    All draws run side by side from a shared lookback of 2, 4, ...,
+    ``2**max_doublings`` sweeps (just 1 sweep when ``max_doublings`` is 0).
+    A draw whose chains agree at time zero is final: a start further back
+    sandwiches the same two chains and meets the same state, so only the
+    rest go on to the next doubling, and starting the ladder at 2 rather
+    than 1 changes no draw.  Raises :class:`CoalescenceError` if some draw
+    has not coalesced after ``2**max_doublings`` sweeps.
 
     Args:
         dhat: flat detail coefficients, one per lattice site.
@@ -223,8 +254,8 @@ def cftp_counts(
     field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
     active = np.arange(len(roots))
-    sweeps = 1
-    for _ in range(max_doublings + 1):
+    ladder = [2**k for k in range(1, max_doublings + 1)] or [1]
+    for sweeps in ladder:
         top, bottom = field.run([roots[i] for i in active], sweeps)
         agree = (top == bottom).all(axis=1)
         occ[active[agree]] = top[agree]
@@ -235,6 +266,7 @@ def cftp_counts(
                 json.dumps({
                     "sweeps": sweeps,
                     "draws": int(active.size),
+                    "draw_sweeps": sweeps * int(active.size),
                     "coalesced": int(agree.sum()),
                     "gap": gap,
                     "held": int((~field.sim).sum()),
@@ -243,15 +275,14 @@ def cftp_counts(
         active = active[~agree]
         if not active.size:
             return field.draw_counts(occ, roots)
-        sweeps *= 2
-    raise CoalescenceError(gap, sweeps // 2)
+    raise CoalescenceError(gap, ladder[-1])
 
 
 def cftp_sample(
     dhat: np.ndarray,
     params: ModelParams,
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
     *,
     lattice: Lattice | None = None,
 ) -> Configuration:

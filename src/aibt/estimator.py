@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cftp import cftp_counts, held_sites
+from .cftp import DEFAULT_MAX_DOUBLINGS, cftp_counts, held_sites
 from .lattice import Configuration, Lattice, lattice_for
 from .model import ModelParams
 from .wavelet import WaveletDecomposition, WaveletFilter, forward_dwt, inverse_dwt
@@ -22,6 +22,19 @@ __all__ = [
     "posterior_median_estimate",
     "denoise",
 ]
+
+
+def _coefficients(
+    counts: np.ndarray,
+    dhat: np.ndarray,
+    params: ModelParams,
+    held: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Coefficient draws, one per entry of ``counts``, from standard normal ``noise`` of its shape."""
+    v = params.tau**2 * counts.astype(float) ** params.z
+    w = np.where(held, 1.0, v / (params.sigma**2 + v))
+    return np.where(held | (counts > 0), w * dhat + np.sqrt(w) * params.sigma * noise, 0.0)
 
 
 def sample_coefficients(
@@ -40,14 +53,8 @@ def sample_coefficients(
     """
     dhat = np.asarray(dhat, dtype=float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    held = held_sites(dhat, params)
-    d = np.zeros(dhat.size)
     noise = rng.standard_normal(dhat.size)
-    v = params.tau**2 * xi.counts.astype(float) ** params.z
-    w = np.where(held, 1.0, v / (params.sigma**2 + v))
-    nz = held | (xi.counts > 0)
-    d[nz] = w[nz] * dhat[nz] + np.sqrt(w[nz]) * params.sigma * noise[nz]
-    return d
+    return _coefficients(xi.counts, dhat, params, held_sites(dhat, params), noise)
 
 
 def posterior_median_estimate(
@@ -57,7 +64,7 @@ def posterior_median_estimate(
     seed: int | np.random.SeedSequence = 0,
     *,
     lattice: Lattice | None = None,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Per-site posterior median of the detail coefficients over exact draws.
 
@@ -74,9 +81,8 @@ def posterior_median_estimate(
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
     counts = cftp_counts(dhat, params, rngs, max_doublings, lattice=lattice)
-    draws = np.empty((n_draws, dhat.size))
-    for i, rng in enumerate(rngs):
-        draws[i] = sample_coefficients(Configuration(lattice, counts[i]), dhat, params, rng)
+    noise = np.stack([rng.standard_normal(dhat.size) for rng in rngs])
+    draws = _coefficients(counts, dhat, params, held_sites(dhat, params), noise)
     return np.sort(draws, axis=0)[(n_draws - 1) // 2]
 
 
@@ -87,7 +93,7 @@ def denoise(
     n_draws: int = 25,
     seed: int = 0,
     *,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Denoise a signal end to end: transform, estimate details, invert.
 

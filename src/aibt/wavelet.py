@@ -188,10 +188,9 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nd
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = 2 * approx.size
-    out = np.zeros(n)
     pos = (2 * np.arange(approx.size)[:, None] + np.arange(lo.size)[None, :]) % n
-    np.add.at(out, pos, approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :])
-    return out
+    terms = approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :]
+    return np.bincount(pos.ravel(), weights=terms.ravel(), minlength=n)
 
 
 def forward_dwt(signal: np.ndarray, filt: WaveletFilter) -> WaveletDecomposition:

@@ -88,17 +88,20 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
         lat, dhat, p, held = cases.pop()
         field = _OccupancyField(lat, dhat, p, held)
         roots = [_root(seed + i) for i in range(8)]
-        occ, cov = field.start(len(roots))
+        occ, cov = field.start(len(roots))  # site-major: top chains, then bottom chains
+        top = slice(0, len(roots))
+        bottom = slice(len(roots), None)
         for t in range(32, 0, -1):
-            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots])
+            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots], axis=1)
             logit_u = np.log(u) - np.log1p(-u)
             for c in range(len(field.classes)):
                 prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)))
-                assert np.all((0.0 <= prob[1]) & (prob[1] <= prob[0]) & (prob[0] <= 1.0))
+                lo, hi = prob[:, bottom], prob[:, top]
+                assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
                 field.update_class(occ, cov, c, logit_u)
-                assert np.all(occ[1] <= occ[0])
-                total += prob[0].size
-            assert np.array_equal(cov[..., :-1], field.coverage(occ)[..., :-1])
+                assert np.all(occ[:, bottom] <= occ[:, top])
+                total += hi.size
+            assert np.array_equal(cov[:-1], field.coverage(occ)[:-1])
         seed += len(roots)
     assert total >= 100_000
     print(f"PASS sandwich and ordering: {total} site updates with per-class checks")
@@ -122,11 +125,11 @@ def test_conditional_intensity_factor_bounds():
             continue
         dhat = np.full(lat.n_sites, d)
         field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=bool))
-        occ = np.zeros((1, 1, lat.n_sites + 1), dtype=bool)
-        occ[0, 0, :-1] = rng.random(lat.n_sites) < 0.3
+        occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
+        occ[:-1, 0] = rng.random(lat.n_sites) < 0.3
         cov = field.coverage(occ)
         c = int(rng.integers(len(field.classes)))
-        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.classes[c][0]]
+        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.classes[c][0], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -153,8 +156,8 @@ def test_intensity_consistent_with_density():
         field = _OccupancyField(lat, dhat, params, clamped)
         c = int(rng.integers(len(field.classes)))
         sites = field.classes[c][0]
-        occ = np.append((counts > 0) | clamped, False)[None, None, :]
-        odds = field.class_log_odds(occ, field.coverage(occ), c)[0, 0]
+        occ = np.append((counts > 0) | clamped, False)[:, None]
+        odds = field.class_log_odds(occ, field.coverage(occ), c)[:, 0]
         for i, s in enumerate(sites.tolist()):
             base = counts.copy()
             base[s] = 0
@@ -188,10 +191,10 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
     for pattern in patterns:
         if clamped and not pattern[2]:
             continue
-        occ = np.append(np.array(pattern, dtype=bool), False)[None, None, :]
+        occ = np.append(np.array(pattern, dtype=bool), False)[:, None]
         cov = field.coverage(occ)
-        for c, (sites, _, _) in enumerate(field.classes):
-            prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)[0, 0]))
+        for c, (sites, _) in enumerate(field.classes):
+            prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)[:, 0]))
             for s, p_on in zip(sites.tolist(), prob):
                 on = pattern[:s] + (1,) + pattern[s + 1 :]
                 off = pattern[:s] + (0,) + pattern[s + 1 :]

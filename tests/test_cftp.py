@@ -1,6 +1,8 @@
 """Perfect sampler: held sites, heat-bath sweep invariants, exactness oracles."""
 
 import itertools
+import json
+import logging
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from aibt.cftp import (
     CoalescenceError,
+    _count_cap,
     _key,
     _OccupancyField,
     _root,
@@ -17,7 +20,7 @@ from aibt.cftp import (
 )
 from aibt.estimator import sample_coefficients
 from aibt.lattice import Configuration, Lattice, neighbourhood
-from aibt.model import ModelParams, log_dominating_rate
+from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from oracles import brute_coverage, enumerate_posterior, occupancy_pattern_probs
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
@@ -98,8 +101,9 @@ def test_same_seed_same_schedule_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def _reference_run(field, dhat, params, held, root, sweeps):
-    """Site-by-site heat bath from first principles: brute-force coverage, direct sums."""
+def _reference_run(field, dhat, params, held, roots, sweeps):
+    """Site-by-site heat bath from first principles, one draw after another: brute-force
+    coverage, direct sums.  Returns both chains of every draw, shape ``(2, draws, n_sites)``."""
     lat = field.lattice
     n = lat.n_sites
     nbhd = [{lat.site_index(*v) for v in neighbourhood(lat.site_of(s), lat.n_levels)} for s in range(n)]
@@ -114,22 +118,28 @@ def _reference_run(field, dhat, params, held, root, sweeps):
         top = max(terms)
         log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)))
     sim = [not h for h in held]
-    chains = [[True] * n, [not x for x in sim]]
-    for t in range(sweeps, 0, -1):
-        u = _key(root, t).random(n)
-        for members in lat.colour_classes:
-            for s in members.tolist():
-                if not sim[s]:
-                    continue
-                for occ in chains:
-                    unc = sum(1 for v in nbhd[s] if not any(occ[w] for w in nbhd[v] if w != s))
-                    p = 1.0 / (1.0 + math.exp(-(log_w[s] - unc * math.log(params.gamma))))
-                    occ[s] = bool(u[s] < p)
-    return np.array(chains)
+    draws = []
+    for root in roots:
+        chains = [[True] * n, [not x for x in sim]]
+        for t in range(sweeps, 0, -1):
+            u = _key(root, t).random(n)
+            for members in lat.colour_classes:
+                for s in members.tolist():
+                    if not sim[s]:
+                        continue
+                    for occ in chains:
+                        unc = sum(1 for v in nbhd[s] if not any(occ[w] for w in nbhd[v] if w != s))
+                        p = 1.0 / (1.0 + math.exp(-(log_w[s] - unc * math.log(params.gamma))))
+                        occ[s] = bool(u[s] < p)
+        draws.append(chains)
+    return np.array(draws).transpose(1, 0, 2)
 
 
 def test_fast_replay_matches_checked_replay():
-    """Vectorized class updates reproduce a sequential site-by-site heat bath exactly."""
+    """Vectorized class updates reproduce a sequential site-by-site heat bath exactly.
+
+    Each chain row is ``2 * draws`` wide, so the batches vary in width.
+    """
     rng = np.random.default_rng(55)
     for case in range(25):
         params = ModelParams(
@@ -140,11 +150,9 @@ def test_fast_replay_matches_checked_replay():
             z=float(rng.choice([0.7, 1.0, 2.0])),
         )
         field, dhat, held = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
-        root = _root(case)
+        roots = [_root(case + 100 * i) for i in range((1, 2, 9, 25)[case % 4])]
         sweeps = int(rng.choice([1, 2, 4]))
-        assert np.array_equal(
-            field.run([root], sweeps)[:, 0], _reference_run(field, dhat, params, held, root, sweeps)
-        )
+        assert np.array_equal(field.run(roots, sweeps), _reference_run(field, dhat, params, held, roots, sweeps))
 
 
 def test_sandwich_order_holds_eventwise():
@@ -154,20 +162,21 @@ def test_sandwich_order_holds_eventwise():
     for case in range(40):
         field, _, _ = _field(case, n_levels=5, clamp=case % 2 == 1)
         n = field.lattice.n_sites
-        occ = np.zeros((2, 6, n + 1), dtype=bool)
-        occ[1, :, :n] = (rng.random((6, n)) < 0.4) | ~field.sim
-        occ[0, :, :n] = occ[1, :, :n] | (rng.random((6, n)) < 0.5)
+        # site-major: columns 0-5 are the top chains, 6-11 the bottom chains
+        occ = np.zeros((n + 1, 12), dtype=bool)
+        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | ~field.sim).T
+        occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T
         cov = field.coverage(occ)
         for _ in range(3):
-            u = rng.random((6, n))
+            u = rng.random((6, n)).T
             logit_u = np.log(u) - np.log1p(-u)
             for c in range(len(field.classes)):
                 odds = field.class_log_odds(occ, cov, c)
-                assert np.all(odds[0] >= odds[1])
+                assert np.all(odds[:, :6] >= odds[:, 6:])
                 field.update_class(occ, cov, c, logit_u)
-                assert np.all(occ[0] >= occ[1])
+                assert np.all(occ[:, :6] >= occ[:, 6:])
                 updates += field.classes[c][0].size * 6
-        assert np.array_equal(cov[..., :n], field.coverage(occ)[..., :n])
+        assert np.array_equal(cov[:n], field.coverage(occ)[:n])
     assert updates > 10_000
 
 
@@ -182,6 +191,63 @@ def test_coalesced_replay_returns_identical_chains():
             assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
         xi = cftp_sample(dhat, MODERATE, seed, lattice=field.lattice)
         assert np.array_equal(xi.counts > 0, state & field.sim)
+
+
+def test_rate_sorted_count_terms_match_one_global_cap():
+    """Count terms summed per rate-sorted chunk, each to its own cap, agree with one
+    computation to the largest simulated site's cap: ``log W`` within 4 ulp, counts equal."""
+    p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
+    lat = Lattice(11)
+    rng = np.random.default_rng(4)
+    dhat = rng.normal(0.0, 0.1, lat.n_sites) * rng.choice([1.0, 2.0, 3.0], lat.n_sites)
+    held = held_sites(dhat, p)
+    field = _OccupancyField(lat, dhat, p, held)
+    assert len({cdf.shape[1] for _, cdf in field.count_cdfs}) > 2
+    sites = np.flatnonzero(~held)
+    cap = _count_cap(float(np.max(log_dominating_rate(dhat[sites], p))))
+    terms = log_count_terms(dhat[sites], p, cap)
+    top = terms.max(axis=1)
+    log_w = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    np.testing.assert_array_max_ulp(field.log_w[sites], log_w, maxulp=4)
+    cdf = np.cumsum(np.exp(terms - log_w[:, None]), axis=1)
+    roots = [_root(seed) for seed in range(200)]
+    occ = np.broadcast_to(~held, (len(roots), lat.n_sites))
+    expected = np.zeros(occ.shape, dtype=np.int64)
+    for i, root in enumerate(roots):
+        u = _key(root, 0).random(lat.n_sites)[sites]
+        expected[i, sites] = np.minimum(1 + (cdf < u[:, None]).sum(axis=1), cap)
+    assert np.array_equal(field.draw_counts(occ, roots), expected)
+
+
+def _ladder_from_one(dhat, params, seeds, lattice):
+    """The lookback ladder 1, 2, 4, ... sweeps, run by hand."""
+    field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
+    roots = [_root(s) for s in seeds]
+    occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
+    active = np.arange(len(roots))
+    sweeps = 1
+    while active.size:
+        top, bottom = field.run([roots[i] for i in active], sweeps)
+        agree = (top == bottom).all(axis=1)
+        occ[active[agree]] = top[agree]
+        active = active[~agree]
+        sweeps *= 2
+    return field.draw_counts(occ, roots)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_ladder_starts_at_two_sweeps(gamma, caplog):
+    """The first coupling run looks back 2 sweeps, and the draws equal a ladder from 1."""
+    p = ModelParams(lam=0.05, gamma=gamma, tau=1.0, sigma=0.1)
+    lat = Lattice(6)
+    dhat = np.random.default_rng(7).normal(0.0, 0.12, lat.n_sites)
+    seeds = range(9)
+    with caplog.at_level(logging.DEBUG, logger="aibt.cftp"):
+        counts = cftp_counts(dhat, p, seeds, lattice=lat)
+    records = [json.loads(r.getMessage().split(" ", 2)[2]) for r in caplog.records]
+    assert records[0]["sweeps"] == 2 and records[0]["draws"] == 9
+    assert all(r["draw_sweeps"] == r["sweeps"] * r["draws"] for r in records)
+    assert np.array_equal(counts, _ladder_from_one(dhat, p, seeds, lat))
 
 
 # --- sampler behaviour ---------------------------------------------------------------
@@ -214,13 +280,15 @@ def test_cftp_sample_zeroes_non_simulated_sites():
         assert xi.counts[0] == 0 and xi.counts[2] == 0
 
 
-def test_non_coalescence_raises_with_diagnostics():
+def test_non_coalescence_raises_with_diagnostics(caplog):
     params = ModelParams(lam=2.0, gamma=2.0, tau=1.0, sigma=0.5)
-    with pytest.raises(CoalescenceError) as exc:
+    with caplog.at_level(logging.DEBUG, logger="aibt.cftp"), pytest.raises(CoalescenceError) as exc:
         cftp_sample(np.full(7, 0.4), params, seed=0, max_doublings=0)
     assert exc.value.gap > 0
     assert exc.value.horizon == 1
     assert "sweeps" in str(exc.value)
+    # with no doubling allowed the one run looks back a single sweep
+    assert [json.loads(r.getMessage().split(" ", 2)[2])["sweeps"] for r in caplog.records] == [1]
 
 
 # --- exactness against enumeration ---------------------------------------------------

@@ -13,6 +13,7 @@ from aibt.wavelet import (
     SIGNAL_NAMES,
     WaveletDecomposition,
     WaveletFilter,
+    _synthesis_step,
     add_noise,
     forward_dwt,
     get_filter,
@@ -133,6 +134,19 @@ def test_round_trip_property(log_n, name, seed):
     x = np.random.default_rng(seed).standard_normal(2**log_n) * 10
     dec = forward_dwt(x, get_filter(name))
     assert np.max(np.abs(inverse_dwt(dec) - x)) < 1e-10
+
+
+@pytest.mark.parametrize("filt", [HAAR, DAUB_LA10], ids=["haar", "la10"])
+def test_synthesis_step_matches_unbuffered_scatter_add(filt):
+    """One inverse step equals the ``np.add.at`` scatter bit for bit at every level size."""
+    for size in (2**k for k in range(12)):
+        approx, detail = RNG.standard_normal((2, size)) * 10
+        n = 2 * size
+        oracle = np.zeros(n)
+        pos = (2 * np.arange(size)[:, None] + np.arange(filt.lowpass.size)[None, :]) % n
+        np.add.at(oracle, pos, approx[:, None] * filt.lowpass[None, :] + detail[:, None] * filt.highpass[None, :])
+        got = _synthesis_step(approx, detail, filt.lowpass, filt.highpass)
+        assert got.tobytes() == oracle.tobytes(), size
 
 
 def test_decomposition_shape_contract():
