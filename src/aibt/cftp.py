@@ -14,9 +14,10 @@ is an exact draw.  Each sweep updates the lattice's colour classes in turn;
 no two sites of one class have intersecting neighbourhoods, so a class
 updates as one vectorized step.  The chains of all draws are stored site
 by site, one row per site, and a class update gathers and scatters whole
-rows, so its cost hardly grows with the number of draws.  Occupied sites
-then draw their multiplicity from its one-dimensional law, summed over
-chunks of sites sorted by rate, each only as far as its own rates need.
+rows, one neighbour slot of every site in the class at a time, so its cost
+hardly grows with the number of draws.  Occupied sites then draw their
+multiplicity from its one-dimensional law, summed over chunks of sites
+sorted by rate, each only as far as its own rates need.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
 exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held occupied in
@@ -50,7 +51,7 @@ logger = logging.getLogger(__name__)
 _HELD_LOG_RATE = 4.0
 # the multiplicity sum is cut where the dropped tail is below this share of W_s
 _LOG_TAIL_SHARE = -60.0 * math.log(2.0)
-_CHUNK_SITES = 256  # simulated sites whose count terms are evaluated at once
+_CHUNK_SITES = 256  # rate-sorted simulated sites that share one count cap; equal caps share one pass
 _PAD_COVERAGE = -1  # coverage of the neighbour table's pad row: never equal to an occupancy
 # how many times the lookback may double by default: up to 2**20 sweeps
 DEFAULT_MAX_DOUBLINGS = 20
@@ -82,8 +83,9 @@ def _count_cap(log_rate: float) -> int:
     at each step.  The mass dropped beyond ``cap`` is then at most
     ``2 * r**cap / (cap+1)!`` times ``a_1 <= W_s``, which the loop pushes
     below ``2**-60``.  The sampler asks once per chunk of rate-sorted
-    sites, with the chunk's largest rate: 10 terms at a rate of ``e**-3``,
-    19 at 1 and 180 at the largest simulated rate, ``e**4``.
+    sites, with the chunk's largest rate, and evaluates the terms of all
+    chunks with one cap together: 10 terms at a rate of ``e**-3``, 19 at 1
+    and 180 at the largest simulated rate, ``e**4``.
     """
     cap = max(1, math.ceil(2.0 * math.exp(log_rate)))
     while math.log(2.0) + cap * log_rate - math.lgamma(cap + 2) > _LOG_TAIL_SHARE:
@@ -120,7 +122,10 @@ class _OccupancyField:
     bottom chains.  ``cov[v]`` counts the occupied sites in ``B(v)``, which
     by the symmetry of neighbourhoods is how many cover ``v``.  The last row
     pads the neighbour table: it stays empty in ``occ`` and holds
-    ``_PAD_COVERAGE`` in ``cov``, so it never counts as uncovered.
+    ``_PAD_COVERAGE`` in ``cov``, so it never counts as uncovered.  Each
+    colour class keeps its sites and their neighbour table neighbour-major,
+    ``nb[i, m]`` being the ``i``-th neighbour of the class's ``m``-th site,
+    so the coverage gathered around a class sums over contiguous slabs.
     """
 
     def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, held: np.ndarray):
@@ -130,23 +135,29 @@ class _OccupancyField:
         self.sim = sim
         self.log_gamma = math.log(params.gamma)
         # both start states are constants of the field, built once and repeated per run
-        self.start_occ = np.stack([np.arange(n + 1) < n, np.append(~sim, False)], axis=1).astype(np.int8)
-        self.start_cov = self.coverage(self.start_occ)
+        held_pad = np.append(~sim, False)
+        self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
+        self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
+        self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes, held_pad[lattice.nbr].sum(axis=1)], axis=1)
         self.classes = []
         for members in lattice.colour_classes:
             sites = members[sim[members]]
             if sites.size:
-                self.classes.append((sites, lattice.nbr[sites]))
+                self.classes.append((sites, np.ascontiguousarray(lattice.nbr[sites].T)))
         # simulated sites in order of their dominating rate, so each chunk's cap fits its sites
         sim_sites = np.flatnonzero(sim)
         log_rate = log_dominating_rate(dhat[sim_sites], params)
         order = np.argsort(log_rate, kind="stable")
+        caps = [
+            _count_cap(float(log_rate[order[lo : lo + _CHUNK_SITES][-1]]))
+            for lo in range(0, order.size, _CHUNK_SITES)
+        ]
+        site_caps = np.repeat(caps, _CHUNK_SITES)[: order.size]
         self.log_w = np.zeros(n)
         self.count_cdfs = []
-        for lo in range(0, order.size, _CHUNK_SITES):
-            chunk = order[lo : lo + _CHUNK_SITES]
-            sites = sim_sites[chunk]
-            terms = log_count_terms(dhat[sites], params, _count_cap(float(log_rate[chunk[-1]])))
+        for cap in sorted(set(caps)):
+            sites = sim_sites[order[site_caps == cap]]
+            terms = log_count_terms(dhat[sites], params, cap)
             top = terms.max(axis=1)
             self.log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
             self.count_cdfs.append((sites, np.cumsum(np.exp(terms - self.log_w[sites, None]), axis=1)))
@@ -169,7 +180,7 @@ class _OccupancyField:
         sites, nb = self.classes[c]
         near = _take(cov, nb)
         here = _take(occ, sites)
-        unc = (near == here[:, None]).sum(axis=1, dtype=np.int8)
+        unc = (near == here).sum(axis=0, dtype=np.int8)
         return near, here, self.log_w[sites, None] - unc * self.log_gamma
 
     def class_log_odds(self, occ: np.ndarray, cov: np.ndarray, c: int) -> np.ndarray:
@@ -187,7 +198,7 @@ class _OccupancyField:
         sites, nb = self.classes[c]
         near, here, odds = self._gather(occ, cov, c)
         new = (logit_u[sites, None] < odds.reshape(sites.size, 2, -1)).reshape(odds.shape).view(np.int8)
-        _rows(cov)[nb] = _rows(near + (new - here)[:, None])
+        _rows(cov)[nb] = _rows(near + (new - here))
         cov[-1] = _PAD_COVERAGE
         _rows(occ)[sites] = _rows(new)
 
