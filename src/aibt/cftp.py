@@ -12,19 +12,21 @@ on it: a top chain started all occupied and a bottom chain started all
 empty share every uniform; once they agree at time zero the common pattern
 is an exact draw.  Each sweep updates the lattice's colour classes in turn;
 no two sites of one class have intersecting neighbourhoods, so a class
-updates as one vectorized step.  The chains of all draws are stored site
-by site, one row per site, and a class update gathers and scatters whole
-rows, one neighbour slot of every site in the class at a time, so its cost
-hardly grows with the number of draws.  Occupied sites then draw their
-multiplicity from its one-dimensional law, summed over chunks of sites
-sorted by rate, each only as far as its own rates need.
+updates as one vectorized step.  The chains of all draws are stored one
+row per site in the lattice's class-major order, so a class is a slice of
+rows and its update gathers and scatters only the coverage around it; its
+cost hardly grows with the number of draws.  A uniform at or above its
+site's cut turns the site off whatever its neighbours, so its logit is not
+computed.  Occupied sites then draw their multiplicity from its
+one-dimensional law, summed over chunks of sites sorted by rate, each only
+as far as its own rates need.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
-exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held occupied in
-both chains and its count is not drawn; the estimator takes its
-coefficient from the observation.  Draws are exact for this posterior
-conditioned on the held sites being occupied, the close approximation the
-sampler targets.
+exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held: it weighs
+``W_s = +inf``, so every update turns it on in both chains, and its count
+is not drawn; the estimator takes its coefficient from the observation.
+Draws are exact for this posterior conditioned on the held sites being
+occupied, the close approximation the sampler targets.
 """
 
 from __future__ import annotations
@@ -93,6 +95,23 @@ def _count_cap(log_rate: float) -> int:
     return cap
 
 
+def _decided_off_cut(log_w: np.ndarray) -> np.ndarray:
+    """Per site, the uniform at and above which an update turns the site off whatever its neighbours.
+
+    A site turns on iff ``logit(u) < log W_s - unc_s * log(gamma) <= log W_s``.
+    The cut is ``expit(log W_s + 1e-6)``; its few-ulp relative error moves
+    its logit by that error over ``1 - u``, under ``2e-7`` while
+    ``log W_s < 20``, and the float ``log(u) - log1p(-u)`` errs by under
+    ``1e-12``, so at and above the cut the float logit is above ``log W_s``.
+    Outside ``-700 < log W_s < 20`` (float spacing near 1 too wide above,
+    subnormals below) and at held sites the cut is ``+inf``.
+    """
+    cut = np.full(log_w.shape, np.inf)
+    inside = (log_w > -700.0) & (log_w < 20.0)
+    cut[inside] = 1.0 / (1.0 + np.exp(-(log_w[inside] + 1e-6)))
+    return cut
+
+
 def _key(root: np.random.SeedSequence, t: int) -> np.random.Generator:
     """The stream of one draw at sweep ``t`` (``t >= 1`` steps before time zero; 0 for counts)."""
     return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
@@ -110,65 +129,69 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _take(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[index]`` as int8 for a site-major state, gathered one row per index."""
+    """``a[index]`` as int8 for a chain state, gathered one row per index."""
     return _rows(a)[index].view(np.int8).reshape(*index.shape, a.shape[-1])
 
 
 class _OccupancyField:
     """Heat-bath dynamics of the occupancy posterior of one signal, given its held sites.
 
-    Chain states are site-major int8 arrays ``occ[n_sites + 1, 2 * draws]``:
-    row ``s`` holds site ``s`` in the top chains of every draw, then in the
-    bottom chains.  ``cov[v]`` counts the occupied sites in ``B(v)``, which
-    by the symmetry of neighbourhoods is how many cover ``v``.  The last row
-    pads the neighbour table: it stays empty in ``occ`` and holds
-    ``_PAD_COVERAGE`` in ``cov``, so it never counts as uncovered.  Each
-    colour class keeps its sites and their neighbour table neighbour-major,
-    ``nb[i, m]`` being the ``i``-th neighbour of the class's ``m``-th site,
-    so the coverage gathered around a class sums over contiguous slabs.
+    Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in class-major
+    order: row ``i`` holds site ``lattice.class_order[i]`` in the top chains
+    of every draw, then in the bottom chains, and class ``c`` is the slice
+    ``rows[c]``, whose coverage is gathered through ``lattice.class_nbr[c]``.
+    ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
+    of neighbourhoods is how many cover ``v``.  The last row pads the
+    neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
+    in ``cov``, so it never counts as uncovered.  Held sites keep their rows,
+    with ``log W = +inf``; decided-off uniforms get the logit ``+inf``.
     """
 
     def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, held: np.ndarray):
         n = lattice.n_sites
-        sim = ~np.asarray(held)
+        order = lattice.class_order
         self.lattice = lattice
-        self.sim = sim
+        self.sim = ~np.asarray(held)
         self.log_gamma = math.log(params.gamma)
-        # both start states are constants of the field, built once and repeated per run
-        held_pad = np.append(~sim, False)
+        ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
+        self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        # both start states are constants of the field, built once and broadcast per run
+        held_pad = np.append(~self.sim[order], False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
-        self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes, held_pad[lattice.nbr].sum(axis=1)], axis=1)
-        self.classes = []
-        for members in lattice.colour_classes:
-            sites = members[sim[members]]
-            if sites.size:
-                self.classes.append((sites, np.ascontiguousarray(lattice.nbr[sites].T)))
+        held_near = held_pad[lattice.ordered_nbr].sum(axis=1)
+        self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes[order], held_near], axis=1)
         # simulated sites in order of their dominating rate, so each chunk's cap fits its sites
-        sim_sites = np.flatnonzero(sim)
+        sim_sites = np.flatnonzero(self.sim)
         log_rate = log_dominating_rate(dhat[sim_sites], params)
-        order = np.argsort(log_rate, kind="stable")
+        by_rate = np.argsort(log_rate, kind="stable")
         caps = [
-            _count_cap(float(log_rate[order[lo : lo + _CHUNK_SITES][-1]]))
-            for lo in range(0, order.size, _CHUNK_SITES)
+            _count_cap(float(log_rate[by_rate[lo : lo + _CHUNK_SITES][-1]]))
+            for lo in range(0, by_rate.size, _CHUNK_SITES)
         ]
-        site_caps = np.repeat(caps, _CHUNK_SITES)[: order.size]
-        self.log_w = np.zeros(n)
-        self.count_cdfs = []
+        site_caps = np.repeat(caps, _CHUNK_SITES)[: by_rate.size]
+        log_w = np.full(n, np.inf)
+        self.count_terms = []
         for cap in sorted(set(caps)):
-            sites = sim_sites[order[site_caps == cap]]
+            sites = sim_sites[by_rate[site_caps == cap]]
             terms = log_count_terms(dhat[sites], params, cap)
             top = terms.max(axis=1)
-            self.log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-            self.count_cdfs.append((sites, np.cumsum(np.exp(terms - self.log_w[sites, None]), axis=1)))
+            log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+            self.count_terms.append((sites, terms, log_w[sites]))
+        self.log_w = log_w[order]
+        self.u_off = _decided_off_cut(log_w)
+        self.rank = np.argsort(order)  # the row of each site
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
         """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
-        return np.repeat(self.start_occ, n_draws, axis=1), np.repeat(self.start_cov, n_draws, axis=1)
+        states = np.empty((2, self.lattice.n_sites + 1, 2, n_draws), dtype=np.int8)
+        states[...] = np.stack([self.start_occ, self.start_cov])[..., None]
+        occ, cov = states.reshape(2, self.lattice.n_sites + 1, -1)
+        return occ, cov
 
     def coverage(self, occ: np.ndarray) -> np.ndarray:
         cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
-        cov[:-1] = _take(occ, self.lattice.nbr).sum(axis=1)
+        cov[:-1] = _take(occ, self.lattice.ordered_nbr).sum(axis=1)
         return cov
 
     def _gather(self, occ: np.ndarray, cov: np.ndarray, c: int):
@@ -177,11 +200,11 @@ class _OccupancyField:
         ``cov`` counts ``s`` itself when it is occupied, so a site of ``B(s)``
         that no other occupied site covers is one where ``cov == occ[s]``.
         """
-        sites, nb = self.classes[c]
-        near = _take(cov, nb)
-        here = _take(occ, sites)
+        rows = self.rows[c]
+        near = _take(cov, self.lattice.class_nbr[c])
+        here = occ[rows]
         unc = (near == here).sum(axis=0, dtype=np.int8)
-        return near, here, self.log_w[sites, None] - unc * self.log_gamma
+        return near, here, self.log_w[rows, None] - unc * self.log_gamma
 
     def class_log_odds(self, occ: np.ndarray, cov: np.ndarray, c: int) -> np.ndarray:
         """``log W_s - unc_s * log(gamma)`` for the sites of class ``c``, one row per site."""
@@ -190,41 +213,50 @@ class _OccupancyField:
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, logit_u: np.ndarray) -> None:
         """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``.
 
-        ``logit_u[s, i]`` is draw ``i``'s uniform at site ``s``, shared by its
+        ``logit_u[i, d]`` is draw ``d``'s uniform at row ``i``, shared by its
         top and bottom chain.  No two sites of a class share a neighbour, so
         the scattered rows are distinct, apart from the pad row, which is
         reset after.
         """
-        sites, nb = self.classes[c]
+        rows = self.rows[c]
         near, here, odds = self._gather(occ, cov, c)
-        new = (logit_u[sites, None] < odds.reshape(sites.size, 2, -1)).reshape(odds.shape).view(np.int8)
-        _rows(cov)[nb] = _rows(near + (new - here))
+        new = (logit_u[rows, None] < odds.reshape(len(here), 2, -1)).reshape(odds.shape).view(np.int8)
+        _rows(cov)[self.lattice.class_nbr[c]] = _rows(near + (new - here))
         cov[-1] = _PAD_COVERAGE
-        _rows(occ)[sites] = _rows(new)
+        occ[rows] = new
 
     def run(self, roots: list[np.random.SeedSequence], sweeps: int) -> np.ndarray:
         """Both chains at time zero after ``sweeps`` sweeps, shape ``(2, draws, n_sites)``.
 
         Each sweep's uniforms come from the draw's key for that sweep.
         """
-        occ, cov = self.start(len(roots))
         n = self.lattice.n_sites
+        occ, cov = self.start(len(roots))
+        u = np.empty((len(roots), n))
+        logit_u = np.empty((n, len(roots)))
         for t in range(sweeps, 0, -1):
-            u = np.stack([_key(root, t).random(n) for root in roots], axis=1)
+            for row, root in zip(u, roots):
+                _key(root, t).random(out=row)
+            # the logits of the uniforms below their site's cut, in row order; the rest are +inf
+            logit_u.fill(np.inf)
+            draw, site = np.nonzero(u < self.u_off)
             with np.errstate(divide="ignore"):
-                logit_u = np.log(u) - np.log1p(-u)
-            for c in range(len(self.classes)):
+                logit_u[self.rank[site], draw] = np.log(u[draw, site]) - np.log1p(-u[draw, site])
+            for c in range(len(self.rows)):
                 self.update_class(occ, cov, c, logit_u)
-        return occ[:-1].reshape(n, 2, len(roots)).transpose(1, 2, 0).astype(bool)
+        state = np.empty((n, occ.shape[1]), dtype=bool)
+        state[self.lattice.class_order] = occ[:-1]
+        return state.reshape(n, 2, len(roots)).transpose(1, 2, 0)
 
     def draw_counts(self, occ: np.ndarray, roots: list[np.random.SeedSequence]) -> np.ndarray:
         """Multiplicities of the occupied simulated sites from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``."""
         counts = np.zeros(occ.shape, dtype=np.int64)
         u = np.stack([_key(root, 0).random(self.lattice.n_sites) for root in roots])
-        for sites, cdf in self.count_cdfs:
+        for sites, terms, log_w in self.count_terms:
             draw, row = np.nonzero(occ[:, sites])
             at = sites[row]
-            counts[draw, at] = np.minimum(1 + (cdf[row] < u[draw, at, None]).sum(axis=1), cdf.shape[1])
+            cdf = np.cumsum(np.exp(terms[row] - log_w[row, None]), axis=1)
+            counts[draw, at] = np.minimum(1 + (cdf < u[draw, at, None]).sum(axis=1), terms.shape[1])
         return counts
 
 

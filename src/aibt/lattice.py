@@ -22,7 +22,6 @@ __all__ = [
     "lattice_for",
     "neighbourhood",
     "coverage_measure",
-    "uncovered_measure",
 ]
 
 Site = tuple[int, int]
@@ -72,6 +71,11 @@ class Lattice:
     ``(j mod 3, k mod 4)``.  Neighbourhoods span three adjacent levels, and
     on one level they meet only for positions at most three apart, so this
     closed form is enough (checked exhaustively by the test suite).
+
+    For the sampler, ``class_order`` lists the sites class by class, so each
+    class is one block of it; ``ordered_nbr`` is ``nbr`` in that order and
+    renumbered into it (the pad stays ``n_sites``); ``class_nbr[c]`` is class
+    ``c``'s block of it, neighbour-major.  All arrays are read-only.
     """
 
     def __init__(self, n_levels: int):
@@ -104,7 +108,13 @@ class Lattice:
         self.colour_classes: tuple[np.ndarray, ...] = tuple(
             np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()
         )
-        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes):
+        self.class_order = np.concatenate(self.colour_classes)
+        rank = np.append(np.argsort(self.class_order), n)  # the pad keeps its index
+        self.ordered_nbr = rank[self.nbr[self.class_order]]
+        blocks = np.split(self.ordered_nbr, np.cumsum([c.size for c in self.colour_classes])[:-1])
+        self.class_nbr = tuple(np.ascontiguousarray(b.T) for b in blocks)
+        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes, self.class_order, self.ordered_nbr,
+                  *self.class_nbr):
             a.flags.writeable = False
 
     def site_index(self, j: int, k: int) -> int:
@@ -176,14 +186,6 @@ class Configuration:
         )
 
 
-def _occupied_padded(xi: Configuration, forced_occupied: np.ndarray | None) -> np.ndarray:
-    """Occupancy with ``forced_occupied`` applied and a trailing always-empty pad entry."""
-    occ = xi.occupied()
-    if forced_occupied is not None:
-        occ = occ | np.asarray(forced_occupied, dtype=bool)
-    return np.append(occ, False)
-
-
 def coverage_measure(xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
     """Number of sites covered by the neighbourhoods of occupied sites.
 
@@ -192,18 +194,7 @@ def coverage_measure(xi: Configuration, forced_occupied: np.ndarray | None = Non
     Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an
     occupied site.
     """
-    occ = _occupied_padded(xi, forced_occupied)
-    return int(occ[xi.lattice.nbr].any(axis=1).sum())
-
-
-def uncovered_measure(u: Site, xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
-    """Number of sites in ``B(u)`` not covered by any occupied site of ``xi``.
-
-    This is the coverage a new point at ``u`` would add, which is what the
-    clustering term of the model prices.
-    """
-    lat = xi.lattice
-    occ = _occupied_padded(xi, forced_occupied)
-    b = lat.nbr[lat.site_index(*u)]
-    b = b[b < lat.n_sites]
-    return int((~occ[lat.nbr[b]].any(axis=1)).sum())
+    occ = xi.occupied()
+    if forced_occupied is not None:
+        occ = occ | np.asarray(forced_occupied, dtype=bool)
+    return int(np.append(occ, False)[xi.lattice.nbr].any(axis=1).sum())

@@ -8,6 +8,7 @@ transposes of each other and the transform preserves energy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,18 +180,24 @@ def _check_signal(signal: np.ndarray) -> np.ndarray:
     return signal
 
 
+@functools.lru_cache(maxsize=64)
+def _windows(n: int, taps: int) -> np.ndarray:
+    """Row ``k`` holds ``(2k + i) % n`` for ``i < taps``: the positions analysis output ``k``
+    reads and synthesis input ``k`` writes.  Built once per size and read-only."""
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    idx.flags.writeable = False
+    return idx
+
+
 def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(lo.size)[None, :]) % n
-    win = a[idx]
+    win = a[_windows(a.size, lo.size)]
     return win @ lo, win @ hi
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = 2 * approx.size
-    pos = (2 * np.arange(approx.size)[:, None] + np.arange(lo.size)[None, :]) % n
     terms = approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :]
-    return np.bincount(pos.ravel(), weights=terms.ravel(), minlength=n)
+    return np.bincount(_windows(n, lo.size).ravel(), weights=terms.ravel(), minlength=n)
 
 
 def forward_dwt(signal: np.ndarray, filt: WaveletFilter) -> WaveletDecomposition:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from aibt.lattice import Lattice, neighbourhood
+from aibt.lattice import Configuration, Lattice, Site, neighbourhood
 from aibt.model import ModelParams
 
 
@@ -46,6 +46,23 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
         if any(lattice.site_index(*v) in occupied for v in b):
             covered += 1
     return covered
+
+
+def uncovered_measure(u: Site, xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
+    """Number of sites in ``B(u)`` not covered by any occupied site of ``xi``.
+
+    This is the coverage a new point at ``u`` would add, which is what the
+    clustering term of the model prices.  ``forced_occupied`` marks sites
+    treated as occupied whatever their count.
+    """
+    lat = xi.lattice
+    occ = xi.occupied()
+    if forced_occupied is not None:
+        occ = occ | np.asarray(forced_occupied, dtype=bool)
+    occ = np.append(occ, False)
+    b = lat.nbr[lat.site_index(*u)]
+    b = b[b < lat.n_sites]
+    return int((~occ[lat.nbr[b]].any(axis=1)).sum())
 
 
 def log_density(counts, dhat: np.ndarray, params: ModelParams, lattice: Lattice) -> float:

@@ -87,20 +87,21 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
             cases.append((lat, dhat, params, held))
         lat, dhat, p, held = cases.pop()
         field = _OccupancyField(lat, dhat, p, held)
+        sim_rows = field.sim[lat.class_order]
         roots = [_root(seed + i) for i in range(8)]
-        occ, cov = field.start(len(roots))  # site-major: top chains, then bottom chains
+        occ, cov = field.start(len(roots))  # class-major rows: top chains, then bottom chains
         top = slice(0, len(roots))
         bottom = slice(len(roots), None)
         for t in range(32, 0, -1):
-            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots], axis=1)
+            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots], axis=1)[lat.class_order]
             logit_u = np.log(u) - np.log1p(-u)
-            for c in range(len(field.classes)):
+            for c, rows in enumerate(field.rows):
                 prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)))
                 lo, hi = prob[:, bottom], prob[:, top]
                 assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
                 field.update_class(occ, cov, c, logit_u)
                 assert np.all(occ[:, bottom] <= occ[:, top])
-                total += hi.size
+                total += int(sim_rows[rows].sum()) * len(roots)  # held sites are not counted
             assert np.array_equal(cov[:-1], field.coverage(occ)[:-1])
         seed += len(roots)
     assert total >= 100_000
@@ -126,10 +127,10 @@ def test_conditional_intensity_factor_bounds():
         dhat = np.full(lat.n_sites, d)
         field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=bool))
         occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
-        occ[:-1, 0] = rng.random(lat.n_sites) < 0.3
+        occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
         cov = field.coverage(occ)
-        c = int(rng.integers(len(field.classes)))
-        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.classes[c][0], None]
+        c = int(rng.integers(len(field.rows)))
+        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.rows[c], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -154,11 +155,16 @@ def test_intensity_consistent_with_density():
         dhat = rng.normal(0.0, 1.2, lat.n_sites)
         clamped = held_sites(dhat, params)
         field = _OccupancyField(lat, dhat, params, clamped)
-        c = int(rng.integers(len(field.classes)))
-        sites = field.classes[c][0]
-        occ = np.append((counts > 0) | clamped, False)[:, None]
+        # the classes that hold a simulated site, drawn from as when held sites sat outside them
+        live = [c for c, members in enumerate(lat.colour_classes) if not clamped[members].all()]
+        c = live[int(rng.integers(len(live)))]
+        sites = lat.colour_classes[c]
+        occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
         odds = field.class_log_odds(occ, field.coverage(occ), c)[:, 0]
         for i, s in enumerate(sites.tolist()):
+            if clamped[s]:
+                assert odds[i] == math.inf
+                continue
             base = counts.copy()
             base[s] = 0
             xi = Configuration(lat, base)
@@ -179,7 +185,7 @@ def test_intensity_consistent_with_density():
 def test_heat_bath_conditional_matches_enumeration(clamped):
     """On the three-site lattice the heat-bath conditional of each simulated site
     equals the conditional of the enumerated posterior to 1e-9, with the third
-    site occupied when it is held."""
+    site occupied when it is held, and turning on with probability 1."""
     params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
     lat = Lattice(2)
     dhat = np.array([0.3, -0.6, 1.8863236699596295 if clamped else 0.5])
@@ -191,11 +197,14 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
     for pattern in patterns:
         if clamped and not pattern[2]:
             continue
-        occ = np.append(np.array(pattern, dtype=bool), False)[:, None]
+        occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
         cov = field.coverage(occ)
-        for c, (sites, _) in enumerate(field.classes):
+        for c, sites in enumerate(lat.colour_classes):
             prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)[:, 0]))
             for s, p_on in zip(sites.tolist(), prob):
+                if held[s]:  # a held site sits in its class and always turns on
+                    assert p_on == 1.0
+                    continue
                 on = pattern[:s] + (1,) + pattern[s + 1 :]
                 off = pattern[:s] + (0,) + pattern[s + 1 :]
                 exact = patterns[on] / (patterns[on] + patterns[off])

@@ -12,6 +12,7 @@ import pytest
 from aibt.cftp import (
     CoalescenceError,
     _count_cap,
+    _decided_off_cut,
     _key,
     _OccupancyField,
     _root,
@@ -164,20 +165,22 @@ def test_sandwich_order_holds_eventwise():
     for case in range(40):
         field, _, _ = _field(case, n_levels=5, clamp=case % 2 == 1)
         n = field.lattice.n_sites
-        # site-major: columns 0-5 are the top chains, 6-11 the bottom chains
+        order = field.lattice.class_order
+        sim_rows = field.sim[order]
+        # class-major rows: columns 0-5 are the top chains, 6-11 the bottom chains
         occ = np.zeros((n + 1, 12), dtype=bool)
-        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | ~field.sim).T
-        occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T
+        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | ~field.sim).T[order]
+        occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T[order]
         cov = field.coverage(occ)
         for _ in range(3):
-            u = rng.random((6, n)).T
+            u = rng.random((6, n)).T[order]
             logit_u = np.log(u) - np.log1p(-u)
-            for c in range(len(field.classes)):
+            for c, rows in enumerate(field.rows):
                 odds = field.class_log_odds(occ, cov, c)
                 assert np.all(odds[:, :6] >= odds[:, 6:])
                 field.update_class(occ, cov, c, logit_u)
                 assert np.all(occ[:, :6] >= occ[:, 6:])
-                updates += field.classes[c][0].size * 6
+                updates += int(sim_rows[rows].sum()) * 6  # held sites are not counted
         assert np.array_equal(cov[:n], field.coverage(occ)[:n])
     assert updates > 10_000
 
@@ -215,13 +218,16 @@ def test_rate_sorted_count_terms_match_one_global_cap():
     dhat = rng.normal(0.0, 0.1, lat.n_sites) * rng.choice([1.0, 2.0, 3.0], lat.n_sites)
     held = held_sites(dhat, p)
     field = _OccupancyField(lat, dhat, p, held)
-    assert len({cdf.shape[1] for _, cdf in field.count_cdfs}) > 2
+    assert len({terms.shape[1] for _, terms, _ in field.count_terms}) > 2
+    field_log_w = np.empty(lat.n_sites)
+    field_log_w[lat.class_order] = field.log_w
     sites = np.flatnonzero(~held)
     cap = _count_cap(float(np.max(log_dominating_rate(dhat[sites], p))))
     terms = log_count_terms(dhat[sites], p, cap)
     top = terms.max(axis=1)
     log_w = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-    np.testing.assert_array_max_ulp(field.log_w[sites], log_w, maxulp=4)
+    np.testing.assert_array_max_ulp(field_log_w[sites], log_w, maxulp=4)
+    assert np.all(field_log_w[held] == np.inf)
     cdf = np.cumsum(np.exp(terms - log_w[:, None]), axis=1)
     roots = [_root(seed) for seed in range(200)]
     occ = np.broadcast_to(~held, (len(roots), lat.n_sites))
@@ -230,6 +236,31 @@ def test_rate_sorted_count_terms_match_one_global_cap():
         u = _key(root, 0).random(lat.n_sites)[sites]
         expected[i, sites] = np.minimum(1 + (cdf < u[:, None]).sum(axis=1), cap)
     assert np.array_equal(field.draw_counts(occ, roots), expected)
+
+
+def test_decided_off_cut_never_misclassifies():
+    """At and above a site's cut the float logit ``log(u) - log1p(-u)`` is at least ``log W``,
+    so the update is off whatever the neighbours; outside ``(-700, 20)`` and at held sites
+    the cut is ``+inf``."""
+    rng = np.random.default_rng(31)
+    bounds = [-700.0, 20.0, np.nextafter(-700.0, 0.0), np.nextafter(20.0, 0.0)]
+    log_w = np.concatenate([np.linspace(-700.0, 20.0, 2001), bounds, rng.uniform(-700.0, 20.0, 2000)])
+    outside = np.array([-np.inf, -1e4, -750.0, np.nextafter(-700.0, -np.inf), np.nextafter(20.0, np.inf), 23.0, 40.0])
+    assert np.all(_decided_off_cut(np.concatenate([outside, [-700.0, 20.0, np.inf]])) == np.inf)
+    inside = (log_w > -700.0) & (log_w < 20.0)
+    cut = _decided_off_cut(log_w)
+    assert np.all(cut[~inside] == np.inf) and np.all(cut[inside] < 1.0)
+    log_w, cut = log_w[inside, None], cut[inside, None]
+    first = (cut.view(np.int64) + np.arange(200)).view(np.float64)
+    above = cut + (1.0 - cut) * rng.random((cut.size, 200))
+    probes = 0
+    for u in (first, above):
+        keep = u < 1.0
+        with np.errstate(divide="ignore"):
+            logit = np.log(u) - np.log1p(-u)
+        assert np.all((logit >= log_w)[keep])
+        probes += int(keep.sum())
+    assert probes > 1_500_000
 
 
 def _ladder_from_one(dhat, params, seeds, lattice):

@@ -1,11 +1,13 @@
 """Coefficient draws, posterior medians, and the end-to-end denoiser."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from aibt.cftp import cftp_sample, held_sites
+from aibt import estimator
+from aibt.cftp import _root, cftp_sample, held_sites
 from aibt.estimator import denoise, posterior_median_estimate, sample_coefficients
 from aibt.lattice import Configuration, Lattice
 from aibt.model import ModelParams
@@ -73,6 +75,63 @@ def test_posterior_median_is_lower_middle_order_statistic():
     expected = np.sort(draws, axis=0)[(n_draws - 1) // 2]
     got = posterior_median_estimate(dhat, PARAMS, n_draws=n_draws, seed=2024)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n_draws", [1, 2, 9, 25])
+def test_sparse_tail_equals_dense_median(n_draws, monkeypatch):
+    """Drawing and sorting only the held and occupied columns gives the dense median byte for
+    byte, with the sampler's counts replaced by fixed ones and its use of the generators kept."""
+    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
+    n = 31
+    rng = np.random.default_rng(n_draws)
+    dhat = rng.normal(0.0, 0.5, n)
+    dhat[:2] = 1e3
+    held = held_sites(dhat, p)
+    assert held.tolist() == [True, True] + [False] * (n - 2)
+    middle = (n_draws - 1) // 2 + 1  # occupied draws that put a coefficient at the median
+    counts = np.zeros((n_draws, n), dtype=np.int64)
+    counts[:, 1] = 3  # held column 0 stays at count zero
+    counts[:middle, 2] = 2
+    counts[-middle:, 3] = 1
+    counts[: middle - 1, 4] = 1
+    counts[:, 5] = rng.integers(1, 4, n_draws)
+    counts[:, 6:20] = rng.poisson(0.3, (n_draws, 14))  # columns 20 onward stay empty
+
+    def fixed_counts(dhat, params, rngs, *args, **kwargs):
+        for g in rngs:
+            _root(g)
+        return counts
+
+    monkeypatch.setattr(estimator, "cftp_counts", fixed_counts)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(8).spawn(n_draws)]
+    fixed_counts(dhat, p, rngs)
+    noise = np.stack([g.standard_normal(n) for g in rngs])
+    v = p.tau**2 * counts.astype(float) ** p.z
+    w = np.where(held, 1.0, v / (p.sigma**2 + v))
+    draws = np.where(held | (counts > 0), w * dhat + np.sqrt(w) * p.sigma * noise, 0.0)
+    expected = np.sort(draws, axis=0)[(n_draws - 1) // 2]
+    got = posterior_median_estimate(dhat, p, n_draws=n_draws, seed=8)
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(got[20:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "signal, wavelet, noise_seed, sigma, n, expected",
+    [
+        (None, "la10", 0, 0.1, 4096, "92ed362a76bbaeb5"),
+        ("Blocks", "haar", 1, 1 / 7, 1024, "f92958027d456a84"),
+        ("Bumps", "la10", 3, 0.1, 1024, "f9a306d6d7f80d15"),
+    ],
+    ids=["noise-4096-la10", "blocks-1024-haar", "bumps-1024-la10"],
+)
+def test_pinned_denoise(signal, wavelet, noise_seed, sigma, n, expected):
+    """Nine-draw estimates of pure noise and two test signals are pinned byte for byte, so a
+    change to the transform, the sampler or the median that moves an estimate shows."""
+    y = sigma * np.random.default_rng(noise_seed).standard_normal(n)
+    if signal is not None:
+        y = make_test_signal(signal, n) + y
+    est = denoise(y, get_filter(wavelet), ModelParams(0.05, 3, 1, sigma), n_draws=9, seed=5)
+    assert hashlib.sha256(est.tobytes()).hexdigest()[:16] == expected
 
 
 def test_posterior_median_deterministic():

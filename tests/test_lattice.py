@@ -9,9 +9,8 @@ from aibt.lattice import (
     coverage_measure,
     lattice_for,
     neighbourhood,
-    uncovered_measure,
 )
-from oracles import brute_coverage
+from oracles import brute_coverage, uncovered_measure
 
 RNG = np.random.default_rng(42)
 
@@ -99,6 +98,26 @@ def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
         covered = lat.nbr[cls]
         covered = covered[covered < lat.n_sites]
         assert np.unique(covered).size == covered.size  # no site lies in two neighbourhoods
+
+
+@pytest.mark.parametrize("n_levels", range(1, 13))
+def test_class_order_lays_out_colour_classes_as_blocks(n_levels):
+    """``class_order`` is a permutation whose blocks are the colour classes; the renumbered
+    table maps back to ``nbr``, and each class table is its block, neighbour-major."""
+    lat = Lattice(n_levels)
+    n = lat.n_sites
+    assert np.array_equal(np.sort(lat.class_order), np.arange(n))
+    sizes = [table.shape[1] for table in lat.class_nbr]
+    blocks = np.split(lat.class_order, np.cumsum(sizes)[:-1])
+    assert len(blocks) == len(lat.colour_classes)
+    for block, members in zip(blocks, lat.colour_classes):
+        assert np.array_equal(block, members)
+    assert np.array_equal(np.append(lat.class_order, n)[lat.ordered_nbr], lat.nbr[lat.class_order])
+    for table, lo in zip(lat.class_nbr, np.cumsum([0, *sizes])):
+        assert table.flags.c_contiguous
+        assert np.array_equal(table.T, lat.ordered_nbr[lo : lo + table.shape[1]])
+    for a in (lat.class_order, lat.ordered_nbr, *lat.class_nbr):
+        assert not a.flags.writeable
 
 
 def test_lattice_for_shares_one_lattice_per_size():

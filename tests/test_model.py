@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from aibt.lattice import Configuration, Lattice, uncovered_measure
+from aibt.lattice import Configuration, Lattice
 from aibt.model import (
     ModelParams,
     estimate_sigma_mad,
@@ -15,7 +15,7 @@ from aibt.model import (
     log_marginal_posterior,
 )
 from aibt.wavelet import HAAR, WaveletDecomposition
-from oracles import log_density
+from oracles import log_density, uncovered_measure
 
 RNG = np.random.default_rng(7)
 

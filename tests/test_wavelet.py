@@ -14,6 +14,7 @@ from aibt.wavelet import (
     WaveletDecomposition,
     WaveletFilter,
     _synthesis_step,
+    _windows,
     add_noise,
     forward_dwt,
     get_filter,
@@ -147,6 +148,18 @@ def test_synthesis_step_matches_unbuffered_scatter_add(filt):
         np.add.at(oracle, pos, approx[:, None] * filt.lowpass[None, :] + detail[:, None] * filt.highpass[None, :])
         got = _synthesis_step(approx, detail, filt.lowpass, filt.highpass)
         assert got.tobytes() == oracle.tobytes(), size
+
+
+def test_transform_windows_are_shared_and_read_only():
+    """The index windows are built once per size and filter length, and no caller can change them."""
+    idx = _windows(16, 4)
+    assert _windows(16, 4) is idx
+    assert np.array_equal(idx, (2 * np.arange(8)[:, None] + np.arange(4)[None, :]) % 16)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    forward_dwt(RNG.standard_normal(64), DAUB_LA10)
+    assert not _windows(64, DAUB_LA10.lowpass.size).flags.writeable
 
 
 def test_decomposition_shape_contract():
