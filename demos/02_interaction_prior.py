@@ -12,22 +12,16 @@ exactly the signature of jumps and bumps in a signal.
 
 import numpy as np
 
-from aibt import (
-    Configuration,
-    Lattice,
-    ModelParams,
-    coverage_measure,
-    log_marginal_posterior,
-    neighbourhood,
-)
+from aibt import Lattice, ModelParams, coverage_measure, log_marginal_posterior
 
 lat = Lattice(4)  # levels 0..3, 15 sites
 print(f"Lattice with {lat.n_levels} levels and {lat.n_sites} sites\n")
 
 # A site's neighbourhood: itself, nearest same-level neighbours, the
 # parent pair above, and the children below.
+# Row ``s`` of ``lat.nbr`` lists the flat indices of B(s), padded with n_sites.
 for site in [(0, 0), (2, 1), (3, 4)]:
-    nb = sorted(neighbourhood(site, lat.n_levels))
+    nb = sorted(lat.site_of(v) for v in lat.nbr[lat.site_index(*site)].tolist() if v < lat.n_sites)
     print(f"neighbourhood of {site}: {nb}")
 
 # The interaction term counts covered sites.  Compare a clustered pair
@@ -36,9 +30,17 @@ for site in [(0, 0), (2, 1), (3, 4)]:
 params = ModelParams(lam=0.2, gamma=3.0, tau=1.0, sigma=0.5)
 dhat = np.zeros(lat.n_sites)
 
-empty = Configuration.from_counts(lat, np.zeros(lat.n_sites, dtype=int))
-clustered = Configuration.from_counts(lat, {(2, 1): 1, (3, 2): 1})
-scattered = Configuration.from_counts(lat, {(2, 0): 1, (3, 7): 1})
+
+def one_point_at(*sites):
+    """A configuration as a count vector: one point at each given (level, position) site."""
+    counts = np.zeros(lat.n_sites, dtype=int)
+    counts[[lat.site_index(j, k) for j, k in sites]] = 1
+    return counts
+
+
+empty = one_point_at()
+clustered = one_point_at((2, 1), (3, 2))
+scattered = one_point_at((2, 0), (3, 7))
 
 base = log_marginal_posterior(empty, dhat, params)
 lc = log_marginal_posterior(clustered, dhat, params) - base

@@ -16,18 +16,11 @@ import math
 
 import numpy as np
 
-from aibt import (
-    Configuration,
-    Lattice,
-    ModelParams,
-    cftp_sample,
-    log_marginal_posterior,
-)
+from aibt import ModelParams, cftp_counts, log_marginal_posterior
 from aibt.cftp import held_sites
 
 params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
-lat = Lattice(2)  # sites (0,0), (1,0), (1,1)
-dhat = np.array([0.8, -0.3, 0.5])
+dhat = np.array([0.8, -0.3, 0.5])  # sites (0,0), (1,0), (1,1)
 
 # --- exact enumeration -------------------------------------------------
 # Reference measure: independent unit-rate Poisson counts per site, so a
@@ -38,8 +31,7 @@ for c0 in range(cap):
     for c1 in range(cap):
         for c2 in range(cap):
             counts = np.array([c0, c1, c2])
-            xi = Configuration.from_counts(lat, counts)
-            logw = log_marginal_posterior(xi, dhat, params) - sum(math.lgamma(c + 1) for c in counts)
+            logw = log_marginal_posterior(counts, dhat, params) - sum(math.lgamma(c + 1) for c in counts)
             probs[(c0, c1, c2)] = math.exp(logw)
 total = sum(probs.values())
 probs = {k: v / total for k, v in probs.items()}
@@ -51,9 +43,8 @@ for key, p in probs.items():
 # --- perfect simulation ------------------------------------------------
 n_draws = 4000
 occ_freq: dict[tuple[int, ...], float] = {}
-for seed in range(n_draws):
-    xi = cftp_sample(dhat, params, seed=seed)
-    pat = tuple(int(c > 0) for c in xi.counts)
+for counts in cftp_counts(dhat, params, range(n_draws)):  # one draw per seed, run as one batch
+    pat = tuple(int(c > 0) for c in counts)
     occ_freq[pat] = occ_freq.get(pat, 0.0) + 1.0 / n_draws
 
 print("occupancy pattern   exact      sampled")

@@ -21,9 +21,9 @@ from .baselines import (
     universal_threshold,
 )
 from .bench import ExperimentConfig, emit_csv, run_experiment
-from .cftp import CoalescenceError, cftp_sample
+from .cftp import CoalescenceError, cftp_counts
 from .estimator import denoise, posterior_median_estimate
-from .lattice import Configuration, Lattice, coverage_measure, neighbourhood
+from .lattice import Lattice, coverage_measure
 from .model import ModelParams, estimate_sigma_mad, log_marginal_posterior
 from .wavelet import (
     SIGNAL_NAMES,

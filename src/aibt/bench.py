@@ -12,6 +12,8 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -46,6 +48,24 @@ METHODS = ("AIBT", "SureShrink", "Universal", "BayesThresh", "FDR")
 CSV_HEADER = "signal,rsnr,method,amse,se,reps,runtime_s"
 
 
+def _is_a(kind):
+    """A check that a value is an instance of ``kind`` other than a bool."""
+    return lambda v: isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _list_of(kind):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(_is_a(kind), v))
+
+
+# what each field must be, checked before its value, so a mistyped JSON config fails at once
+_FIELD_TYPES = {
+    **dict.fromkeys(("n", "reps", "n_draws", "seed", "max_doublings"), (_is_a(numbers.Integral), "an integer")),
+    **dict.fromkeys(("lam", "gamma", "tau", "z"), (_is_a(numbers.Real), "a number")),
+    **dict.fromkeys(("signals", "methods"), (_list_of(str), "a list of strings")),
+    "rsnr": (_list_of(numbers.Real), "a list of numbers"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a benchmark run; the JSON schema uses these field names."""
@@ -66,6 +86,9 @@ class ExperimentConfig:
     record_runtime: bool = True
 
     def __post_init__(self) -> None:
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {kind}, not {getattr(self, name)!r}")
         object.__setattr__(self, "signals", tuple(self.signals))
         object.__setattr__(self, "rsnr", tuple(float(r) for r in self.rsnr))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -77,8 +100,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two >= 8")
-        if not self.rsnr or any(r <= 0 for r in self.rsnr):
-            raise ValueError("rsnr values must be positive")
+        if not self.rsnr or not all(0 < r < math.inf for r in self.rsnr):
+            raise ValueError("rsnr values must be positive and finite")
         if self.reps < 1 or self.n_draws < 1:
             raise ValueError("reps and n_draws must be at least 1")
         if self.wavelet_policy not in ("auto", "haar", "la10"):

@@ -37,14 +37,13 @@ import math
 
 import numpy as np
 
-from .lattice import Configuration, Lattice, lattice_for
+from .lattice import Lattice, lattice_for
 from .model import ModelParams, log_count_terms, log_dominating_rate
 
 __all__ = [
     "held_sites",
     "CoalescenceError",
     "cftp_counts",
-    "cftp_sample",
 ]
 
 logger = logging.getLogger(__name__)
@@ -206,10 +205,6 @@ class _OccupancyField:
         unc = (near == here).sum(axis=0, dtype=np.int8)
         return near, here, self.log_w[rows, None] - unc * self.log_gamma
 
-    def class_log_odds(self, occ: np.ndarray, cov: np.ndarray, c: int) -> np.ndarray:
-        """``log W_s - unc_s * log(gamma)`` for the sites of class ``c``, one row per site."""
-        return self._gather(occ, cov, c)[2]
-
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, logit_u: np.ndarray) -> None:
         """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``.
 
@@ -320,21 +315,3 @@ def cftp_counts(
             return field.draw_counts(occ, roots)
     raise CoalescenceError(gap, ladder[-1])
 
-
-def cftp_sample(
-    dhat: np.ndarray,
-    params: ModelParams,
-    seed: int | np.random.SeedSequence | np.random.Generator = 0,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-    *,
-    lattice: Lattice | None = None,
-) -> Configuration:
-    """One exact draw of the simulated sites' multiplicities, given the held sites occupied.
-
-    Held sites carry zero counts; see :func:`cftp_counts`.
-    """
-    dhat = np.asarray(dhat, dtype=float)
-    if lattice is None:
-        lattice = lattice_for(dhat.size)
-    counts = cftp_counts(dhat, params, [seed], max_doublings, lattice=lattice)
-    return Configuration(lattice, counts[0])

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .bench import METHODS, emit_csv, load_config, run_experiment
-from .cftp import CoalescenceError, cftp_sample, held_sites
+from .cftp import CoalescenceError, cftp_counts, held_sites
 from .estimator import denoise
 from .lattice import lattice_for
 from .model import ModelParams, estimate_sigma_mad
@@ -60,6 +60,8 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
     if args.signal is not None:
         if args.rsnr is None:
             raise ValueError("--rsnr is required with --signal")
+        if not (args.rsnr > 0 and np.isfinite(args.rsnr)):
+            raise ValueError("--rsnr must be positive and finite")
         truth = make_test_signal(args.signal, args.n)
         sigma = 1.0 / args.rsnr
         y = add_noise(truth, sigma, args.noise_seed)
@@ -89,13 +91,13 @@ def _cmd_sample(args) -> int:
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
     dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
     lattice = lattice_for(dhat.size)
-    xi = cftp_sample(dhat, params, args.seed, lattice=lattice)
+    counts = cftp_counts(dhat, params, [args.seed], lattice=lattice)[0]
     held = held_sites(dhat, params)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,k,xi,held\n")
         for s in range(lattice.n_sites):
             j, k = lattice.site_of(s)
-            fh.write(f"{j},{k},{int(xi.counts[s])},{int(held[s])}\n")
+            fh.write(f"{j},{k},{int(counts[s])},{int(held[s])}\n")
     return 0
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .cftp import DEFAULT_MAX_DOUBLINGS, cftp_counts, held_sites
-from .lattice import Configuration, Lattice, lattice_for
+from .lattice import Lattice, lattice_for
 from .model import ModelParams
 from .wavelet import WaveletDecomposition, WaveletFilter, forward_dwt, inverse_dwt
 
 __all__ = [
-    "sample_coefficients",
     "posterior_median_estimate",
     "denoise",
 ]
@@ -33,30 +32,14 @@ def _coefficients(
     held: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Coefficient draws, one per entry of ``counts``, from standard normal ``noise`` of its shape."""
+    """Coefficient draws, one per entry of ``counts``, from standard normal ``noise`` of its shape.
+
+    Occupied sites draw from ``N(w * dhat, w * sigma**2)``, ``w = tau**2 c**z / (sigma**2 + tau**2 c**z)``;
+    empty sites give exactly zero, and ``held`` sites (:func:`~aibt.cftp.held_sites`) take ``w = 1``.
+    """
     v = params.tau**2 * counts.astype(float) ** params.z
     w = np.where(held, 1.0, v / (params.sigma**2 + v))
     return np.where(held | (counts > 0), w * dhat + np.sqrt(w) * params.sigma * noise, 0.0)
-
-
-def sample_coefficients(
-    xi: Configuration,
-    dhat: np.ndarray,
-    params: ModelParams,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """One draw of all detail coefficients given an occupancy configuration.
-
-    At a site with multiplicity ``c > 0`` the coefficient is Gaussian with
-    mean ``w * dhat`` and variance ``w * sigma**2`` where
-    ``w = tau**2 c**z / (sigma**2 + tau**2 c**z)``; empty sites give exactly
-    zero.  A held site (see :func:`~aibt.cftp.held_sites`) takes ``w = 1``
-    whatever its count, so its coefficient is drawn from ``N(dhat, sigma**2)``.
-    """
-    dhat = np.asarray(dhat, dtype=float)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise = rng.standard_normal(dhat.size)
-    return _coefficients(xi.counts, dhat, params, held_sites(dhat, params), noise)
 
 
 def posterior_median_estimate(
@@ -97,13 +80,14 @@ def denoise(
     filt: WaveletFilter,
     params: ModelParams,
     n_draws: int = 25,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     *,
     max_doublings: int = DEFAULT_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Denoise a signal end to end: transform, estimate details, invert.
 
-    The scaling coefficient passes through unchanged.
+    ``seed`` is passed to :func:`posterior_median_estimate`.  The scaling
+    coefficient passes through unchanged.
     """
     dec = forward_dwt(y, filt)
     dhat = dec.flat_details()

@@ -4,59 +4,24 @@ Sites are pairs ``(j, k)``: resolution level ``j`` (0 coarsest) holding
 ``2**j`` positions, periodic in ``k`` within each level.  Each site has a
 nine-site neighbourhood reaching one level up, one level down, and sideways,
 truncated at the top and bottom levels and deduplicated on narrow levels.
-Configurations give a multiplicity per site; coverage of a configuration is
-the union of neighbourhoods of its occupied sites.
+A configuration is a count vector, one multiplicity per flat site; its
+coverage is the union of neighbourhoods of its occupied sites.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Site",
     "Lattice",
-    "Configuration",
     "lattice_for",
-    "neighbourhood",
     "coverage_measure",
 ]
 
 Site = tuple[int, int]
-
-
-def neighbourhood(x: Site, n_levels: int) -> frozenset[Site]:
-    """The neighbourhood ``B(x)``: ``x`` plus its clustered relatives.
-
-    Candidates are ``x`` itself; the parent; the parent-level site next
-    nearest to ``x``; the two siblings; the two children; and the outer
-    neighbours of the two children.  Positions wrap periodically within a
-    level, candidates beyond the top or bottom level are dropped, and
-    duplicates arising on narrow levels are merged, so the result has at
-    most nine sites (exactly nine away from the boundary rows).
-    """
-    j, k = x
-    if not (0 <= j < n_levels and 0 <= k < 2**j):
-        raise ValueError(f"site {x!r} outside a {n_levels}-level lattice")
-    sites = {x}
-    width = 2**j
-    sites.add((j, (k - 1) % width))
-    sites.add((j, (k + 1) % width))
-    if j > 0:
-        up = 2 ** (j - 1)
-        p = k // 2
-        sites.add((j - 1, p))
-        step = -1 if k % 2 == 0 else 1
-        sites.add((j - 1, (p + step) % up))
-    if j + 1 < n_levels:
-        down = 2 ** (j + 1)
-        sites.add((j + 1, 2 * k))
-        sites.add((j + 1, 2 * k + 1))
-        sites.add((j + 1, (2 * k - 1) % down))
-        sites.add((j + 1, (2 * k + 2) % down))
-    return frozenset(sites)
 
 
 class Lattice:
@@ -90,7 +55,7 @@ class Lattice:
         p = k // 2
         step = np.where(k % 2 == 0, -1, 1)
         up = np.maximum(width // 2, 1)
-        # the nine candidates of ``neighbourhood``, as (level, position) columns
+        # B(s) as (level, position) columns: s, siblings, parent pair, children and their outer neighbours
         lev = np.stack([j, j, j, j - 1, j - 1, j + 1, j + 1, j + 1, j + 1], axis=1)
         pos = np.stack(
             [k, (k - 1) % width, (k + 1) % width, p, (p + step) % up,
@@ -137,64 +102,16 @@ def lattice_for(n_sites: int) -> Lattice:
     """The shared lattice with ``n_sites == 2**J - 1`` sites, built once per size."""
     n_levels = (n_sites + 1).bit_length() - 1
     if n_levels < 1 or 2**n_levels - 1 != n_sites:
-        raise ValueError("dhat length must be 2**J - 1 for some J >= 1")
+        raise ValueError(f"a lattice has 2**J - 1 sites for some J >= 1, not {n_sites}")
     return Lattice(n_levels)
 
 
-@dataclass
-class Configuration:
-    """A finite point configuration: a multiplicity per lattice site."""
+def coverage_measure(counts) -> int:
+    """Number of sites covered by the neighbourhoods of the occupied sites of a count vector.
 
-    lattice: Lattice
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.lattice.n_sites,):
-            raise ValueError("counts must have one entry per lattice site")
-
-    @classmethod
-    def empty(cls, lattice: Lattice) -> "Configuration":
-        return cls(lattice, np.zeros(lattice.n_sites, dtype=np.int64))
-
-    @classmethod
-    def from_counts(cls, lattice: Lattice, counts) -> "Configuration":
-        """Build a configuration from per-site counts, as an array or a ``{site: count}`` dict."""
-        if isinstance(counts, dict):
-            arr = np.zeros(lattice.n_sites, dtype=np.int64)
-            for (j, k), c in counts.items():
-                arr[lattice.site_index(j, k)] = c
-            counts = arr
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (lattice.n_sites,) or (counts < 0).any():
-            raise ValueError("counts must be nonnegative with one entry per site")
-        return cls(lattice, counts)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.counts.sum())
-
-    def occupied(self) -> np.ndarray:
-        """Boolean occupancy per flat site (multiplicity ignored)."""
-        return self.counts > 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.lattice.n_levels == other.lattice.n_levels and np.array_equal(
-            self.counts, other.counts
-        )
-
-
-def coverage_measure(xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
-    """Number of sites covered by the neighbourhoods of occupied sites.
-
-    ``forced_occupied`` optionally marks sites treated as occupied whatever
-    their count (used when part of the lattice is handled analytically).
-    Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an
-    occupied site.
+    Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an occupied site.
     """
-    occ = xi.occupied()
-    if forced_occupied is not None:
-        occ = occ | np.asarray(forced_occupied, dtype=bool)
-    return int(np.append(occ, False)[xi.lattice.nbr].any(axis=1).sum())
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or (counts < 0).any():
+        raise ValueError("counts must be nonnegative with one entry per site")
+    return int(np.append(counts > 0, False)[lattice_for(counts.size).nbr].any(axis=1).sum())

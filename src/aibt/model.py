@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Configuration, coverage_measure
+from .lattice import coverage_measure
 from .wavelet import WaveletDecomposition
 
 __all__ = [
@@ -107,25 +107,21 @@ class ModelParams:
         return max(base, best) * (1.0 + 1e-12)
 
 
-def log_marginal_posterior(
-    xi: Configuration,
-    dhat: np.ndarray,
-    params: ModelParams,
-    forced_occupied: np.ndarray | None = None,
-) -> float:
-    """Log posterior density of a configuration with coefficients integrated out.
+def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> float:
+    """Log posterior density of a count vector, one multiplicity per site, coefficients integrated out.
 
-    Up to one additive constant shared by all configurations:
-    ``N(xi)*log(lam) - coverage(xi)*log(gamma)`` plus, per site, the log
-    Gaussian likelihood of ``dhat`` under variance ``v(count)``.
+    Up to one additive constant shared by all count vectors:
+    ``N*log(lam) - coverage*log(gamma)`` plus, per site, the log Gaussian
+    likelihood of ``dhat`` under variance ``v(count)``.
     """
+    counts = np.asarray(counts, dtype=np.int64)
     dhat = np.asarray(dhat, dtype=float)
-    if dhat.shape != (xi.lattice.n_sites,):
+    m_cov = coverage_measure(counts)
+    if dhat.shape != counts.shape:
         raise ValueError("dhat must hold one value per lattice site")
-    v = params.variance(xi.counts)
+    v = params.variance(counts)
     loglik = float(np.sum(-(dhat**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)))
-    m_cov = coverage_measure(xi, forced_occupied)
-    return xi.n_points * math.log(params.lam) - m_cov * math.log(params.gamma) + loglik
+    return int(counts.sum()) * math.log(params.lam) - m_cov * math.log(params.gamma) + loglik
 
 
 def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:

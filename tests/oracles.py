@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from aibt.lattice import Configuration, Lattice, Site, neighbourhood
+from aibt.lattice import Lattice, Site, lattice_for
 from aibt.model import ModelParams
 
 
@@ -37,6 +37,39 @@ def haar_matrix(n: int) -> np.ndarray:
     return np.array(rows)
 
 
+def neighbourhood(x: Site, n_levels: int) -> frozenset[Site]:
+    """The neighbourhood ``B(x)``: ``x`` plus its clustered relatives, built site by site.
+
+    Candidates are ``x`` itself; the parent; the parent-level site next
+    nearest to ``x``; the two siblings; the two children; and the outer
+    neighbours of the two children.  Positions wrap periodically within a
+    level, candidates beyond the top or bottom level are dropped, and
+    duplicates arising on narrow levels are merged, so the result has at
+    most nine sites (exactly nine away from the boundary rows).  The
+    lattice's padded table ``nbr`` is checked against this.
+    """
+    j, k = x
+    if not (0 <= j < n_levels and 0 <= k < 2**j):
+        raise ValueError(f"site {x!r} outside a {n_levels}-level lattice")
+    sites = {x}
+    width = 2**j
+    sites.add((j, (k - 1) % width))
+    sites.add((j, (k + 1) % width))
+    if j > 0:
+        up = 2 ** (j - 1)
+        p = k // 2
+        sites.add((j - 1, p))
+        step = -1 if k % 2 == 0 else 1
+        sites.add((j - 1, (p + step) % up))
+    if j + 1 < n_levels:
+        down = 2 ** (j + 1)
+        sites.add((j + 1, 2 * k))
+        sites.add((j + 1, 2 * k + 1))
+        sites.add((j + 1, (2 * k - 1) % down))
+        sites.add((j + 1, (2 * k + 2) % down))
+    return frozenset(sites)
+
+
 def brute_coverage(lattice: Lattice, occupied: set) -> int:
     """Sites whose neighbourhood meets the occupied set, counted one by one."""
     n_levels = lattice.n_levels
@@ -48,18 +81,14 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
     return covered
 
 
-def uncovered_measure(u: Site, xi: Configuration, forced_occupied: np.ndarray | None = None) -> int:
-    """Number of sites in ``B(u)`` not covered by any occupied site of ``xi``.
+def uncovered_measure(u: Site, counts) -> int:
+    """Number of sites in ``B(u)`` not covered by any occupied site of a count vector.
 
     This is the coverage a new point at ``u`` would add, which is what the
-    clustering term of the model prices.  ``forced_occupied`` marks sites
-    treated as occupied whatever their count.
+    clustering term of the model prices.
     """
-    lat = xi.lattice
-    occ = xi.occupied()
-    if forced_occupied is not None:
-        occ = occ | np.asarray(forced_occupied, dtype=bool)
-    occ = np.append(occ, False)
+    lat = lattice_for(len(counts))
+    occ = np.append(np.asarray(counts) > 0, False)
     b = lat.nbr[lat.site_index(*u)]
     b = b[b < lat.n_sites]
     return int((~occ[lat.nbr[b]].any(axis=1)).sum())

@@ -14,7 +14,7 @@ import pytest
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
 from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, cftp_counts, held_sites
 from aibt.estimator import posterior_median_estimate
-from aibt.lattice import Configuration, Lattice
+from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
 from oracles import enumerate_posterior, gillespie_occupancy, occupancy_pattern_probs
@@ -96,7 +96,7 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
             u = np.stack([_key(r, t).random(lat.n_sites) for r in roots], axis=1)[lat.class_order]
             logit_u = np.log(u) - np.log1p(-u)
             for c, rows in enumerate(field.rows):
-                prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)))
+                prob = 1.0 / (1.0 + np.exp(-field._gather(occ, cov, c)[2]))
                 lo, hi = prob[:, bottom], prob[:, top]
                 assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
                 field.update_class(occ, cov, c, logit_u)
@@ -130,7 +130,7 @@ def test_conditional_intensity_factor_bounds():
         occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
         cov = field.coverage(occ)
         c = int(rng.integers(len(field.rows)))
-        clustering = field.class_log_odds(occ, cov, c) - field.log_w[field.rows[c], None]
+        clustering = field._gather(occ, cov, c)[2] - field.log_w[field.rows[c], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -160,19 +160,19 @@ def test_intensity_consistent_with_density():
         c = live[int(rng.integers(len(live)))]
         sites = lat.colour_classes[c]
         occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
-        odds = field.class_log_odds(occ, field.coverage(occ), c)[:, 0]
+        odds = field._gather(occ, field.coverage(occ), c)[2][:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:
                 assert odds[i] == math.inf
                 continue
             base = counts.copy()
+            base[clamped] = 1  # held sites occupied; their terms cancel between lp and lp0
             base[s] = 0
-            xi = Configuration(lat, base)
-            lp0 = log_marginal_posterior(xi, dhat, params, forced_occupied=clamped)
+            lp0 = log_marginal_posterior(base, dhat, params)
             terms = []
             for m in range(1, 40):
                 base[s] = m
-                lp = log_marginal_posterior(xi, dhat, params, forced_occupied=clamped)
+                lp = log_marginal_posterior(base, dhat, params)
                 terms.append(lp - lp0 - math.lgamma(m + 1))
             top = max(terms)
             expected = top + math.log(sum(math.exp(t - top) for t in terms))
@@ -200,7 +200,7 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
         occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
         cov = field.coverage(occ)
         for c, sites in enumerate(lat.colour_classes):
-            prob = 1.0 / (1.0 + np.exp(-field.class_log_odds(occ, cov, c)[:, 0]))
+            prob = 1.0 / (1.0 + np.exp(-field._gather(occ, cov, c)[2][:, 0]))
             for s, p_on in zip(sites.tolist(), prob):
                 if held[s]:  # a held site sits in its class and always turns on
                     assert p_on == 1.0

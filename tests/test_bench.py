@@ -56,9 +56,19 @@ def test_config_validation():
         dict(reps=0),
         dict(n_draws=0),
         dict(wavelet_policy="sym8"),
+        dict(rsnr=(float("nan"),)),
+        dict(rsnr=(float("inf"),)),
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    # mistyped values, as a JSON config can give them, name their field
+    for field, value in (
+        ("n", "256"), ("n", 256.0), ("n", True), ("reps", 1.5), ("n_draws", "9"), ("seed", None),
+        ("max_doublings", 2.0), ("rsnr", 10), ("rsnr", "37"), ("rsnr", ["10"]), ("lam", "0.05"),
+        ("signals", "Blocks"), ("signals", [1]), ("methods", "AIBT"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(**{field: value})
 
 
 def test_wavelet_policy():
@@ -107,6 +117,19 @@ def test_run_experiment_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(rows1, str(a))
     emit_csv(rows2, str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_process_pool_matches_serial_run(tmp_path):
+    """Two worker processes return the serial run's rows, and the CSV bytes match."""
+    cfg = ExperimentConfig(**{**TINY, "rsnr": (10.0, 3.0)})
+    serial = run_experiment(cfg, workers=1)
+    pooled = run_experiment(cfg, workers=2)
+    assert len({(r.signal, r.rsnr) for r in serial}) == 2
+    assert pooled == serial
+    a, b = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    emit_csv(serial, str(a))
+    emit_csv(pooled, str(b))
     assert a.read_bytes() == b.read_bytes()
 
 

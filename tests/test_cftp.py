@@ -17,14 +17,13 @@ from aibt.cftp import (
     _OccupancyField,
     _root,
     cftp_counts,
-    cftp_sample,
     held_sites,
 )
-from aibt.estimator import sample_coefficients
-from aibt.lattice import Configuration, Lattice, neighbourhood
+from aibt.estimator import _coefficients
+from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from aibt.wavelet import forward_dwt, get_filter, make_test_signal
-from oracles import brute_coverage, enumerate_posterior, occupancy_pattern_probs
+from oracles import brute_coverage, enumerate_posterior, neighbourhood, occupancy_pattern_probs
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 
@@ -89,8 +88,8 @@ def test_extension_preserves_prefix_and_endpoint():
     seeds = [11, 12, 13, 14]
     batch = cftp_counts(dhat, MODERATE, seeds, lattice=field.lattice)
     for i, s in enumerate(seeds):
-        alone = cftp_sample(dhat, MODERATE, s, lattice=field.lattice)
-        assert np.array_equal(batch[i], alone.counts)
+        alone = cftp_counts(dhat, MODERATE, [s], lattice=field.lattice)[0]
+        assert np.array_equal(batch[i], alone)
     reordered = cftp_counts(dhat, MODERATE, seeds[::-1], lattice=field.lattice)
     assert np.array_equal(reordered, batch[::-1])
 
@@ -176,7 +175,7 @@ def test_sandwich_order_holds_eventwise():
             u = rng.random((6, n)).T[order]
             logit_u = np.log(u) - np.log1p(-u)
             for c, rows in enumerate(field.rows):
-                odds = field.class_log_odds(occ, cov, c)
+                odds = field._gather(occ, cov, c)[2]
                 assert np.all(odds[:, :6] >= odds[:, 6:])
                 field.update_class(occ, cov, c, logit_u)
                 assert np.all(occ[:, :6] >= occ[:, 6:])
@@ -194,8 +193,8 @@ def test_coalesced_replay_returns_identical_chains():
         for deeper in (2 * sweeps, 4 * sweeps):
             top, bottom = field.run([root], deeper)
             assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
-        xi = cftp_sample(dhat, MODERATE, seed, lattice=field.lattice)
-        assert np.array_equal(xi.counts > 0, state & field.sim)
+        counts = cftp_counts(dhat, MODERATE, [seed], lattice=field.lattice)[0]
+        assert np.array_equal(counts > 0, state & field.sim)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -321,34 +320,32 @@ def test_pinned_draws(signal, wavelet, noise_seed, sigma, lam, gamma, held, expe
 
 def test_cftp_sample_deterministic_and_seedable():
     dhat = np.array([0.8, -0.3, 0.5])
-    a = cftp_sample(dhat, MODERATE, seed=12)
-    b = cftp_sample(dhat, MODERATE, seed=12)
-    assert np.array_equal(a.counts, b.counts)
-    assert a == b
+    a = cftp_counts(dhat, MODERATE, [12])[0]
+    b = cftp_counts(dhat, MODERATE, [12])[0]
+    assert np.array_equal(a, b)
     # a Generator can be passed instead of an int
-    g = cftp_sample(dhat, MODERATE, np.random.default_rng(12))
-    assert np.array_equal(a.counts, g.counts)
-    assert any(not np.array_equal(a.counts, cftp_sample(dhat, MODERATE, seed=s).counts)
-               for s in range(13, 20))
+    g = cftp_counts(dhat, MODERATE, [np.random.default_rng(12)])[0]
+    assert np.array_equal(a, g)
+    assert any(not np.array_equal(a, cftp_counts(dhat, MODERATE, [s])[0]) for s in range(13, 20))
 
 
 def test_cftp_sample_validates_dhat_length():
     with pytest.raises(ValueError):
-        cftp_sample(np.zeros(4), MODERATE, seed=0)
+        cftp_counts(np.zeros(4), MODERATE, [0])
 
 
 def test_cftp_sample_zeroes_non_simulated_sites():
     dhat = np.array([1.8863236699596295, 0.1, 3.682148420127842])
     assert held_sites(dhat, MODERATE).tolist() == [True, False, True]
     for seed in range(20):
-        xi = cftp_sample(dhat, MODERATE, seed=seed)
-        assert xi.counts[0] == 0 and xi.counts[2] == 0
+        counts = cftp_counts(dhat, MODERATE, [seed])[0]
+        assert counts[0] == 0 and counts[2] == 0
 
 
 def test_non_coalescence_raises_with_diagnostics(caplog):
     params = ModelParams(lam=2.0, gamma=2.0, tau=1.0, sigma=0.5)
     with caplog.at_level(logging.DEBUG, logger="aibt.cftp"), pytest.raises(CoalescenceError) as exc:
-        cftp_sample(np.full(7, 0.4), params, seed=0, max_doublings=0)
+        cftp_counts(np.full(7, 0.4), params, [0], max_doublings=0)
     assert exc.value.gap > 0
     assert exc.value.horizon == 1
     assert "sweeps" in str(exc.value)
@@ -466,9 +463,9 @@ def test_occupied_assumed_site_matches_enumeration():
     assert exact == pytest.approx(0.173, abs=1e-3)
     n = 2000
     occupied = 0
-    lat = Lattice(2)
+    held = held_sites(dhat, p)
     rngs = [np.random.default_rng(seed) for seed in range(n)]
     for counts, rng in zip(cftp_counts(dhat, p, rngs), rngs):
-        occupied += sample_coefficients(Configuration(lat, counts), dhat, p, rng)[0] != 0.0
+        occupied += _coefficients(counts, dhat, p, held, rng.standard_normal(dhat.size))[0] != 0.0
     freq = occupied / n
     assert abs(freq - exact) < 4.0 * math.sqrt(exact * (1 - exact) / n)

@@ -49,6 +49,17 @@ def test_named_signal_requires_rsnr(tmp_path, capsys):
     assert "rsnr" in _stderr_json(capsys)["error"]
 
 
+@pytest.mark.parametrize("command", ["denoise", "sample"])
+@pytest.mark.parametrize("rsnr", ["0", "-1"])
+def test_nonpositive_rsnr_exits_1_with_json(command, rsnr, tmp_path, capsys):
+    rc = main([command, "--signal", "Blocks", "--n", "32", "--rsnr", rsnr,
+               "--out", str(tmp_path / "out.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "--rsnr" in json.loads(err[0])["error"]
+
+
 def test_file_input_requires_sigma(tmp_path, capsys):
     f = tmp_path / "y.txt"
     np.savetxt(f, np.zeros(32))
@@ -129,6 +140,15 @@ def test_bench_rejects_unknown_config_key(tmp_path, capsys):
     rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "unknown configuration keys" in _stderr_json(capsys)["error"]
+
+
+def test_bench_rejects_mistyped_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": 1.5}))
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "reps" in _stderr_json(capsys)["error"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_module_entry_point_runs():

@@ -7,26 +7,25 @@ import numpy as np
 import pytest
 
 from aibt import estimator
-from aibt.cftp import _root, cftp_sample, held_sites
-from aibt.estimator import denoise, posterior_median_estimate, sample_coefficients
-from aibt.lattice import Configuration, Lattice
+from aibt.cftp import _root, cftp_counts, held_sites
+from aibt.estimator import _coefficients, denoise, posterior_median_estimate
 from aibt.model import ModelParams
 from aibt.wavelet import add_noise, forward_dwt, get_filter, make_test_signal
 
 PARAMS = ModelParams(lam=0.5, gamma=2.0, tau=0.9, sigma=0.4)
 
 
-def _fixed_config(counts):
-    lat = Lattice(2)
-    return Configuration.from_counts(lat, np.asarray(counts))
+def _draw(counts, dhat, params, rng):
+    """One coefficient draw given a count vector, through the estimator's own path."""
+    noise = rng.standard_normal(dhat.size)
+    return _coefficients(np.asarray(counts), dhat, params, held_sites(dhat, params), noise)
 
 
 def test_empty_sites_give_exact_zeros():
-    xi = _fixed_config([0, 2, 0])
     dhat = np.array([1.0, 0.3, -0.7])
     assert not held_sites(dhat, PARAMS).any()
     for seed in range(10):
-        d = sample_coefficients(xi, dhat, PARAMS, seed)
+        d = _draw([0, 2, 0], dhat, PARAMS, np.random.default_rng(seed))
         assert d[0] == 0.0 and d[2] == 0.0
         assert d[1] != 0.0
 
@@ -34,11 +33,10 @@ def test_empty_sites_give_exact_zeros():
 def test_occupied_site_conditional_moments():
     """Given a count, the draw is Gaussian shrinkage of the observation."""
     c = 2
-    xi = _fixed_config([c, 0, 0])
     dhat = np.array([1.1, 0.0, 0.0])
     rng = np.random.default_rng(123)
     n = 20000
-    draws = np.array([sample_coefficients(xi, dhat, PARAMS, rng)[0] for _ in range(n)])
+    draws = np.array([_draw([c, 0, 0], dhat, PARAMS, rng)[0] for _ in range(n)])
     v_signal = PARAMS.tau**2 * c  # z = 1
     w = v_signal / (PARAMS.sigma**2 + v_signal)
     mean_se = math.sqrt(w) * PARAMS.sigma / math.sqrt(n)
@@ -55,8 +53,7 @@ def test_held_site_moments():
     rng = np.random.default_rng(9)
     n = 20000
     for counts in ([0, 0, 0], [3, 0, 0]):
-        xi = _fixed_config(counts)
-        draws = np.array([sample_coefficients(xi, dhat, p, rng)[0] for _ in range(n)])
+        draws = np.array([_draw(counts, dhat, p, rng)[0] for _ in range(n)])
         assert draws.mean() == pytest.approx(d_held, abs=4 * p.sigma / math.sqrt(n))
         assert draws.std(ddof=1) == pytest.approx(p.sigma, rel=0.025)
 
@@ -64,14 +61,12 @@ def test_held_site_moments():
 def test_posterior_median_is_lower_middle_order_statistic():
     """The estimator equals replaying its seed discipline by hand."""
     dhat = np.array([0.8, -0.3, 0.5])
-    lat = Lattice(2)
     n_draws = 6
     ss = np.random.SeedSequence(2024)
     draws = np.empty((n_draws, 3))
     for i, child in enumerate(ss.spawn(n_draws)):
         rng = np.random.default_rng(child)
-        xi = cftp_sample(dhat, PARAMS, rng, lattice=lat)
-        draws[i] = sample_coefficients(xi, dhat, PARAMS, rng)
+        draws[i] = _draw(cftp_counts(dhat, PARAMS, [rng])[0], dhat, PARAMS, rng)
     expected = np.sort(draws, axis=0)[(n_draws - 1) // 2]
     got = posterior_median_estimate(dhat, PARAMS, n_draws=n_draws, seed=2024)
     assert np.array_equal(got, expected)

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from aibt.lattice import (
-    Configuration,
-    Lattice,
-    coverage_measure,
-    lattice_for,
-    neighbourhood,
-)
-from oracles import brute_coverage, uncovered_measure
+from aibt.lattice import Lattice, coverage_measure, lattice_for
+from aibt.model import ModelParams, log_marginal_posterior
+from oracles import brute_coverage, neighbourhood, uncovered_measure
 
 RNG = np.random.default_rng(42)
 
@@ -149,9 +144,8 @@ def test_coverage_matches_bruteforce(n_levels):
     lat = Lattice(n_levels)
     for _ in range(60):
         counts = RNG.poisson(0.6, lat.n_sites)
-        xi = Configuration.from_counts(lat, counts)
         occ = set(np.flatnonzero(counts > 0).tolist())
-        assert coverage_measure(xi) == brute_coverage(lat, occ)
+        assert coverage_measure(counts) == brute_coverage(lat, occ)
 
 
 @pytest.mark.parametrize("n_levels", [2, 3, 4])
@@ -159,7 +153,6 @@ def test_uncovered_matches_bruteforce(n_levels):
     lat = Lattice(n_levels)
     for _ in range(40):
         counts = RNG.poisson(0.5, lat.n_sites)
-        xi = Configuration.from_counts(lat, counts)
         occ = set(np.flatnonzero(counts > 0).tolist())
         for u in range(lat.n_sites):
             b = neighbourhood(lat.site_of(u), n_levels)
@@ -171,7 +164,7 @@ def test_uncovered_matches_bruteforce(n_levels):
                     for w in neighbourhood(v, n_levels)
                 )
             )
-            assert uncovered_measure(lat.site_of(u), xi) == uncov
+            assert uncovered_measure(lat.site_of(u), counts) == uncov
 
 
 def test_coverage_monotone_under_insertion():
@@ -181,61 +174,30 @@ def test_coverage_monotone_under_insertion():
     order = RNG.permutation(lat.n_sites)
     for s in order:
         counts[s] += 1
-        cov = coverage_measure(Configuration.from_counts(lat, counts))
+        cov = coverage_measure(counts)
         assert cov >= cov_prev
         cov_prev = cov
     assert cov_prev == lat.n_sites  # everything occupied covers everything
 
 
-def test_forced_occupied_acts_like_occupancy():
-    lat = Lattice(3)
-    counts = np.zeros(lat.n_sites, dtype=int)
-    counts[2] = 3
-    xi = Configuration.from_counts(lat, counts)
-    forced = np.zeros(lat.n_sites, dtype=bool)
-    forced[5] = True
-    both = np.array(counts)
-    both[5] = 1
-    xi_both = Configuration.from_counts(lat, both)
-    assert coverage_measure(xi, forced_occupied=forced) == coverage_measure(xi_both)
-    for u in range(lat.n_sites):
-        site = lat.site_of(u)
-        assert uncovered_measure(site, xi, forced_occupied=forced) == uncovered_measure(
-            site, xi_both
-        )
-
-
 def test_uncovered_plus_covered_partitions_neighbourhood():
     lat = Lattice(3)
-    xi = Configuration.from_counts(lat, RNG.poisson(0.7, lat.n_sites))
+    counts = RNG.poisson(0.7, lat.n_sites)
     for u in range(lat.n_sites):
         site = lat.site_of(u)
-        assert 0 <= uncovered_measure(site, xi) <= len(neighbourhood(site, 3))
+        assert 0 <= uncovered_measure(site, counts) <= len(neighbourhood(site, 3))
 
 
-# --- configurations --------------------------------------------------------------
-
-
-def test_configuration_basics():
-    lat = Lattice(3)
-    empty = Configuration.empty(lat)
-    assert empty.n_points == 0
-    assert not empty.occupied().any()
-
-    xi = Configuration.from_counts(lat, {(0, 0): 2, (2, 3): 1})
-    assert xi.n_points == 3
-    assert set(np.flatnonzero(xi.occupied()).tolist()) == {
-        lat.site_index(0, 0),
-        lat.site_index(2, 3),
-    }
-
-    same = Configuration.from_counts(lat, xi.counts.copy())
-    assert same == xi
+# --- count vectors --------------------------------------------------------------
 
 
 def test_configuration_rejects_bad_counts():
-    lat = Lattice(2)
+    """A count vector needs one nonnegative entry per site of a ``2**J - 1``-site lattice."""
+    p = ModelParams(lam=0.4, gamma=2.0, tau=1.0, sigma=0.5)
+    for bad in (np.array([1, -1, 0]), np.array([1, 0])):
+        with pytest.raises(ValueError):
+            coverage_measure(bad)
+        with pytest.raises(ValueError):
+            log_marginal_posterior(bad, np.zeros(bad.size), p)
     with pytest.raises(ValueError):
-        Configuration.from_counts(lat, np.array([1, -1, 0]))
-    with pytest.raises(ValueError):
-        Configuration.from_counts(lat, np.array([1, 0]))
+        log_marginal_posterior(np.array([1, 0, 0]), np.zeros(2), p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from aibt.lattice import Configuration, Lattice
+from aibt.lattice import Lattice
 from aibt.model import (
     ModelParams,
     estimate_sigma_mad,
@@ -84,7 +84,7 @@ def test_max_gain_analytic_example():
 def test_factor_frozen_values():
     lat = Lattice(6)
     p = ModelParams(lam=0.5, gamma=3.0, tau=1.0, sigma=0.1)
-    empty = Configuration.empty(lat)
+    empty = np.zeros(lat.n_sites, dtype=np.int64)
     u = (3, 4)  # interior site with the full 9-site neighbourhood
     assert p.gamma ** -uncovered_measure(u, empty) == pytest.approx(3.0**-9, rel=1e-12)
     # a_1 = f1 * f3 * f4 at an empty site with dhat = 2
@@ -110,9 +110,9 @@ def test_factor_bounds_random_states():
             tau=float(RNG.uniform(0.3, 2.0)), sigma=float(RNG.uniform(0.1, 1.0)),
             z=float(RNG.choice([0.6, 1.0, 1.8])),
         )
-        xi = Configuration.from_counts(lat, RNG.poisson(0.5, lat.n_sites))
+        counts = RNG.poisson(0.5, lat.n_sites)
         u = lat.site_of(int(RNG.integers(lat.n_sites)))
-        assert 0 < p.gamma ** -uncovered_measure(u, xi) <= 1.0
+        assert 0 < p.gamma ** -uncovered_measure(u, counts) <= 1.0
         d = float(RNG.normal(0, 1.0))
         terms = log_count_terms(d, p, 40)
         c = np.arange(1, 40)
@@ -129,16 +129,13 @@ def test_intensity_equals_density_ratio():
         s = int(RNG.integers(lat.n_sites))
         c = int(RNG.integers(1, 6))
         counts[s] = 0
-        xi = Configuration.from_counts(lat, counts)
         plus = counts.copy()
         plus[s] = c
-        delta = log_marginal_posterior(Configuration.from_counts(lat, plus), dhat, p) - (
-            log_marginal_posterior(xi, dhat, p)
-        )
+        delta = log_marginal_posterior(plus, dhat, p) - log_marginal_posterior(counts, dhat, p)
         # the density is against unit-rate Poisson, the count terms carry 1/c!
         expected = (
             float(log_count_terms(dhat[s], p, c)[-1]) + math.lgamma(c + 1)
-            - uncovered_measure(lat.site_of(s), xi) * math.log(p.gamma)
+            - uncovered_measure(lat.site_of(s), counts) * math.log(p.gamma)
         )
         assert delta == pytest.approx(expected, abs=1e-10)
 
@@ -149,37 +146,11 @@ def test_log_marginal_posterior_matches_independent_formula():
     for _ in range(60):
         counts = RNG.poisson(0.7, lat.n_sites)
         dhat = RNG.normal(0, 1.0, lat.n_sites)
-        xi = Configuration.from_counts(lat, counts)
         ref = log_density(counts.tolist(), dhat, p, lat)
-        got = log_marginal_posterior(xi, dhat, p) - sum(
+        got = log_marginal_posterior(counts, dhat, p) - sum(
             math.lgamma(int(c) + 1) for c in counts
         )
         assert got == pytest.approx(ref, abs=1e-10)
-
-
-def test_forced_occupied_enters_density_and_f2():
-    lat = Lattice(3)
-    p = ModelParams(lam=0.4, gamma=2.0, tau=1.0, sigma=0.5)
-    counts = np.zeros(lat.n_sites, dtype=int)
-    counts[6] = 1
-    forced = np.zeros(lat.n_sites, dtype=bool)
-    forced[2] = True
-    xi = Configuration.from_counts(lat, counts)
-    with_force = counts.copy()
-    with_force[2] = 1
-    xi_force = Configuration.from_counts(lat, with_force)
-    u = lat.site_of(0)
-    assert uncovered_measure(u, xi, forced) == uncovered_measure(u, xi_force)
-    dhat = RNG.normal(0, 1, lat.n_sites)
-    # coverage term must see the forced site; the count terms must not
-    delta = log_marginal_posterior(xi, dhat, p, forced_occupied=forced) - log_marginal_posterior(
-        xi, dhat, p
-    )
-    from oracles import brute_coverage
-
-    cov_plain = brute_coverage(lat, {6})
-    cov_forced = brute_coverage(lat, {6, 2})
-    assert delta == pytest.approx(-(cov_forced - cov_plain) * math.log(p.gamma), abs=1e-12)
 
 
 # --- marginal likelihood vs quadrature ---------------------------------------------
