@@ -195,5 +195,4 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     if passed.size == 0:
         return _replace(dec, [np.zeros_like(d) for d in dec.details])
     t = float(np.abs(flat[order[passed[-1]]]))
-    kept = np.where(np.abs(flat) >= t, flat, 0.0)
-    return dec.with_details(kept)
+    return dec.with_details(hard_threshold(flat, t))

@@ -26,7 +26,7 @@ from .baselines import (
     sure_shrink,
     universal_threshold,
 )
-from .cftp import DEFAULT_MAX_DOUBLINGS, CoalescenceError
+from .cftp import CoalescenceError
 from .estimator import denoise
 from .model import ModelParams
 from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
@@ -59,7 +59,7 @@ def _list_of(kind):
 
 # what each field must be, checked before its value, so a mistyped JSON config fails at once
 _FIELD_TYPES = {
-    **dict.fromkeys(("n", "reps", "n_draws", "seed", "max_doublings"), (_is_a(numbers.Integral), "an integer")),
+    **dict.fromkeys(("n", "reps", "n_draws", "seed"), (_is_a(numbers.Integral), "an integer")),
     **dict.fromkeys(("lam", "gamma", "tau", "z"), (_is_a(numbers.Real), "a number")),
     **dict.fromkeys(("signals", "methods"), (_list_of(str), "a list of strings")),
     "rsnr": (_list_of(numbers.Real), "a list of numbers"),
@@ -80,7 +80,6 @@ class ExperimentConfig:
     tau: float = 1.0
     z: float = 1.0
     seed: int = 0
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS
     methods: tuple[str, ...] = METHODS
     wavelet_policy: str = "auto"
     record_runtime: bool = True
@@ -102,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("n must be a power of two >= 8")
         if not self.rsnr or not all(0 < r < math.inf for r in self.rsnr):
             raise ValueError("rsnr values must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.reps < 1 or self.n_draws < 1:
             raise ValueError("reps and n_draws must be at least 1")
         if self.wavelet_policy not in ("auto", "haar", "la10"):
@@ -145,7 +146,7 @@ def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: ExperimentConfig, seed) -> np.ndarray:
     if method == "AIBT":
         params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma, cfg.z)
-        return denoise(y, filt, params, cfg.n_draws, seed, max_doublings=cfg.max_doublings)
+        return denoise(y, filt, params, cfg.n_draws, seed)
     dec = forward_dwt(y, filt)
     if method == "Universal":
         return inverse_dwt(universal_threshold(dec, sigma))

@@ -10,9 +10,12 @@ occupied site covers.  For ``gamma >= 1`` it grows with the rest of the
 pattern, so the field is attractive and Propp-Wilson monotone CFTP is exact
 on it: a top chain started all occupied and a bottom chain started all
 empty share every uniform; once they agree at time zero the common pattern
-is an exact draw.  Each sweep updates the lattice's colour classes in turn;
-no two sites of one class have intersecting neighbourhoods, so a class
-updates as one vectorized step.  The chains of all draws are stored one
+is an exact draw.  The lookback doubles from 2 to at most 4096 sweeps;
+near the field's ordered phase (large ``lam`` and ``gamma``) the chains
+may not meet by then, and the sampler raises rather than run on.  Each
+sweep updates the lattice's colour classes in turn; no two sites of one
+class have intersecting neighbourhoods, so a class updates as one
+vectorized step.  The chains of all draws are stored one
 row per site in the lattice's class-major order, so a class is a slice of
 rows and its update gathers and scatters only the coverage around it; its
 cost hardly grows with the number of draws.  A uniform at or above its
@@ -54,8 +57,8 @@ _HELD_LOG_RATE = 4.0
 _LOG_TAIL_SHARE = -60.0 * math.log(2.0)
 _CHUNK_SITES = 256  # rate-sorted simulated sites that share one count cap; equal caps share one pass
 _PAD_COVERAGE = -1  # coverage of the neighbour table's pad row: never equal to an occupancy
-# how many times the lookback may double by default: up to 2**20 sweeps
-DEFAULT_MAX_DOUBLINGS = 20
+# the longest lookback in sweeps; a draw not coalesced by then raises CoalescenceError
+_MAX_LOOKBACK = 2**12
 
 
 def held_sites(dhat: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -255,45 +258,36 @@ class _OccupancyField:
         return counts
 
 
-def cftp_counts(
-    dhat: np.ndarray,
-    params: ModelParams,
-    seeds,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-    *,
-    lattice: Lattice | None = None,
-) -> np.ndarray:
+def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
     """Exact posterior multiplicities of the simulated sites, one row per seed.
 
     Held sites (see :func:`held_sites`) are occupied in every draw and
     carry count zero here.
 
-    All draws run side by side from a shared lookback of 2, 4, ...,
-    ``2**max_doublings`` sweeps (just 1 sweep when ``max_doublings`` is 0).
-    A draw whose chains agree at time zero is final: a start further back
-    sandwiches the same two chains and meets the same state, so only the
-    rest go on to the next doubling, and starting the ladder at 2 rather
-    than 1 changes no draw.  Raises :class:`CoalescenceError` if some draw
-    has not coalesced after ``2**max_doublings`` sweeps.
+    All draws run side by side from a shared lookback of 2, 4, ..., 4096
+    sweeps.  A draw whose chains agree at time zero is final: a start
+    further back sandwiches the same two chains and meets the same state,
+    so only the rest go on to the next doubling, and starting the ladder at
+    2 rather than 1 changes no draw.  A draw that has not coalesced after
+    4096 sweeps raises :class:`CoalescenceError`, so whatever the
+    parameters a call makes at most ``8190 * draws * sites`` site updates,
+    each applied to a top and a bottom chain, and holds ``O(draws *
+    sites)`` memory.
 
     Args:
-        dhat: flat detail coefficients, one per lattice site.
+        dhat: flat detail coefficients, one per site of a ``2**J - 1``-site lattice.
         params: model hyperparameters.
         seeds: one integer seed, ``SeedSequence`` or generator per draw.
-        max_doublings: how many times the lookback may double.
-        lattice: prebuilt lattice (the shared one for ``dhat.size`` if omitted).
     """
     dhat = np.asarray(dhat, dtype=float)
-    if lattice is None:
-        lattice = lattice_for(dhat.size)
-    if dhat.shape != (lattice.n_sites,):
+    if dhat.ndim != 1:
         raise ValueError("dhat must hold one value per lattice site")
+    lattice = lattice_for(dhat.size)
     roots = [_root(s) for s in seeds]
     field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
     active = np.arange(len(roots))
-    ladder = [2**k for k in range(1, max_doublings + 1)] or [1]
-    for sweeps in ladder:
+    for sweeps in (2**k for k in range(1, _MAX_LOOKBACK.bit_length())):
         top, bottom = field.run([roots[i] for i in active], sweeps)
         agree = (top == bottom).all(axis=1)
         occ[active[agree]] = top[agree]
@@ -313,5 +307,4 @@ def cftp_counts(
         active = active[~agree]
         if not active.size:
             return field.draw_counts(occ, roots)
-    raise CoalescenceError(gap, ladder[-1])
-
+    raise CoalescenceError(gap, _MAX_LOOKBACK)

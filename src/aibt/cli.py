@@ -56,6 +56,9 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
 
 def _resolve_input(args) -> tuple[np.ndarray, float, str]:
     """Load or synthesize the noisy signal; return (samples, sigma, filter name)."""
+    for flag, seed in (("--seed", args.seed), ("--noise-seed", args.noise_seed)):
+        if seed < 0:
+            raise ValueError(f"{flag} must be a non-negative integer, not {seed}")
     wavelet = resolve_wavelet(args.wavelet, args.signal)
     if args.signal is not None:
         if args.rsnr is None:
@@ -91,7 +94,7 @@ def _cmd_sample(args) -> int:
     params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
     dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
     lattice = lattice_for(dhat.size)
-    counts = cftp_counts(dhat, params, [args.seed], lattice=lattice)[0]
+    counts = cftp_counts(dhat, params, [args.seed])[0]
     held = held_sites(dhat, params)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,k,xi,held\n")

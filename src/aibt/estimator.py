@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cftp import DEFAULT_MAX_DOUBLINGS, cftp_counts, held_sites
-from .lattice import Lattice, lattice_for
+from .cftp import cftp_counts, held_sites
 from .model import ModelParams
 from .wavelet import WaveletDecomposition, WaveletFilter, forward_dwt, inverse_dwt
 
@@ -47,9 +46,6 @@ def posterior_median_estimate(
     params: ModelParams,
     n_draws: int = 25,
     seed: int | np.random.SeedSequence = 0,
-    *,
-    lattice: Lattice | None = None,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Per-site posterior median of the detail coefficients over exact draws.
 
@@ -61,11 +57,9 @@ def posterior_median_estimate(
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     dhat = np.asarray(dhat, dtype=float)
-    if lattice is None:
-        lattice = lattice_for(dhat.size)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
-    counts = cftp_counts(dhat, params, rngs, max_doublings, lattice=lattice)
+    counts = cftp_counts(dhat, params, rngs)
     noise = np.stack([rng.standard_normal(dhat.size) for rng in rngs])
     held = held_sites(dhat, params)
     cols = np.flatnonzero(held | (counts > 0).any(axis=0))
@@ -81,8 +75,6 @@ def denoise(
     params: ModelParams,
     n_draws: int = 25,
     seed: int | np.random.SeedSequence = 0,
-    *,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Denoise a signal end to end: transform, estimate details, invert.
 
@@ -91,5 +83,5 @@ def denoise(
     """
     dec = forward_dwt(y, filt)
     dhat = dec.flat_details()
-    est = posterior_median_estimate(dhat, params, n_draws, seed, max_doublings=max_doublings)
+    est = posterior_median_estimate(dhat, params, n_draws, seed)
     return inverse_dwt(dec.with_details(est))

@@ -61,10 +61,10 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    # mistyped values, as a JSON config can give them, name their field
+    # mistyped values, as a JSON config can give them, and a negative seed name their field
     for field, value in (
         ("n", "256"), ("n", 256.0), ("n", True), ("reps", 1.5), ("n_draws", "9"), ("seed", None),
-        ("max_doublings", 2.0), ("rsnr", 10), ("rsnr", "37"), ("rsnr", ["10"]), ("lam", "0.05"),
+        ("seed", -1), ("rsnr", 10), ("rsnr", "37"), ("rsnr", ["10"]), ("lam", "0.05"),
         ("signals", "Blocks"), ("signals", [1]), ("methods", "AIBT"),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -85,7 +85,7 @@ def test_load_config_from_file_and_mapping(tmp_path):
     cfg = load_config(str(path))
     assert cfg.signals == ("Blocks",) and cfg.reps == 3 and cfg.rsnr == (7.0,)
     assert load_config({"n": 64}).n == 64
-    for key in ("repz", "t0", "t1", "t2"):  # the sampler has no cutoff to configure
+    for key in ("repz", "t0", "t1", "t2", "max_doublings"):  # the sampler has no cutoff or budget to configure
         with pytest.raises(ValueError, match="unknown configuration keys"):
             load_config({key: 3})
     bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from aibt import cftp
 from aibt.cftp import (
     CoalescenceError,
     _count_cap,
@@ -86,11 +87,11 @@ def test_extension_preserves_prefix_and_endpoint():
     assert not np.array_equal(_key(root, 5).random(7), _key(root, 6).random(7))
     field, dhat, _ = _field(3, n_levels=4, clamp=True)
     seeds = [11, 12, 13, 14]
-    batch = cftp_counts(dhat, MODERATE, seeds, lattice=field.lattice)
+    batch = cftp_counts(dhat, MODERATE, seeds)
     for i, s in enumerate(seeds):
-        alone = cftp_counts(dhat, MODERATE, [s], lattice=field.lattice)[0]
+        alone = cftp_counts(dhat, MODERATE, [s])[0]
         assert np.array_equal(batch[i], alone)
-    reordered = cftp_counts(dhat, MODERATE, seeds[::-1], lattice=field.lattice)
+    reordered = cftp_counts(dhat, MODERATE, seeds[::-1])
     assert np.array_equal(reordered, batch[::-1])
 
 
@@ -193,7 +194,7 @@ def test_coalesced_replay_returns_identical_chains():
         for deeper in (2 * sweeps, 4 * sweeps):
             top, bottom = field.run([root], deeper)
             assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
-        counts = cftp_counts(dhat, MODERATE, [seed], lattice=field.lattice)[0]
+        counts = cftp_counts(dhat, MODERATE, [seed])[0]
         assert np.array_equal(counts > 0, state & field.sim)
 
 
@@ -286,7 +287,7 @@ def test_ladder_starts_at_two_sweeps(gamma, caplog):
     dhat = np.random.default_rng(7).normal(0.0, 0.12, lat.n_sites)
     seeds = range(9)
     with caplog.at_level(logging.DEBUG, logger="aibt.cftp"):
-        counts = cftp_counts(dhat, p, seeds, lattice=lat)
+        counts = cftp_counts(dhat, p, seeds)
     records = [json.loads(r.getMessage().split(" ", 2)[2]) for r in caplog.records]
     assert records[0]["sweeps"] == 2 and records[0]["draws"] == 9
     assert all(r["draw_sweeps"] == r["sweeps"] * r["draws"] for r in records)
@@ -342,15 +343,16 @@ def test_cftp_sample_zeroes_non_simulated_sites():
         assert counts[0] == 0 and counts[2] == 0
 
 
-def test_non_coalescence_raises_with_diagnostics(caplog):
+def test_non_coalescence_raises_with_diagnostics(caplog, monkeypatch):
+    monkeypatch.setattr(cftp, "_MAX_LOOKBACK", 2)
     params = ModelParams(lam=2.0, gamma=2.0, tau=1.0, sigma=0.5)
     with caplog.at_level(logging.DEBUG, logger="aibt.cftp"), pytest.raises(CoalescenceError) as exc:
-        cftp_counts(np.full(7, 0.4), params, [0], max_doublings=0)
+        cftp_counts(np.full(7, 0.4), params, [0])
     assert exc.value.gap > 0
-    assert exc.value.horizon == 1
-    assert "sweeps" in str(exc.value)
-    # with no doubling allowed the one run looks back a single sweep
-    assert [json.loads(r.getMessage().split(" ", 2)[2])["sweeps"] for r in caplog.records] == [1]
+    assert exc.value.horizon == 2
+    assert "after 2 sweeps" in str(exc.value)
+    # with the lookback capped at 2 sweeps the one coupling run looks back 2 sweeps
+    assert [json.loads(r.getMessage().split(" ", 2)[2])["sweeps"] for r in caplog.records] == [2]
 
 
 # --- exactness against enumeration ---------------------------------------------------

@@ -1,12 +1,16 @@
 """Command line contract: exit codes, JSON errors, output files."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aibt
 from aibt.cli import main
 from aibt.wavelet import add_noise, make_test_signal
 
@@ -58,6 +62,19 @@ def test_nonpositive_rsnr_exits_1_with_json(command, rsnr, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "--rsnr" in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("command", ["denoise", "sample"])
+@pytest.mark.parametrize("flag", ["--seed", "--noise-seed"])
+def test_negative_seed_exits_1_naming_the_flag(command, flag, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    rc = main([command, "--signal", "Blocks", "--n", "32", "--rsnr", "10", flag, "-1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert flag in json.loads(err[0])["error"]
+    assert not out.exists()
 
 
 def test_file_input_requires_sigma(tmp_path, capsys):
@@ -160,6 +177,28 @@ def test_module_entry_point_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _cap_cpu_and_memory():
+    """Limits for the child process only: 60 s of CPU time and 3 GB of address space."""
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+def test_slow_coalescence_stops_at_the_lookback_budget(tmp_path):
+    """Near the field's ordered phase the chains need more than 4096 sweeps; the run must stop there."""
+    # one BLAS thread keeps the child's address space small on machines with many cores
+    env = {**os.environ, "PYTHONPATH": str(Path(aibt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aibt", "denoise", "--signal", "Blocks", "--n", "256", "--rsnr", "10",
+         "--lam", "5", "--gamma", "30", "--out", str(tmp_path / "est.txt")],
+        capture_output=True, text=True, timeout=300, env=env, preexec_fn=_cap_cpu_and_memory,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1
+    assert "after 4096 sweeps" in json.loads(err[0])["error"]
+    assert not (tmp_path / "est.txt").exists()
 
 
 def test_import_and_bench_load_no_scipy(tmp_path):
