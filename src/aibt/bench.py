@@ -128,6 +128,13 @@ class ResultRow:
     replicate_mses: tuple[float, ...] = ()
 
 
+def _mean_and_se(mses) -> tuple[float, float]:
+    """Mean of per-replicate MSEs and its standard error: nan for none, zero for one."""
+    if len(mses) < 2:
+        return (float(mses[0]), 0.0) if len(mses) else (math.nan, math.nan)
+    return float(np.mean(mses)), float(np.std(mses, ddof=1) / np.sqrt(len(mses)))
+
+
 def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     """Average mean squared error across replicates and its standard error.
 
@@ -136,11 +143,7 @@ def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     with a single replicate it is zero.
     """
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
-    truth = np.asarray(truth, dtype=float)
-    mses = np.mean((estimates - truth) ** 2, axis=1)
-    if mses.size == 1:
-        return float(mses[0]), 0.0
-    return float(mses.mean()), float(mses.std(ddof=1) / np.sqrt(mses.size))
+    return _mean_and_se(np.mean((estimates - np.asarray(truth, dtype=float)) ** 2, axis=1))
 
 
 def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: ExperimentConfig, seed) -> np.ndarray:
@@ -192,11 +195,7 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
     rows = []
     for method in cfg.methods:
         got = mses[method]
-        if got:
-            mean = float(np.mean(got))
-            se = float(np.std(got, ddof=1) / np.sqrt(len(got))) if len(got) > 1 else 0.0
-        else:
-            mean, se = float("nan"), float("nan")
+        mean, se = _mean_and_se(got)
         rows.append(
             ResultRow(
                 signal=signal,
@@ -216,8 +215,9 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Run every cell of the configuration and return rows in configuration order.
 
-    ``workers`` bounds the process pool; cells are independent jobs and the
-    reduction does not depend on completion order.
+    ``workers`` bounds the process pool, which starts no more processes
+    than there are cells; cells are independent jobs and the reduction does
+    not depend on completion order.
     """
     cells = [(signal, i) for signal in cfg.signals for i in range(len(cfg.rsnr))]
     results: dict[tuple[str, int], list[ResultRow]] = {}
@@ -225,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
         for signal, i in cells:
             results[(signal, i)] = _run_cell(cfg, signal, i)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             futures = {pool.submit(_run_cell, cfg, signal, i): (signal, i) for signal, i in cells}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
@@ -249,19 +249,21 @@ def emit_csv(rows: list[ResultRow], path: str) -> None:
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
-def load_config(source) -> ExperimentConfig:
-    """Build a configuration from a JSON file path or a mapping.
+def load_config(source=None, **overrides) -> ExperimentConfig:
+    """Build a configuration from a JSON file path or a mapping, then apply ``overrides``.
 
     Keys must be ``ExperimentConfig`` field names; unknown keys are
-    rejected rather than ignored.
+    rejected rather than ignored.  An override of ``None`` is skipped, so
+    unset command-line options leave the source's value.
     """
     if isinstance(source, (str, bytes)):
         with open(source, encoding="utf-8") as fh:
             mapping = json.load(fh)
     else:
-        mapping = dict(source)
+        mapping = dict(source or {})
     if not isinstance(mapping, dict):
         raise ValueError("configuration must be a JSON object")
+    mapping.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(mapping) - set(_CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")

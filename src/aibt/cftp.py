@@ -20,9 +20,9 @@ row per site in the lattice's class-major order, so a class is a slice of
 rows and its update gathers and scatters only the coverage around it; its
 cost hardly grows with the number of draws.  A uniform at or above its
 site's cut turns the site off whatever its neighbours, so its logit is not
-computed.  Occupied sites then draw their multiplicity from its
-one-dimensional law, summed over chunks of sites sorted by rate, each only
-as far as its own rates need.
+computed.  The field knows only ``log W`` and ``log gamma``; the
+multiplicity law, kept apart, sums ``log W`` over chunks of rate-sorted
+sites, each only as far as its own rates need, and draws the counts.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
 exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held: it weighs
@@ -130,14 +130,49 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
 
 
-def _take(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[index]`` as int8 for a chain state, gathered one row per index."""
-    return _rows(a)[index].view(np.int8).reshape(*index.shape, a.shape[-1])
+def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per site, the multiplicity cap and ``log W``; held sites get cap 0 and ``log W = +inf``.
+
+    Simulated sites are capped per chunk of ``_CHUNK_SITES`` in rate order (see :func:`_count_cap`).
+    """
+    sim_sites = np.flatnonzero(~held_sites(dhat, params))
+    log_rate = log_dominating_rate(dhat[sim_sites], params)
+    by_rate = np.argsort(log_rate, kind="stable")
+    cap = np.zeros(dhat.size, dtype=np.int64)
+    for lo in range(0, by_rate.size, _CHUNK_SITES):
+        chunk = by_rate[lo : lo + _CHUNK_SITES]
+        cap[sim_sites[chunk]] = _count_cap(float(log_rate[chunk[-1]]))
+    log_w = np.full(dhat.size, np.inf)
+    for c in np.unique(cap[sim_sites]):
+        sites = np.flatnonzero(cap == c)
+        terms = log_count_terms(dhat[sites], params, c)
+        top = terms.max(axis=1)
+        log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    return cap, log_w
+
+
+def _draw_counts(occ: np.ndarray, roots: list[np.random.SeedSequence], dhat: np.ndarray, params: ModelParams,
+                 cap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """Multiplicities from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``, ``c <= cap``, where ``occ[draw, site]`` holds.
+
+    ``cap`` and ``log_w`` come from :func:`_site_weights`; the count terms
+    are evaluated only at the occupied simulated sites, once per cap.
+    """
+    counts = np.zeros(occ.shape, dtype=np.int64)
+    u = np.stack([_key(root, 0).random(occ.shape[1]) for root in roots])
+    draw, site = np.nonzero(occ & (cap > 0))
+    site_cap = cap[site]
+    for c in np.unique(site_cap):
+        d, s = draw[site_cap == c], site[site_cap == c]
+        cdf = np.cumsum(np.exp(log_count_terms(dhat[s], params, c) - log_w[s, None]), axis=1)
+        counts[d, s] = np.minimum(1 + (cdf < u[d, s, None]).sum(axis=1), c)
+    return counts
 
 
 class _OccupancyField:
-    """Heat-bath dynamics of the occupancy posterior of one signal, given its held sites.
+    """Heat-bath dynamics of a binary area-interaction field with site weights ``log W`` and interaction ``log gamma``.
 
+    A site with ``log W = +inf`` is held: every update turns it on.
     Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in class-major
     order: row ``i`` holds site ``lattice.class_order[i]`` in the top chains
     of every draw, then in the bottom chains, and class ``c`` is the slice
@@ -145,42 +180,24 @@ class _OccupancyField:
     ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
-    in ``cov``, so it never counts as uncovered.  Held sites keep their rows,
-    with ``log W = +inf``; decided-off uniforms get the logit ``+inf``.
+    in ``cov``, so it never counts as uncovered.  Decided-off uniforms get
+    the logit ``+inf``.
     """
 
-    def __init__(self, lattice: Lattice, dhat: np.ndarray, params: ModelParams, held: np.ndarray):
+    def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
         n = lattice.n_sites
         order = lattice.class_order
         self.lattice = lattice
-        self.sim = ~np.asarray(held)
-        self.log_gamma = math.log(params.gamma)
+        self.log_gamma = log_gamma
         ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
         self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self.log_w = log_w[order]
         # both start states are constants of the field, built once and broadcast per run
-        held_pad = np.append(~self.sim[order], False)
+        held_pad = np.append(self.log_w == np.inf, False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
         held_near = held_pad[lattice.ordered_nbr].sum(axis=1)
         self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes[order], held_near], axis=1)
-        # simulated sites in order of their dominating rate, so each chunk's cap fits its sites
-        sim_sites = np.flatnonzero(self.sim)
-        log_rate = log_dominating_rate(dhat[sim_sites], params)
-        by_rate = np.argsort(log_rate, kind="stable")
-        caps = [
-            _count_cap(float(log_rate[by_rate[lo : lo + _CHUNK_SITES][-1]]))
-            for lo in range(0, by_rate.size, _CHUNK_SITES)
-        ]
-        site_caps = np.repeat(caps, _CHUNK_SITES)[: by_rate.size]
-        log_w = np.full(n, np.inf)
-        self.count_terms = []
-        for cap in sorted(set(caps)):
-            sites = sim_sites[by_rate[site_caps == cap]]
-            terms = log_count_terms(dhat[sites], params, cap)
-            top = terms.max(axis=1)
-            log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-            self.count_terms.append((sites, terms, log_w[sites]))
-        self.log_w = log_w[order]
         self.u_off = _decided_off_cut(log_w)
         self.rank = np.argsort(order)  # the row of each site
 
@@ -191,19 +208,14 @@ class _OccupancyField:
         occ, cov = states.reshape(2, self.lattice.n_sites + 1, -1)
         return occ, cov
 
-    def coverage(self, occ: np.ndarray) -> np.ndarray:
-        cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
-        cov[:-1] = _take(occ, self.lattice.ordered_nbr).sum(axis=1)
-        return cov
-
     def _gather(self, occ: np.ndarray, cov: np.ndarray, c: int):
         """Coverage around class ``c``, its occupancy and its log-odds ``log W_s - unc_s * log(gamma)``.
 
         ``cov`` counts ``s`` itself when it is occupied, so a site of ``B(s)``
         that no other occupied site covers is one where ``cov == occ[s]``.
         """
-        rows = self.rows[c]
-        near = _take(cov, self.lattice.class_nbr[c])
+        rows, nbr = self.rows[c], self.lattice.class_nbr[c]
+        near = _rows(cov)[nbr].view(np.int8).reshape(*nbr.shape, cov.shape[-1])  # gathered one row per index
         here = occ[rows]
         unc = (near == here).sum(axis=0, dtype=np.int8)
         return near, here, self.log_w[rows, None] - unc * self.log_gamma
@@ -246,17 +258,6 @@ class _OccupancyField:
         state[self.lattice.class_order] = occ[:-1]
         return state.reshape(n, 2, len(roots)).transpose(1, 2, 0)
 
-    def draw_counts(self, occ: np.ndarray, roots: list[np.random.SeedSequence]) -> np.ndarray:
-        """Multiplicities of the occupied simulated sites from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``."""
-        counts = np.zeros(occ.shape, dtype=np.int64)
-        u = np.stack([_key(root, 0).random(self.lattice.n_sites) for root in roots])
-        for sites, terms, log_w in self.count_terms:
-            draw, row = np.nonzero(occ[:, sites])
-            at = sites[row]
-            cdf = np.cumsum(np.exp(terms[row] - log_w[row, None]), axis=1)
-            counts[draw, at] = np.minimum(1 + (cdf < u[draw, at, None]).sum(axis=1), terms.shape[1])
-        return counts
-
 
 def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
     """Exact posterior multiplicities of the simulated sites, one row per seed.
@@ -284,7 +285,8 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
         raise ValueError("dhat must hold one value per lattice site")
     lattice = lattice_for(dhat.size)
     roots = [_root(s) for s in seeds]
-    field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
+    cap, log_w = _site_weights(dhat, params)
+    field = _OccupancyField(lattice, log_w, math.log(params.gamma))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
     active = np.arange(len(roots))
     for sweeps in (2**k for k in range(1, _MAX_LOOKBACK.bit_length())):
@@ -301,10 +303,10 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
                     "draw_sweeps": sweeps * int(active.size),
                     "coalesced": int(agree.sum()),
                     "gap": gap,
-                    "held": int((~field.sim).sum()),
+                    "held": int((log_w == np.inf).sum()),
                 }),
             )
         active = active[~agree]
         if not active.size:
-            return field.draw_counts(occ, roots)
+            return _draw_counts(occ, roots, dhat, params, cap, log_w)
     raise CoalescenceError(gap, _MAX_LOOKBACK)

@@ -105,29 +105,22 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    mapping = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ValueError("configuration must be a JSON object")
-    overrides = {
-        "signals": args.signals.split(",") if args.signals else None,
-        "n": args.n,
-        "rsnr": [float(r) for r in args.rsnr.split(",")] if args.rsnr else None,
-        "reps": args.reps,
-        "n_draws": args.draws,
-        "lam": args.lam,
-        "gamma": args.gamma,
-        "tau": args.tau,
-        "z": args.z,
-        "seed": args.seed,
-        "methods": args.methods.split(",") if args.methods else None,
-        "wavelet_policy": args.wavelet_policy,
-        "record_runtime": False if args.no_runtime else None,
-    }
-    mapping.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = load_config(mapping)
+    cfg = load_config(
+        args.config,
+        signals=args.signals.split(",") if args.signals else None,
+        n=args.n,
+        rsnr=[float(r) for r in args.rsnr.split(",")] if args.rsnr else None,
+        reps=args.reps,
+        n_draws=args.draws,
+        lam=args.lam,
+        gamma=args.gamma,
+        tau=args.tau,
+        z=args.z,
+        seed=args.seed,
+        methods=args.methods.split(",") if args.methods else None,
+        wavelet_policy=args.wavelet_policy,
+        record_runtime=False if args.no_runtime else None,
+    )
     rows = run_experiment(cfg, workers=args.workers)
     emit_csv(rows, args.out)
     return 0

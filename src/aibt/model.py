@@ -58,10 +58,10 @@ class ModelParams:
             raise ValueError("lam must be positive and finite")
         if not (self.gamma >= 1 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be at least 1")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        for name in ("tau", "sigma"):  # both enter the model squared
+            value = getattr(self, name)
+            if not (value > 0 and 0.0 < value * value < math.inf):
+                raise ValueError(f"{name} must be positive, with a finite nonzero square")
         if not (self.z > 0 and math.isfinite(self.z)):
             raise ValueError("z must be positive and finite")
 
@@ -97,12 +97,13 @@ class ModelParams:
         if self.z <= 1.0:
             return base
         cstar = (self.sigma**2 / self.tau**2) ** (1.0 / self.z)
-        hi = 10.0 * (cstar + 1.0) + 1000.0
+        hi = np.float64(10.0 * (cstar + 1.0) + 1000.0)  # its powers overflow to inf instead of raising
         grid = np.concatenate([[0.0], np.geomspace(1e-3, hi, 4096)])
         best = float(np.max(self.gain_exponent(grid)))
-        # beyond the scan the gain is dominated by z*(c+1)**(z-1) / (2*tau**2*c**(2z))
-        tail = self.z * (hi + 1.0) ** (self.z - 1.0) / (2.0 * self.tau**2 * hi ** (2.0 * self.z))
-        if tail > best:
+        # beyond the scan the gain is dominated by z*(c+1)**(z-1) / (2*tau**2*c**(2z)); a nan bounds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = self.z * (hi + 1.0) ** (self.z - 1.0) / (2.0 * self.tau**2 * hi ** (2.0 * self.z))
+        if not tail <= best:
             raise ValueError("failed to bound the gain exponent; parameters out of supported range")
         return max(base, best) * (1.0 + 1e-12)
 

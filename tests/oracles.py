@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from aibt.cftp import _PAD_COVERAGE
 from aibt.lattice import Lattice, Site, lattice_for
 from aibt.model import ModelParams
 
@@ -79,6 +80,20 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
         if any(lattice.site_index(*v) in occupied for v in b):
             covered += 1
     return covered
+
+
+def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
+    """Coverage of a sampler chain state, gathered afresh from the neighbour table.
+
+    ``occ`` has one row per site in the lattice's class-major order plus an
+    empty pad row, and one column per chain.  Each row of the result counts
+    the occupied sites of that site's neighbourhood; the pad row holds the
+    sampler's pad value.  The sampler keeps this incrementally; tests check
+    its running counts and start states against this full gather.
+    """
+    cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
+    cov[:-1] = occ.astype(np.int64)[lattice.ordered_nbr].sum(axis=1)
+    return cov
 
 
 def uncovered_measure(u: Site, counts) -> int:

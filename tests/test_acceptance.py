@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, cftp_counts, held_sites
+from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, _site_weights, cftp_counts, held_sites
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
-from oracles import enumerate_posterior, gillespie_occupancy, occupancy_pattern_probs
+from oracles import enumerate_posterior, gathered_coverage, gillespie_occupancy, occupancy_pattern_probs
 
 
 def test_exact_draws_match_enumeration():
@@ -86,8 +86,10 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
             held = (rng.random(lat.n_sites) < 1 / 3) | held_sites(dhat, params)
             cases.append((lat, dhat, params, held))
         lat, dhat, p, held = cases.pop()
-        field = _OccupancyField(lat, dhat, p, held)
-        sim_rows = field.sim[lat.class_order]
+        log_w = _site_weights(dhat, p)[1]
+        log_w[held] = np.inf
+        field = _OccupancyField(lat, log_w, math.log(p.gamma))
+        sim_rows = ~held[lat.class_order]
         roots = [_root(seed + i) for i in range(8)]
         occ, cov = field.start(len(roots))  # class-major rows: top chains, then bottom chains
         top = slice(0, len(roots))
@@ -102,7 +104,7 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
                 field.update_class(occ, cov, c, logit_u)
                 assert np.all(occ[:, bottom] <= occ[:, top])
                 total += int(sim_rows[rows].sum()) * len(roots)  # held sites are not counted
-            assert np.array_equal(cov[:-1], field.coverage(occ)[:-1])
+            assert np.array_equal(cov[:-1], gathered_coverage(lat, occ)[:-1])
         seed += len(roots)
     assert total >= 100_000
     print(f"PASS sandwich and ordering: {total} site updates with per-class checks")
@@ -125,10 +127,10 @@ def test_conditional_intensity_factor_bounds():
         if log_rate > _HELD_LOG_RATE:  # a held site, never simulated
             continue
         dhat = np.full(lat.n_sites, d)
-        field = _OccupancyField(lat, dhat, params, np.zeros(lat.n_sites, dtype=bool))
+        field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
         occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
         occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
-        cov = field.coverage(occ)
+        cov = gathered_coverage(lat, occ)
         c = int(rng.integers(len(field.rows)))
         clustering = field._gather(occ, cov, c)[2] - field.log_w[field.rows[c], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
@@ -154,13 +156,13 @@ def test_intensity_consistent_with_density():
         counts = rng.poisson(0.4, lat.n_sites)
         dhat = rng.normal(0.0, 1.2, lat.n_sites)
         clamped = held_sites(dhat, params)
-        field = _OccupancyField(lat, dhat, params, clamped)
+        field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
         # the classes that hold a simulated site, drawn from as when held sites sat outside them
         live = [c for c, members in enumerate(lat.colour_classes) if not clamped[members].all()]
         c = live[int(rng.integers(len(live)))]
         sites = lat.colour_classes[c]
         occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
-        odds = field._gather(occ, field.coverage(occ), c)[2][:, 0]
+        odds = field._gather(occ, gathered_coverage(lat, occ), c)[2][:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:
                 assert odds[i] == math.inf
@@ -191,14 +193,14 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
     dhat = np.array([0.3, -0.6, 1.8863236699596295 if clamped else 0.5])
     held = held_sites(dhat, params)
     assert held.tolist() == [False, False, clamped]
-    field = _OccupancyField(lat, dhat, params, held)
+    field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
     patterns = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(40, 40, 4 if clamped else 40)))
     worst = 0.0
     for pattern in patterns:
         if clamped and not pattern[2]:
             continue
         occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
-        cov = field.coverage(occ)
+        cov = gathered_coverage(lat, occ)
         for c, sites in enumerate(lat.colour_classes):
             prob = 1.0 / (1.0 + np.exp(-field._gather(occ, cov, c)[2][:, 0]))
             for s, p_on in zip(sites.tolist(), prob):

@@ -1,5 +1,6 @@
 """Benchmark harness: seeding discipline, CSV stability, failure reporting."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -85,6 +86,12 @@ def test_load_config_from_file_and_mapping(tmp_path):
     cfg = load_config(str(path))
     assert cfg.signals == ("Blocks",) and cfg.reps == 3 and cfg.rsnr == (7.0,)
     assert load_config({"n": 64}).n == 64
+    # overrides replace the file's values, and an override of None leaves them
+    cfg = load_config(str(path), reps=5, n=None, rsnr=[3.0])
+    assert cfg.signals == ("Blocks",) and cfg.reps == 5 and cfg.n == 256 and cfg.rsnr == (3.0,)
+    assert load_config(None, n=64) == ExperimentConfig(n=64)
+    with pytest.raises(ValueError, match="unknown configuration keys"):
+        load_config({}, repz=3)
     for key in ("repz", "t0", "t1", "t2", "max_doublings"):  # the sampler has no cutoff or budget to configure
         with pytest.raises(ValueError, match="unknown configuration keys"):
             load_config({key: 3})
@@ -131,6 +138,32 @@ def test_process_pool_matches_serial_run(tmp_path):
     emit_csv(serial, str(a))
     emit_csv(pooled, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pool_starts_no_more_workers_than_cells(monkeypatch):
+    """Asking for more workers than cells sizes the pool to the cells; no process is started here."""
+
+    class InlinePool:
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = ExperimentConfig(**{**TINY, "rsnr": (10.0, 3.0)})
+    assert run_experiment(cfg, workers=500) == run_experiment(cfg, workers=1)
+    assert InlinePool.sizes == [2]
 
 
 def test_rows_come_back_in_configuration_order():

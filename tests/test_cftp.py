@@ -14,9 +14,11 @@ from aibt.cftp import (
     CoalescenceError,
     _count_cap,
     _decided_off_cut,
+    _draw_counts,
     _key,
     _OccupancyField,
     _root,
+    _site_weights,
     cftp_counts,
     held_sites,
 )
@@ -24,7 +26,7 @@ from aibt.estimator import _coefficients
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from aibt.wavelet import forward_dwt, get_filter, make_test_signal
-from oracles import brute_coverage, enumerate_posterior, neighbourhood, occupancy_pattern_probs
+from oracles import brute_coverage, enumerate_posterior, gathered_coverage, neighbourhood, occupancy_pattern_probs
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 
@@ -68,7 +70,7 @@ def _field(seed, params=MODERATE, n_levels=3, clamp=False):
     if clamp:  # a random third of the sites observe a coefficient large enough to be held
         dhat[rng.random(lat.n_sites) < 1 / 3] = 1e3
     held = held_sites(dhat, params)
-    return _OccupancyField(lat, dhat, params, held), dhat, held
+    return _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma)), dhat, held
 
 
 def _coalescence_sweeps(field, root):
@@ -163,15 +165,15 @@ def test_sandwich_order_holds_eventwise():
     rng = np.random.default_rng(8)
     updates = 0
     for case in range(40):
-        field, _, _ = _field(case, n_levels=5, clamp=case % 2 == 1)
+        field, _, held = _field(case, n_levels=5, clamp=case % 2 == 1)
         n = field.lattice.n_sites
         order = field.lattice.class_order
-        sim_rows = field.sim[order]
+        sim_rows = ~held[order]
         # class-major rows: columns 0-5 are the top chains, 6-11 the bottom chains
         occ = np.zeros((n + 1, 12), dtype=bool)
-        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | ~field.sim).T[order]
+        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | held).T[order]
         occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T[order]
-        cov = field.coverage(occ)
+        cov = gathered_coverage(field.lattice, occ)
         for _ in range(3):
             u = rng.random((6, n)).T[order]
             logit_u = np.log(u) - np.log1p(-u)
@@ -181,21 +183,21 @@ def test_sandwich_order_holds_eventwise():
                 field.update_class(occ, cov, c, logit_u)
                 assert np.all(occ[:, :6] >= occ[:, 6:])
                 updates += int(sim_rows[rows].sum()) * 6  # held sites are not counted
-        assert np.array_equal(cov[:n], field.coverage(occ)[:n])
+        assert np.array_equal(cov[:n], gathered_coverage(field.lattice, occ)[:n])
     assert updates > 10_000
 
 
 def test_coalesced_replay_returns_identical_chains():
     """A start 2T sweeps back returns the draw that coalesced at T."""
     for seed in range(6):
-        field, dhat, _ = _field(seed, n_levels=4, clamp=seed % 2 == 1)
+        field, dhat, held = _field(seed, n_levels=4, clamp=seed % 2 == 1)
         root = _root(seed)
         sweeps, state = _coalescence_sweeps(field, root)
         for deeper in (2 * sweeps, 4 * sweeps):
             top, bottom = field.run([root], deeper)
             assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
         counts = cftp_counts(dhat, MODERATE, [seed])[0]
-        assert np.array_equal(counts > 0, state & field.sim)
+        assert np.array_equal(counts > 0, state & ~held)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -206,7 +208,7 @@ def test_start_coverage_equals_gathered_coverage(clamp):
         field, _, held = _field(seed, wide, n_levels=6, clamp=clamp)
         assert held.any() == clamp
         assert field.start_cov.dtype == np.int8
-        assert np.array_equal(field.start_cov, field.coverage(field.start_occ))
+        assert np.array_equal(field.start_cov, gathered_coverage(field.lattice, field.start_occ))
 
 
 def test_rate_sorted_count_terms_match_one_global_cap():
@@ -217,17 +219,15 @@ def test_rate_sorted_count_terms_match_one_global_cap():
     rng = np.random.default_rng(4)
     dhat = rng.normal(0.0, 0.1, lat.n_sites) * rng.choice([1.0, 2.0, 3.0], lat.n_sites)
     held = held_sites(dhat, p)
-    field = _OccupancyField(lat, dhat, p, held)
-    assert len({terms.shape[1] for _, terms, _ in field.count_terms}) > 2
-    field_log_w = np.empty(lat.n_sites)
-    field_log_w[lat.class_order] = field.log_w
+    chunk_cap, chunk_log_w = _site_weights(dhat, p)
+    assert len(set(chunk_cap[~held].tolist())) > 2
     sites = np.flatnonzero(~held)
     cap = _count_cap(float(np.max(log_dominating_rate(dhat[sites], p))))
     terms = log_count_terms(dhat[sites], p, cap)
     top = terms.max(axis=1)
     log_w = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-    np.testing.assert_array_max_ulp(field_log_w[sites], log_w, maxulp=4)
-    assert np.all(field_log_w[held] == np.inf)
+    np.testing.assert_array_max_ulp(chunk_log_w[sites], log_w, maxulp=4)
+    assert np.all(chunk_log_w[held] == np.inf) and np.all(chunk_cap[held] == 0)
     cdf = np.cumsum(np.exp(terms - log_w[:, None]), axis=1)
     roots = [_root(seed) for seed in range(200)]
     occ = np.broadcast_to(~held, (len(roots), lat.n_sites))
@@ -235,7 +235,7 @@ def test_rate_sorted_count_terms_match_one_global_cap():
     for i, root in enumerate(roots):
         u = _key(root, 0).random(lat.n_sites)[sites]
         expected[i, sites] = np.minimum(1 + (cdf < u[:, None]).sum(axis=1), cap)
-    assert np.array_equal(field.draw_counts(occ, roots), expected)
+    assert np.array_equal(_draw_counts(occ, roots, dhat, p, chunk_cap, chunk_log_w), expected)
 
 
 def test_decided_off_cut_never_misclassifies():
@@ -265,7 +265,8 @@ def test_decided_off_cut_never_misclassifies():
 
 def _ladder_from_one(dhat, params, seeds, lattice):
     """The lookback ladder 1, 2, 4, ... sweeps, run by hand."""
-    field = _OccupancyField(lattice, dhat, params, held_sites(dhat, params))
+    cap, log_w = _site_weights(dhat, params)
+    field = _OccupancyField(lattice, log_w, math.log(params.gamma))
     roots = [_root(s) for s in seeds]
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
     active = np.arange(len(roots))
@@ -276,7 +277,7 @@ def _ladder_from_one(dhat, params, seeds, lattice):
         occ[active[agree]] = top[agree]
         active = active[~agree]
         sweeps *= 2
-    return field.draw_counts(occ, roots)
+    return _draw_counts(occ, roots, dhat, params, cap, log_w)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.0])

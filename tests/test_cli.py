@@ -1,18 +1,24 @@
 """Command line contract: exit codes, JSON errors, output files."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aibt
 from aibt.cli import main
-from aibt.wavelet import add_noise, make_test_signal
+from aibt.wavelet import SIGNAL_NAMES, add_noise, make_test_signal
 
 
 def _stderr_json(capsys):
@@ -75,6 +81,16 @@ def test_negative_seed_exits_1_naming_the_flag(command, flag, tmp_path, capsys):
     assert len(err) == 1
     assert flag in json.loads(err[0])["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tau", "1e160"), ("--rsnr", "1e-200")])
+def test_parameter_whose_square_overflows_exits_1_with_json(flag, value, tmp_path, capsys):
+    rc = main(["denoise", "--signal", "Blocks", "--n", "16", "--rsnr", "10", flag, value,
+               "--out", str(tmp_path / "out.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"].startswith("tau" if flag == "--tau" else "sigma")
 
 
 def test_file_input_requires_sigma(tmp_path, capsys):
@@ -201,6 +217,19 @@ def test_slow_coalescence_stops_at_the_lookback_budget(tmp_path):
     assert not (tmp_path / "est.txt").exists()
 
 
+def test_default_bench_finishes_within_the_limits(tmp_path):
+    """The README's ``aibt bench`` with every default: 4 signals x 3 noise levels x 5 methods, 5 replicates each."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aibt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aibt", "bench", "--out", str(tmp_path / "rows.csv")],
+        capture_output=True, text=True, timeout=300, env=env, preexec_fn=_cap_cpu_and_memory,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    header, *rows = (tmp_path / "rows.csv").read_text().strip().splitlines()
+    assert len(rows) == 60
+    assert {row.split(",")[header.split(",").index("reps")] for row in rows} == {"5"}
+
+
 def test_import_and_bench_load_no_scipy(tmp_path):
     """The package, its CLI and a bench over all five methods run without scipy."""
     cfg = tmp_path / "cfg.json"
@@ -216,3 +245,40 @@ def test_import_and_bench_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert len((tmp_path / "rows.csv").read_text().strip().splitlines()) == 6
+
+
+_SQRT_MAX = 1.3407807929942596e154  # the largest float whose square is finite
+_ABOVE_SQRT_MAX = math.nextafter(_SQRT_MAX, math.inf)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(signal="Blocks", n=16, draws=3, lam=0.05, gamma=3.0, tau=_SQRT_MAX, rsnr=10.0, z=1.0, seed=0)
+@example(signal="Blocks", n=16, draws=3, lam=0.05, gamma=3.0, tau=_ABOVE_SQRT_MAX, rsnr=10.0, z=1.0, seed=0)
+@example(signal="Bumps", n=8, draws=1, lam=0.05, gamma=3.0, tau=1.0, rsnr=1 / _SQRT_MAX, z=1.0, seed=0)
+@example(signal="Doppler", n=16, draws=2, lam=0.05, gamma=3.0, tau=1.0, rsnr=1e-200, z=1.0, seed=0)
+@example(signal="Blocks", n=8, draws=1, lam=1.0, gamma=1.0, tau=1.0, rsnr=1.0, z=52.0, seed=0)
+@example(signal="Blocks", n=8, draws=1, lam=1.0, gamma=1.0, tau=5e-324, rsnr=1.0, z=2.0, seed=0)
+@given(
+    signal=st.sampled_from(SIGNAL_NAMES),
+    n=st.sampled_from([8, 16]),
+    draws=st.integers(1, 3),
+    lam=_positive,
+    gamma=st.floats(min_value=1.0, allow_nan=False, allow_infinity=False),
+    tau=_positive,
+    rsnr=_positive,
+    z=_positive,
+    seed=st.integers(0, 2**32),
+)
+def test_denoise_over_the_parameter_space_exits_0_or_1_with_json(signal, n, draws, lam, gamma, tau, rsnr, z, seed):
+    """Any parameters give a finite estimate, or exit 1 with one JSON line."""
+    argv = ["denoise", "--signal", signal, "--n", str(n), "--draws", str(draws), "--rsnr", repr(rsnr),
+            "--lam", repr(lam), "--gamma", repr(gamma), "--tau", repr(tau), "--z", repr(z), "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main([*argv, "--out", os.path.join(tmp, "est.txt")])
+        est = np.loadtxt(os.path.join(tmp, "est.txt")) if rc == 0 else None
+    if rc == 0:
+        assert est.shape == (n,) and np.all(np.isfinite(est))
+    else:
+        lines = err.getvalue().strip().splitlines()
+        assert rc == 1 and len(lines) == 1 and "error" in json.loads(lines[0])

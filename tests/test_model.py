@@ -34,6 +34,11 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)
+    # tau and sigma enter squared: a square that overflows or underflows to zero names its field
+    for name, value in (("tau", 1e160), ("sigma", 1e200), ("tau", 1e-170), ("sigma", 1e-200)):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ModelParams(**{"lam": 1.0, "gamma": 2.0, "tau": 1.0, "sigma": 1.0, name: value})
+    ModelParams(lam=1.0, gamma=2.0, tau=1.3407807929942596e154, sigma=1e-154)
 
 
 def test_variance_and_gain_formulas():
@@ -66,6 +71,14 @@ def test_max_gain_convex_counts_scan():
     v1 = p.sigma**2 + p.tau**2 * (c + 1) ** p.z
     real_gain = p.tau**2 * ((c + 1) ** p.z - c**p.z) / (2 * v * v1)
     assert p.max_gain_exponent == pytest.approx(float(real_gain.max()), rel=1e-6)
+
+
+def test_max_gain_for_a_large_power_bounds_or_refuses():
+    """Powers too large for a float either leave a valid bound or raise the supported-range error."""
+    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.1, z=52.0)  # the tail's c**(2z) overflows
+    assert max(p.gain_exponent(c) for c in range(200)) <= p.max_gain_exponent * (1 + 1e-9)
+    with pytest.raises(ValueError, match="supported range"):  # the scan's (c+1)**z overflows too
+        ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=10.0, z=200.0).max_gain_exponent
 
 
 def test_max_gain_analytic_example():
