@@ -29,7 +29,7 @@ from .baselines import (
 from .cftp import CoalescenceError
 from .estimator import denoise
 from .model import ModelParams
-from .wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
+from .wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
 
 __all__ = [
     "METHODS",
@@ -60,9 +60,10 @@ def _list_of(kind):
 # what each field must be, checked before its value, so a mistyped JSON config fails at once
 _FIELD_TYPES = {
     **dict.fromkeys(("n", "reps", "n_draws", "seed"), (_is_a(numbers.Integral), "an integer")),
-    **dict.fromkeys(("lam", "gamma", "tau", "z"), (_is_a(numbers.Real), "a number")),
+    **dict.fromkeys(("lam", "gamma", "tau"), (_is_a(numbers.Real), "a number")),
     **dict.fromkeys(("signals", "methods"), (_list_of(str), "a list of strings")),
     "rsnr": (_list_of(numbers.Real), "a list of numbers"),
+    "record_runtime": (lambda v: isinstance(v, bool), "a bool"),
 }
 
 
@@ -78,7 +79,6 @@ class ExperimentConfig:
     lam: float = 0.05
     gamma: float = 3.0
     tau: float = 1.0
-    z: float = 1.0
     seed: int = 0
     methods: tuple[str, ...] = METHODS
     wavelet_policy: str = "auto"
@@ -148,7 +148,7 @@ def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
 
 def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: ExperimentConfig, seed) -> np.ndarray:
     if method == "AIBT":
-        params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma, cfg.z)
+        params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma)
         return denoise(y, filt, params, cfg.n_draws, seed)
     dec = forward_dwt(y, filt)
     if method == "Universal":
@@ -176,7 +176,7 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
     for rep in range(cfg.reps):
         cell_ss = np.random.SeedSequence(cfg.seed, spawn_key=(signal_id, rsnr_index, rep))
         noise_ss, method_ss = cell_ss.spawn(2)
-        y = truth + sigma * np.random.default_rng(noise_ss).standard_normal(cfg.n)
+        y = add_noise(truth, sigma, np.random.default_rng(noise_ss))
         for method in cfg.methods:
             start = time.perf_counter()
             try:

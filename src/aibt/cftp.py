@@ -25,11 +25,12 @@ multiplicity law, kept apart, sums ``log W`` over chunks of rate-sorted
 sites, each only as far as its own rates need, and draws the counts.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
-exp(dhat**2 * max_gain_exponent)`` exceeds ``e**4`` is held: it weighs
-``W_s = +inf``, so every update turns it on in both chains, and its count
-is not drawn; the estimator takes its coefficient from the observation.
-Draws are exact for this posterior conditioned on the held sites being
-occupied, the close approximation the sampler targets.
+exp(dhat**2 * g)``, ``g = tau**2 / (2 * sigma**2 * (sigma**2 + tau**2))``,
+exceeds ``e**4`` is held: it weighs ``W_s = +inf``, so every update turns
+it on in both chains, and its count is not drawn; the estimator takes its
+coefficient from the observation.  Draws are exact for this posterior
+conditioned on the held sites being occupied, the close approximation the
+sampler targets.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np
 
     Simulated sites are capped per chunk of ``_CHUNK_SITES`` in rate order (see :func:`_count_cap`).
     """
-    sim_sites = np.flatnonzero(~held_sites(dhat, params))
-    log_rate = log_dominating_rate(dhat[sim_sites], params)
+    log_rate = log_dominating_rate(dhat, params)
+    sim_sites = np.flatnonzero(~(log_rate > _HELD_LOG_RATE))  # the complement of held_sites
+    log_rate = log_rate[sim_sites]
     by_rate = np.argsort(log_rate, kind="stable")
     cap = np.zeros(dhat.size, dtype=np.int64)
     for lo in range(0, by_rate.size, _CHUNK_SITES):
@@ -199,7 +201,6 @@ class _OccupancyField:
         held_near = held_pad[lattice.ordered_nbr].sum(axis=1)
         self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes[order], held_near], axis=1)
         self.u_off = _decided_off_cut(log_w)
-        self.rank = np.argsort(order)  # the row of each site
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
         """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
@@ -251,7 +252,7 @@ class _OccupancyField:
             logit_u.fill(np.inf)
             draw, site = np.nonzero(u < self.u_off)
             with np.errstate(divide="ignore"):
-                logit_u[self.rank[site], draw] = np.log(u[draw, site]) - np.log1p(-u[draw, site])
+                logit_u[self.lattice.rank[site], draw] = np.log(u[draw, site]) - np.log1p(-u[draw, site])
             for c in range(len(self.rows)):
                 self.update_class(occ, cov, c, logit_u)
         state = np.empty((n, occ.shape[1]), dtype=bool)

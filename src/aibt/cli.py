@@ -50,7 +50,6 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, default=0.05, help="prior per-site intensity")
     p.add_argument("--gamma", type=float, default=3.0, help="clustering reward (>= 1)")
     p.add_argument("--tau", type=float, default=1.0, help="prior coefficient scale")
-    p.add_argument("--z", type=float, default=1.0, help="multiplicity power in the variance")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
 
@@ -83,7 +82,7 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
 
 def _cmd_denoise(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
-    params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
+    params = ModelParams(args.lam, args.gamma, args.tau, sigma)
     est = denoise(y, get_filter(wavelet), params, args.draws, args.seed)
     np.savetxt(args.out, est, fmt="%.17g")
     return 0
@@ -91,7 +90,7 @@ def _cmd_denoise(args) -> int:
 
 def _cmd_sample(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
-    params = ModelParams(args.lam, args.gamma, args.tau, sigma, args.z)
+    params = ModelParams(args.lam, args.gamma, args.tau, sigma)
     dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
     lattice = lattice_for(dhat.size)
     counts = cftp_counts(dhat, params, [args.seed])[0]
@@ -115,7 +114,6 @@ def _cmd_bench(args) -> int:
         lam=args.lam,
         gamma=args.gamma,
         tau=args.tau,
-        z=args.z,
         seed=args.seed,
         methods=args.methods.split(",") if args.methods else None,
         wavelet_policy=args.wavelet_policy,
@@ -154,7 +152,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--lam", type=float, help="prior per-site intensity")
     b.add_argument("--gamma", type=float, help="clustering reward")
     b.add_argument("--tau", type=float, help="prior coefficient scale")
-    b.add_argument("--z", type=float, help="multiplicity power")
     b.add_argument("--seed", type=int, help="root seed")
     b.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
     b.add_argument("--wavelet-policy", choices=("auto", "haar", "la10"))

@@ -33,10 +33,10 @@ def _coefficients(
 ) -> np.ndarray:
     """Coefficient draws, one per entry of ``counts``, from standard normal ``noise`` of its shape.
 
-    Occupied sites draw from ``N(w * dhat, w * sigma**2)``, ``w = tau**2 c**z / (sigma**2 + tau**2 c**z)``;
+    Occupied sites draw from ``N(w * dhat, w * sigma**2)``, ``w = tau**2 c / (sigma**2 + tau**2 c)``;
     empty sites give exactly zero, and ``held`` sites (:func:`~aibt.cftp.held_sites`) take ``w = 1``.
     """
-    v = params.tau**2 * counts.astype(float) ** params.z
+    v = params.tau**2 * counts.astype(float)
     w = np.where(held, 1.0, v / (params.sigma**2 + v))
     return np.where(held | (counts > 0), w * dhat + np.sqrt(w) * params.sigma * noise, 0.0)
 

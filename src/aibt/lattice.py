@@ -38,9 +38,10 @@ class Lattice:
     closed form is enough (checked exhaustively by the test suite).
 
     For the sampler, ``class_order`` lists the sites class by class, so each
-    class is one block of it; ``ordered_nbr`` is ``nbr`` in that order and
-    renumbered into it (the pad stays ``n_sites``); ``class_nbr[c]`` is class
-    ``c``'s block of it, neighbour-major.  All arrays are read-only.
+    class is one block of it, and ``rank[s]`` is site ``s``'s place in it;
+    ``ordered_nbr`` is ``nbr`` in that order and renumbered into it (the pad
+    stays ``n_sites``); ``class_nbr[c]`` is class ``c``'s block of it,
+    neighbour-major.  All arrays are read-only.
     """
 
     def __init__(self, n_levels: int):
@@ -74,12 +75,12 @@ class Lattice:
             np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()
         )
         self.class_order = np.concatenate(self.colour_classes)
-        rank = np.append(np.argsort(self.class_order), n)  # the pad keeps its index
-        self.ordered_nbr = rank[self.nbr[self.class_order]]
+        self.rank = np.append(np.argsort(self.class_order), n)  # the pad keeps its index
+        self.ordered_nbr = self.rank[self.nbr[self.class_order]]
         blocks = np.split(self.ordered_nbr, np.cumsum([c.size for c in self.colour_classes])[:-1])
         self.class_nbr = tuple(np.ascontiguousarray(b.T) for b in blocks)
-        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes, self.class_order, self.ordered_nbr,
-                  *self.class_nbr):
+        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes, self.class_order, self.rank,
+                  self.ordered_nbr, *self.class_nbr):
             a.flags.writeable = False
 
     def site_index(self, j: int, k: int) -> int:

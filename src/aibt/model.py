@@ -3,7 +3,7 @@
 Each detail coefficient observes ``dhat = d + noise`` with known noise level
 ``sigma``.  The underlying coefficient is zero unless points of a lattice
 point process occupy its site; with multiplicity ``c`` it is centred Gaussian
-with variance ``tau**2 * c**z``.  The point process prior has density
+with variance ``tau**2 * c``.  The point process prior has density
 proportional to ``lam**N(xi) * gamma**(-coverage(xi))`` against a unit-rate
 Poisson process, so for ``gamma > 1`` configurations whose neighbourhoods
 overlap are rewarded.  Integrating the coefficients out leaves a point
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,15 +42,15 @@ class ModelParams:
         gamma: clustering reward; at least 1 (1 recovers an independence prior).
         tau: prior scale of a nonzero coefficient; positive.
         sigma: observation noise standard deviation; positive.
-        z: power through which site multiplicity enters the coefficient
-            variance ``tau**2 * c**z``.
+
+    ``tau**2``, ``sigma**2``, their ratio and the gain ``g`` of :func:`log_dominating_rate`
+    must be finite floats, and all but the ratio nonzero.
     """
 
     lam: float
     gamma: float
     tau: float
     sigma: float
-    z: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -62,50 +61,20 @@ class ModelParams:
             value = getattr(self, name)
             if not (value > 0 and 0.0 < value * value < math.inf):
                 raise ValueError(f"{name} must be positive, with a finite nonzero square")
-        if not (self.z > 0 and math.isfinite(self.z)):
-            raise ValueError("z must be positive and finite")
+        if not (self.tau**2 / self.sigma**2 < math.inf and 0.0 < _gain(self) < math.inf):
+            raise ValueError("tau**2 / sigma**2 must be finite, and the gain tau**2 / (2 v(0) v(1)) finite and nonzero")
 
     def variance(self, count) -> np.ndarray | float:
-        """Marginal coefficient variance ``sigma**2 + tau**2 * count**z``."""
+        """Marginal coefficient variance ``sigma**2 + tau**2 * count``."""
         c = np.asarray(count, dtype=float)
-        v = self.sigma**2 + self.tau**2 * c**self.z
+        v = self.sigma**2 + self.tau**2 * c
         return float(v) if v.ndim == 0 else v
 
-    def gain_exponent(self, count) -> np.ndarray | float:
-        """Coefficient of ``dhat**2`` in the log likelihood ratio of one more point at a site.
 
-        Adding one point changes the marginal variance from ``v(c)`` to
-        ``v(c+1)``; the likelihood-ratio exponent is
-        ``tau**2 * ((c+1)**z - c**z) / (2 * v(c) * v(c+1))``.
-        """
-        c = np.asarray(count, dtype=float)
-        v0 = self.variance(c)
-        v1 = self.variance(c + 1.0)
-        g = self.tau**2 * ((c + 1.0) ** self.z - c**self.z) / (2.0 * v0 * v1)
-        return float(g) if np.ndim(g) == 0 else g
-
-    @cached_property
-    def max_gain_exponent(self) -> float:
-        """Supremum of ``gain_exponent`` over all multiplicities.
-
-        For ``z <= 1`` the gain is largest at an empty site.  For ``z > 1``
-        the supremum sits at an interior multiplicity; it is bracketed by a
-        continuous scan (an upper bound for the integer supremum, which is
-        all the dominating rate needs) with a tail-decay check.
-        """
-        base = self.gain_exponent(0)
-        if self.z <= 1.0:
-            return base
-        cstar = (self.sigma**2 / self.tau**2) ** (1.0 / self.z)
-        hi = np.float64(10.0 * (cstar + 1.0) + 1000.0)  # its powers overflow to inf instead of raising
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, hi, 4096)])
-        best = float(np.max(self.gain_exponent(grid)))
-        # beyond the scan the gain is dominated by z*(c+1)**(z-1) / (2*tau**2*c**(2z)); a nan bounds nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = self.z * (hi + 1.0) ** (self.z - 1.0) / (2.0 * self.tau**2 * hi ** (2.0 * self.z))
-        if not tail <= best:
-            raise ValueError("failed to bound the gain exponent; parameters out of supported range")
-        return max(base, best) * (1.0 + 1e-12)
+def _gain(params: ModelParams) -> float:
+    """Coefficient of ``dhat**2`` in the log likelihood ratio of a first point, ``tau**2 / (2 v(0) v(1))``."""
+    denominator = 2.0 * params.sigma**2 * (params.sigma**2 + params.tau**2)
+    return params.tau**2 / denominator if denominator else math.inf
 
 
 def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> float:
@@ -131,7 +100,7 @@ def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:
     One row per entry of ``dhat_u`` (last axis: ``c``).  Summed over ``c``
     the terms give an occupied site's weight against an empty one;
     normalized they give its multiplicity law.  The ratio of consecutive
-    terms, ``lam / (c+1) * sqrt(v(c)/v(c+1)) * exp(dhat**2 * gain_exponent(c))``,
+    terms, ``lam / (c+1) * sqrt(v(c)/v(c+1)) * exp(dhat**2 * tau**2 / (2 v(c) v(c+1)))``,
     is at most ``exp(log_dominating_rate) / (c+1)``.
     """
     d2 = np.asarray(dhat_u, dtype=float)[..., None] ** 2
@@ -143,14 +112,15 @@ def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:
 
 
 def log_dominating_rate(dhat_u, params: ModelParams):
-    """Log of ``lam * exp(dhat**2 * max_gain_exponent)``, which bounds the count ratio.
+    """Log of ``lam * exp(dhat**2 * g)``, ``g = tau**2 / (2 v(0) v(1))``, which bounds the count ratio.
 
-    Above ``e**4`` the sampler holds a site occupied instead of simulating
-    it; among simulated sites its maximum fixes how far the multiplicity
-    law has to be summed.
+    ``g``, the gain of a first point, bounds the gain of every later one.  Above ``e**4`` the sampler
+    holds a site occupied instead of simulating it; among simulated sites the maximum fixes how far the
+    multiplicity law is summed.  A ``dhat`` whose square overflows gives ``+inf``.
     """
-    d2 = np.asarray(dhat_u, dtype=float) ** 2
-    out = math.log(params.lam) + d2 * params.max_gain_exponent
+    with np.errstate(over="ignore"):
+        d2 = np.asarray(dhat_u, dtype=float) ** 2
+    out = math.log(params.lam) + d2 * _gain(params)
     return float(out) if out.ndim == 0 else out
 
 

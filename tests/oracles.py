@@ -115,13 +115,13 @@ def log_density(counts, dhat: np.ndarray, params: ModelParams, lattice: Lattice)
     Written from the model definition: independent Poisson(1) reference per
     site, intensity ``lam`` per point, clustering reward ``gamma`` per
     covered site, and a Gaussian marginal likelihood with variance
-    ``sigma^2 + tau^2 c^z`` at each site.
+    ``sigma^2 + tau^2 c`` at each site.
     """
     occ = {s for s, c in enumerate(counts) if c > 0}
     n = int(sum(counts))
     lp = n * math.log(params.lam) - brute_coverage(lattice, occ) * math.log(params.gamma)
     for s, c in enumerate(counts):
-        v = params.sigma**2 + params.tau**2 * float(c) ** params.z
+        v = params.sigma**2 + params.tau**2 * float(c)
         lp += -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
         lp -= math.lgamma(c + 1)
     return lp
@@ -177,7 +177,7 @@ def gillespie_occupancy(
         raise ValueError("n_chains must be a multiple of n_groups")
 
     def gauss(s: int, c: int) -> float:
-        v = params.sigma**2 + params.tau**2 * float(c) ** params.z
+        v = params.sigma**2 + params.tau**2 * float(c)
         return -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
 
     # birth rate tables: count part per site, coverage part per occupancy pattern

@@ -120,7 +120,6 @@ def test_conditional_intensity_factor_bounds():
         params = ModelParams(
             lam=float(rng.uniform(0.02, 1.0)), gamma=float(rng.uniform(1.0, 4.0)),
             tau=float(rng.uniform(0.3, 2.0)), sigma=float(rng.uniform(0.1, 1.0)),
-            z=float(rng.choice([0.7, 1.0, 2.0])),
         )
         d = float(rng.normal(0.0, 1.5))
         log_rate = float(log_dominating_rate(d, params))
@@ -221,20 +220,19 @@ def test_site_likelihood_quadrature():
 
     nodes, weights = hermegauss(150)
     worst = 0.0
-    for z in (1.0, 1.5):
-        for tau, sigma in ((1.0, 0.1), (0.8, 0.35), (2.0, 1.0)):
-            params = ModelParams(lam=0.5, gamma=2.0, tau=tau, sigma=sigma, z=z)
-            for c in (1, 2, 3, 5, 10):
-                prior_var = tau**2 * float(c) ** z
-                for dhat in (-2.5, -0.7, 0.0, 0.4, 1.3, 3.0):
-                    eps = nodes * sigma
-                    dens = np.exp(-((dhat - eps) ** 2) / (2 * prior_var)) / math.sqrt(
-                        2 * math.pi * prior_var
-                    )
-                    integral = float(np.dot(weights, dens)) / math.sqrt(2 * math.pi)
-                    v = params.variance(c)
-                    closed = math.exp(-(dhat**2) / (2 * v)) / math.sqrt(2 * math.pi * v)
-                    worst = max(worst, abs(closed - integral) / integral)
+    for tau, sigma in ((1.0, 0.1), (0.8, 0.35), (2.0, 1.0), (1.5, 0.2), (0.5, 0.5), (3.0, 0.7)):
+        params = ModelParams(lam=0.5, gamma=2.0, tau=tau, sigma=sigma)
+        for c in (1, 2, 3, 5, 10):
+            prior_var = tau**2 * float(c)
+            for dhat in (-2.5, -0.7, 0.0, 0.4, 1.3, 3.0):
+                eps = nodes * sigma
+                dens = np.exp(-((dhat - eps) ** 2) / (2 * prior_var)) / math.sqrt(
+                    2 * math.pi * prior_var
+                )
+                integral = float(np.dot(weights, dens)) / math.sqrt(2 * math.pi)
+                v = params.variance(c)
+                closed = math.exp(-(dhat**2) / (2 * v)) / math.sqrt(2 * math.pi * v)
+                worst = max(worst, abs(closed - integral) / integral)
     assert worst < 1e-6
     print(f"PASS quadrature: worst relative error {worst:.2e} < 1e-6")
 

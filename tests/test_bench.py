@@ -66,7 +66,8 @@ def test_config_validation():
     for field, value in (
         ("n", "256"), ("n", 256.0), ("n", True), ("reps", 1.5), ("n_draws", "9"), ("seed", None),
         ("seed", -1), ("rsnr", 10), ("rsnr", "37"), ("rsnr", ["10"]), ("lam", "0.05"),
-        ("signals", "Blocks"), ("signals", [1]), ("methods", "AIBT"),
+        ("signals", "Blocks"), ("signals", [1]), ("methods", "AIBT"), ("record_runtime", "false"),
+        ("record_runtime", 0),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(**{field: value})
@@ -92,7 +93,8 @@ def test_load_config_from_file_and_mapping(tmp_path):
     assert load_config(None, n=64) == ExperimentConfig(n=64)
     with pytest.raises(ValueError, match="unknown configuration keys"):
         load_config({}, repz=3)
-    for key in ("repz", "t0", "t1", "t2", "max_doublings"):  # the sampler has no cutoff or budget to configure
+    # the sampler has no cutoff or budget to configure, and the model no multiplicity power
+    for key in ("repz", "t0", "t1", "t2", "max_doublings", "z"):
         with pytest.raises(ValueError, match="unknown configuration keys"):
             load_config({key: 3})
     bad = tmp_path / "bad.json"

@@ -35,8 +35,8 @@ MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 
 
 def test_classify_sites_frozen_examples():
-    # with max gain 1.6 these signal values put the log rate at 5 and 21
-    assert MODERATE.max_gain_exponent == pytest.approx(1.6, rel=1e-12)
+    # with gain tau^2 / (2 v(0) v(1)) = 1.6 these signal values put the log rate at 5 and 21
+    assert log_dominating_rate(1.0, MODERATE) - math.log(MODERATE.lam) == pytest.approx(1.6, rel=1e-12)
     dhat = np.array([0.0, 1.8863236699596295, 3.682148420127842])
     assert held_sites(dhat, MODERATE).tolist() == [False, True, True]
 
@@ -152,7 +152,6 @@ def test_fast_replay_matches_checked_replay():
             gamma=float(rng.uniform(1.0, 4.0)),
             tau=float(rng.uniform(0.5, 2.0)),
             sigma=float(rng.uniform(0.2, 1.0)),
-            z=float(rng.choice([0.7, 1.0, 2.0])),
         )
         field, dhat, held = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
         roots = [_root(case + 100 * i) for i in range((1, 2, 9, 25)[case % 4])]

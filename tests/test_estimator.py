@@ -101,7 +101,7 @@ def test_sparse_tail_equals_dense_median(n_draws, monkeypatch):
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(8).spawn(n_draws)]
     fixed_counts(dhat, p, rngs)
     noise = np.stack([g.standard_normal(n) for g in rngs])
-    v = p.tau**2 * counts.astype(float) ** p.z
+    v = p.tau**2 * counts.astype(float)
     w = np.where(held, 1.0, v / (p.sigma**2 + v))
     draws = np.where(held | (counts > 0), w * dhat + np.sqrt(w) * p.sigma * noise, 0.0)
     expected = np.sort(draws, axis=0)[(n_draws - 1) // 2]

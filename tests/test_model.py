@@ -30,7 +30,6 @@ def test_params_validation():
         dict(lam=1.0, gamma=0.5, tau=1.0, sigma=1.0),
         dict(lam=1.0, gamma=2.0, tau=0.0, sigma=1.0),
         dict(lam=1.0, gamma=2.0, tau=1.0, sigma=-1.0),
-        dict(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0, z=0.0),
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)
@@ -38,52 +37,41 @@ def test_params_validation():
     for name, value in (("tau", 1e160), ("sigma", 1e200), ("tau", 1e-170), ("sigma", 1e-200)):
         with pytest.raises(ValueError, match=f"^{name} "):
             ModelParams(**{"lam": 1.0, "gamma": 2.0, "tau": 1.0, "sigma": 1.0, name: value})
-    ModelParams(lam=1.0, gamma=2.0, tau=1.3407807929942596e154, sigma=1e-154)
+    # tau**2 / sigma**2 must not overflow, and the gain tau**2 / (2 v(0) v(1)) must be neither 0 nor inf
+    for tau, sigma in ((1.3407807929942596e154, 1e-154), (1.34e154, 0.1), (1.0, 1e154), (1e-150, 1e50),
+                       (1e-154, 1e-154)):
+        with pytest.raises(ValueError, match=r"^tau\*\*2 / sigma\*\*2 must be finite"):
+            ModelParams(lam=1.0, gamma=2.0, tau=tau, sigma=sigma)
+    ModelParams(lam=1.0, gamma=2.0, tau=1e153, sigma=1.0)
+    ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=1e-154)
 
 
 def test_variance_and_gain_formulas():
     p = ModelParams(lam=0.5, gamma=3.0, tau=1.0, sigma=0.1)
     assert p.variance(0) == pytest.approx(0.01, rel=1e-15)
     assert p.variance(3) == pytest.approx(3.01, abs=1e-15)
-    # gain(c) = tau^2 ((c+1)^z - c^z) / (2 v(c) v(c+1))
-    assert p.gain_exponent(0) == pytest.approx(49.5049504950495, abs=1e-12)
-    assert p.gain_exponent(2) == pytest.approx(1.0 / (2 * 2.01 * 3.01), rel=1e-12)
+    # the rate's exponent per dhat^2 is the gain of a first point, tau^2 / (2 v(0) v(1))
+    assert log_dominating_rate(1.0, p) - math.log(0.5) == pytest.approx(49.5049504950495, abs=1e-12)
 
 
-@pytest.mark.parametrize("z", [0.5, 1.0])
-def test_max_gain_is_at_zero_for_concave_counts(z):
-    p = ModelParams(lam=0.5, gamma=2.0, tau=1.3, sigma=0.7, z=z)
-    assert p.max_gain_exponent >= p.gain_exponent(0) * (1 - 1e-12)
-    gains = [p.gain_exponent(c) for c in range(200)]
-    assert max(gains) <= p.max_gain_exponent * (1 + 1e-9)
-    assert p.max_gain_exponent == pytest.approx(p.gain_exponent(0), rel=1e-9)
+def _gain(p: ModelParams, c):
+    """Coefficient of dhat^2 in the log likelihood ratio of point c+1 to point c: tau^2 / (2 v(c) v(c+1))."""
+    return p.tau**2 / (2 * p.variance(c) * p.variance(c + 1))
 
 
-def test_max_gain_convex_counts_scan():
-    p = ModelParams(lam=0.5, gamma=2.0, tau=0.4, sigma=2.0, z=2.0)
-    gains = [p.gain_exponent(c) for c in range(3000)]
-    assert max(gains) <= p.max_gain_exponent * (1 + 1e-9)
-    # with z > 1 the maximizer moves off zero
-    assert max(gains) > p.gain_exponent(0)
-    # the bound covers real-valued counts; check tightness against a fine grid
-    c = np.linspace(0.0, 50.0, 200001)
-    v = p.sigma**2 + p.tau**2 * c**p.z
-    v1 = p.sigma**2 + p.tau**2 * (c + 1) ** p.z
-    real_gain = p.tau**2 * ((c + 1) ** p.z - c**p.z) / (2 * v * v1)
-    assert p.max_gain_exponent == pytest.approx(float(real_gain.max()), rel=1e-6)
-
-
-def test_max_gain_for_a_large_power_bounds_or_refuses():
-    """Powers too large for a float either leave a valid bound or raise the supported-range error."""
-    p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.1, z=52.0)  # the tail's c**(2z) overflows
-    assert max(p.gain_exponent(c) for c in range(200)) <= p.max_gain_exponent * (1 + 1e-9)
-    with pytest.raises(ValueError, match="supported range"):  # the scan's (c+1)**z overflows too
-        ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=10.0, z=200.0).max_gain_exponent
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_max_gain_is_at_zero_for_concave_counts(sigma):
+    """The variance grows linearly in the count, so the first point gains the most, and the rate's
+    exponent is that gain."""
+    p = ModelParams(lam=0.5, gamma=2.0, tau=1.3, sigma=sigma)
+    gains = _gain(p, np.arange(200.0))
+    assert np.all(np.diff(gains) < 0)
+    assert log_dominating_rate(1.0, p) - math.log(0.5) == pytest.approx(gains[0], rel=1e-12)
 
 
 def test_max_gain_analytic_example():
     p = ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=1.0)
-    assert p.max_gain_exponent == pytest.approx(0.25, rel=1e-12)
+    assert log_dominating_rate(1.0, p) == pytest.approx(0.25, rel=1e-12)
 
 
 # --- conditional intensity factors -----------------------------------------------
@@ -121,7 +109,6 @@ def test_factor_bounds_random_states():
         p = ModelParams(
             lam=float(RNG.uniform(0.05, 2.0)), gamma=float(RNG.uniform(1.0, 4.0)),
             tau=float(RNG.uniform(0.3, 2.0)), sigma=float(RNG.uniform(0.1, 1.0)),
-            z=float(RNG.choice([0.6, 1.0, 1.8])),
         )
         counts = RNG.poisson(0.5, lat.n_sites)
         u = lat.site_of(int(RNG.integers(lat.n_sites)))
@@ -135,7 +122,7 @@ def test_factor_bounds_random_states():
 def test_intensity_equals_density_ratio():
     """Moving a site's count from 0 to c changes the log density by its count term and f2."""
     lat = Lattice(3)
-    p = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6, z=1.3)
+    p = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     for _ in range(120):
         counts = RNG.poisson(0.6, lat.n_sites)
         dhat = RNG.normal(0, 1.2, lat.n_sites)
@@ -155,7 +142,7 @@ def test_intensity_equals_density_ratio():
 
 def test_log_marginal_posterior_matches_independent_formula():
     lat = Lattice(3)
-    p = ModelParams(lam=0.4, gamma=2.5, tau=0.9, sigma=0.5, z=1.3)
+    p = ModelParams(lam=0.4, gamma=2.5, tau=0.9, sigma=0.5)
     for _ in range(60):
         counts = RNG.poisson(0.7, lat.n_sites)
         dhat = RNG.normal(0, 1.0, lat.n_sites)
@@ -170,18 +157,18 @@ def test_log_marginal_posterior_matches_independent_formula():
 
 
 @pytest.mark.parametrize("c", [1, 2, 5])
-@pytest.mark.parametrize("z", [1.0, 1.7])
-def test_site_likelihood_matches_gauss_hermite(c, z):
+@pytest.mark.parametrize("tau", [1.0, 1.7])
+def test_site_likelihood_matches_gauss_hermite(c, tau):
     """The closed-form site likelihood equals numerically integrating out the mean.
 
     A site holding ``c`` points models its coefficient as Gaussian with
-    variance ``tau^2 c^z`` around zero plus observation noise, so the
+    variance ``tau^2 c`` around zero plus observation noise, so the
     marginal of the observed value is Gaussian with the two variances
     added; the quadrature integrates the noise density against the prior.
     """
-    p = ModelParams(lam=0.5, gamma=2.0, tau=0.8, sigma=0.35, z=z)
+    p = ModelParams(lam=0.5, gamma=2.0, tau=tau, sigma=0.35)
     nodes, weights = hermegauss(120)  # weight exp(-x^2/2), total mass sqrt(2 pi)
-    prior_var = p.tau**2 * float(c) ** z
+    prior_var = p.tau**2 * float(c)
     for dhat in (0.0, 0.4, -1.3, 2.5):
         # integrate over the (narrower) noise; the convolution is symmetric
         eps = nodes * p.sigma
@@ -199,15 +186,17 @@ def test_site_likelihood_matches_gauss_hermite(c, z):
 
 def test_dominating_rate_identity():
     p = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
+    gain = 1.0 / (2 * 0.25 * 1.25)  # tau^2 / (2 sigma^2 (sigma^2 + tau^2))
     for d in (0.0, 0.7, -2.0):
-        assert log_dominating_rate(d, p) == pytest.approx(
-            math.log(0.5) + d**2 * p.max_gain_exponent, abs=1e-12
-        )
+        assert log_dominating_rate(d, p) == pytest.approx(math.log(0.5) + d**2 * gain, abs=1e-12)
     # vector form; huge signals stay finite in log space
     rates = log_dominating_rate(np.array([0.0, 40.0, 1e6]), p)
     assert rates.shape == (3,)
     assert np.isfinite(rates).all()
-    assert rates[1] == pytest.approx(math.log(0.5) + 1600.0 * p.max_gain_exponent)
+    assert rates[1] == pytest.approx(math.log(0.5) + 1600.0 * gain)
+    # a signal whose square overflows has an infinite rate, with no floating-point warning
+    with np.errstate(all="raise"):
+        assert log_dominating_rate(np.array([1e200, -1e300]), p).tolist() == [math.inf, math.inf]
 
 
 def test_count_terms_stay_finite_for_huge_signals():
