@@ -1,9 +1,10 @@
 """Reproducible benchmark harness: average mean squared error over replicates.
 
-A cell is one (signal, noise level) pair; every method sees the same noisy
-replicates, each replicate driven by its own seed substream so changing the
-replicate count of a run never perturbs other cells.  Results reduce to CSV
-rows in configuration order regardless of how cells are executed.
+A cell is one (signal, noise level) pair; each noisy replicate is transformed
+once and every method estimates from that decomposition.  Each replicate is
+driven by its own seed substream, so changing the replicate count of a run
+never perturbs other cells.  Results reduce to CSV rows in configuration
+order regardless of how cells are executed.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ from .baselines import (
     universal_threshold,
 )
 from .cftp import CoalescenceError
-from .estimator import denoise
+from .estimator import posterior_median_estimate
 from .model import ModelParams
-from .wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet
+from .wavelet import (
+    SIGNAL_NAMES, WaveletDecomposition, add_noise, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet,
+)
 
 __all__ = [
     "METHODS",
     "ExperimentConfig",
     "ResultRow",
-    "amse",
     "run_experiment",
     "emit_csv",
     "load_config",
@@ -81,7 +83,6 @@ class ExperimentConfig:
     tau: float = 1.0
     seed: int = 0
     methods: tuple[str, ...] = METHODS
-    wavelet_policy: str = "auto"
     record_runtime: bool = True
 
     def __post_init__(self) -> None:
@@ -105,12 +106,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.reps < 1 or self.n_draws < 1:
             raise ValueError("reps and n_draws must be at least 1")
-        if self.wavelet_policy not in ("auto", "haar", "la10"):
-            raise ValueError("wavelet_policy must be 'auto', 'haar', or 'la10'")
-
-    def wavelet_for(self, signal: str):
-        """The filter a signal is analysed with under ``wavelet_policy``."""
-        return get_filter(resolve_wavelet(self.wavelet_policy, signal))
 
 
 @dataclass(frozen=True)
@@ -135,40 +130,30 @@ def _mean_and_se(mses) -> tuple[float, float]:
     return float(np.mean(mses)), float(np.std(mses, ddof=1) / np.sqrt(len(mses)))
 
 
-def amse(estimates: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """Average mean squared error across replicates and its standard error.
-
-    ``estimates`` has one replicate per row.  The standard error is the
-    sample standard deviation of per-replicate MSEs over ``sqrt(reps)``;
-    with a single replicate it is zero.
-    """
-    estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
-    return _mean_and_se(np.mean((estimates - np.asarray(truth, dtype=float)) ** 2, axis=1))
-
-
-def _estimate_one(method: str, y: np.ndarray, filt, sigma: float, cfg: ExperimentConfig, seed) -> np.ndarray:
+def _estimate_one(
+    method: str, dec: WaveletDecomposition, sigma: float, cfg: ExperimentConfig, seed
+) -> WaveletDecomposition:
+    """One method's estimate of the clean coefficients of a noisy decomposition; ``dec`` is not modified."""
     if method == "AIBT":
         params = ModelParams(cfg.lam, cfg.gamma, cfg.tau, sigma)
-        return denoise(y, filt, params, cfg.n_draws, seed)
-    dec = forward_dwt(y, filt)
+        return dec.with_details(posterior_median_estimate(dec.flat_details(), params, cfg.n_draws, seed))
     if method == "Universal":
-        return inverse_dwt(universal_threshold(dec, sigma))
+        return universal_threshold(dec, sigma)
     if method == "SureShrink":
-        return inverse_dwt(sure_shrink(dec, sigma))
+        return sure_shrink(dec, sigma)
     if method == "BayesThresh":
-        pi, tau = estimate_mixture_hyperparams(dec, sigma)
-        return inverse_dwt(bayes_thresh(dec, sigma, pi, tau))
+        return bayes_thresh(dec, sigma, *estimate_mixture_hyperparams(dec, sigma))
     if method == "FDR":
-        return inverse_dwt(fdr_threshold(dec, sigma))
+        return fdr_threshold(dec, sigma)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[ResultRow]:
-    """All method rows for one (signal, rsnr) cell, replicates seeded independently."""
+    """All method rows for one (signal, rsnr) cell; a method's runtime is its estimate plus inverse transform."""
     rsnr = cfg.rsnr[rsnr_index]
     sigma = 1.0 / rsnr
     truth = make_test_signal(signal, cfg.n)
-    filt = cfg.wavelet_for(signal)
+    filt = get_filter(resolve_wavelet("auto", signal))
     signal_id = SIGNAL_NAMES.index(signal)
     mses: dict[str, list[float]] = {m: [] for m in cfg.methods}
     runtime: dict[str, float] = {m: 0.0 for m in cfg.methods}
@@ -176,11 +161,11 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
     for rep in range(cfg.reps):
         cell_ss = np.random.SeedSequence(cfg.seed, spawn_key=(signal_id, rsnr_index, rep))
         noise_ss, method_ss = cell_ss.spawn(2)
-        y = add_noise(truth, sigma, np.random.default_rng(noise_ss))
+        dec = forward_dwt(add_noise(truth, sigma, np.random.default_rng(noise_ss)), filt)
         for method in cfg.methods:
             start = time.perf_counter()
             try:
-                est = _estimate_one(method, y, filt, sigma, cfg, method_ss)
+                est = inverse_dwt(_estimate_one(method, dec, sigma, cfg, method_ss))
             except CoalescenceError as err:
                 failures[method] += 1
                 logger.warning(

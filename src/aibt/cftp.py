@@ -122,8 +122,7 @@ def _key(root: np.random.SeedSequence, t: int) -> np.random.Generator:
 
 def _root(seed) -> np.random.SeedSequence:
     """A draw's root key; taken from the generator, so a reused generator gives fresh draws."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return np.random.SeedSequence(rng.integers(2**63, size=2).tolist())
+    return np.random.SeedSequence(np.random.default_rng(seed).integers(2**63, size=2).tolist())
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

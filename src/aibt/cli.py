@@ -116,7 +116,6 @@ def _cmd_bench(args) -> int:
         tau=args.tau,
         seed=args.seed,
         methods=args.methods.split(",") if args.methods else None,
-        wavelet_policy=args.wavelet_policy,
         record_runtime=False if args.no_runtime else None,
     )
     rows = run_experiment(cfg, workers=args.workers)
@@ -154,7 +153,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--tau", type=float, help="prior coefficient scale")
     b.add_argument("--seed", type=int, help="root seed")
     b.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
-    b.add_argument("--wavelet-policy", choices=("auto", "haar", "la10"))
     b.add_argument("--no-runtime", action="store_true", help="record zero runtimes (byte-stable output)")
     b.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     b.set_defaults(func=_cmd_bench)

@@ -65,9 +65,6 @@ class WaveletFilter:
         object.__setattr__(self, "lowpass", lo)
         object.__setattr__(self, "highpass", hi)
 
-    def __len__(self) -> int:
-        return self.lowpass.size
-
 
 HAAR = WaveletFilter("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
 
@@ -248,25 +245,20 @@ def _raw_signal(name: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown test signal {name!r}; choose from {SIGNAL_NAMES}")
 
 
-def make_test_signal(name: str, n: int, standardize: bool = True) -> np.ndarray:
+def make_test_signal(name: str, n: int) -> np.ndarray:
     """Evaluate a standard piecewise test signal on the grid ``t = k/n``.
 
     Args:
         name: one of ``SIGNAL_NAMES`` (case-insensitive).
         n: number of samples; a power of two, at least 8.
-        standardize: if true (default), shift and scale the samples to zero
-            mean and unit sample standard deviation.
 
     Returns:
-        Array of ``n`` samples.
+        Array of ``n`` samples, standardized to zero mean and unit sample standard deviation.
     """
     if n < 8 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 8, got {n}")
-    t = np.arange(n) / n
-    f = _raw_signal(name.lower(), t)
-    if standardize:
-        f = (f - f.mean()) / f.std(ddof=1)
-    return f
+    f = _raw_signal(name.lower(), np.arange(n) / n)
+    return (f - f.mean()) / f.std(ddof=1)
 
 
 def add_noise(signal: np.ndarray, sigma: float, seed: int | np.random.Generator) -> np.ndarray:
@@ -274,5 +266,4 @@ def add_noise(signal: np.ndarray, sigma: float, seed: int | np.random.Generator)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     signal = np.asarray(signal, dtype=float)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return signal + sigma * rng.standard_normal(signal.size)
+    return signal + sigma * np.random.default_rng(seed).standard_normal(signal.size)

@@ -1,6 +1,7 @@
 """Benchmark harness: seeding discipline, CSV stability, failure reporting."""
 
 import concurrent.futures
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from aibt.bench import (
     METHODS,
     ExperimentConfig,
     ResultRow,
-    amse,
+    _mean_and_se,
     emit_csv,
     load_config,
     run_experiment,
@@ -31,18 +32,16 @@ TINY = dict(
 
 
 def test_amse_hand_example():
-    est = np.array([[1.0, 1.0], [3.0, 3.0]])
-    truth = np.array([2.0, 2.0])
-    mean, se = amse(est, truth)
-    assert mean == 1.0  # per-replicate MSEs are 1 and 1
+    mean, se = _mean_and_se([1.0, 1.0])
+    assert mean == 1.0
     assert se == 0.0
-    est2 = np.array([[2.0, 2.0], [4.0, 2.0]])
-    mean2, se2 = amse(est2, truth)
-    # MSEs are 0 and 2: mean 1, sd sqrt(2), se 1
+    # MSEs 0 and 2: mean 1, sd sqrt(2), se 1
+    mean2, se2 = _mean_and_se([0.0, 2.0])
     assert mean2 == 1.0
     assert se2 == pytest.approx(1.0, rel=1e-12)
-    one, zero = amse(np.array([[3.0, 1.0]]), truth)
+    one, zero = _mean_and_se([1.0])
     assert one == 1.0 and zero == 0.0
+    assert all(np.isnan(_mean_and_se([])))
 
 
 def test_config_validation():
@@ -56,7 +55,6 @@ def test_config_validation():
         dict(rsnr=(0.0,)),
         dict(reps=0),
         dict(n_draws=0),
-        dict(wavelet_policy="sym8"),
         dict(rsnr=(float("nan"),)),
         dict(rsnr=(float("inf"),)),
     ):
@@ -73,14 +71,6 @@ def test_config_validation():
             ExperimentConfig(**{field: value})
 
 
-def test_wavelet_policy():
-    cfg = ExperimentConfig()
-    assert cfg.wavelet_for("Blocks").name == "haar"
-    assert cfg.wavelet_for("Doppler").name == "la10"
-    fixed = ExperimentConfig(wavelet_policy="haar")
-    assert fixed.wavelet_for("Doppler").name == "haar"
-
-
 def test_load_config_from_file_and_mapping(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"signals": ["Blocks"], "reps": 3, "rsnr": [7.0]}))
@@ -93,8 +83,9 @@ def test_load_config_from_file_and_mapping(tmp_path):
     assert load_config(None, n=64) == ExperimentConfig(n=64)
     with pytest.raises(ValueError, match="unknown configuration keys"):
         load_config({}, repz=3)
-    # the sampler has no cutoff or budget to configure, and the model no multiplicity power
-    for key in ("repz", "t0", "t1", "t2", "max_doublings", "z"):
+    # the sampler has no cutoff or budget to configure, the model no multiplicity power,
+    # and the harness picks each signal's filter itself
+    for key in ("repz", "t0", "t1", "t2", "max_doublings", "z", "wavelet_policy"):
         with pytest.raises(ValueError, match="unknown configuration keys"):
             load_config({key: 3})
     bad = tmp_path / "bad.json"
@@ -116,6 +107,14 @@ def test_emit_csv_golden(tmp_path):
         "Blocks,10,AIBT,0.00123456789,0.0002,5,1.5\n"
         "Doppler,3,FDR,nan,nan,0,0\n"
     )
+
+
+def test_pinned_bench_csv(tmp_path):
+    """All five methods on two noise levels give these CSV bytes; a change to any of them shows here."""
+    path = tmp_path / "pinned.csv"
+    emit_csv(run_experiment(ExperimentConfig(n=256, rsnr=(10.0, 3.0), reps=2, seed=7, record_runtime=False)), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "6f0f312f4b5a1b435ddb04f267657e55f255dcfb74a51237e52130b5e6e902c5"
 
 
 def test_run_experiment_is_deterministic(tmp_path):
@@ -207,9 +206,9 @@ def test_failed_replicates_reduce_reps_and_are_counted(monkeypatch):
         calls["n"] += 1
         if calls["n"] == 2:
             raise CoalescenceError(3, 1024.0)
-        return np.zeros(32)
+        return np.zeros(31)
 
-    monkeypatch.setattr("aibt.bench.denoise", flaky)
+    monkeypatch.setattr("aibt.bench.posterior_median_estimate", flaky)
     cfg = ExperimentConfig(**{**TINY, "reps": 3, "methods": ("AIBT",)})
     rows = run_experiment(cfg)
     assert len(rows) == 1
@@ -224,7 +223,7 @@ def test_all_replicates_failing_reports_nan(monkeypatch):
     def always(*args, **kwargs):
         raise CoalescenceError(1, 2.0)
 
-    monkeypatch.setattr("aibt.bench.denoise", always)
+    monkeypatch.setattr("aibt.bench.posterior_median_estimate", always)
     cfg = ExperimentConfig(**{**TINY, "reps": 2, "methods": ("AIBT",)})
     rows = run_experiment(cfg)
     assert rows[0].reps == 0

@@ -30,6 +30,7 @@ def test_usage_error_exits_2_with_json(capsys):
     for argv in (
         ["denoise", "--signal", "Blocks"],  # missing --rsnr is caught later; --out now
         ["denoise", "--signal", "Blocks", "--rsnr", "7", "--out", "x.txt", "--t1", "5"],
+        ["bench", "--wavelet-policy", "haar", "--out", "x.csv"],  # the harness picks each signal's filter
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

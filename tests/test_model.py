@@ -1,6 +1,7 @@
 """Model terms: variances, count terms, density identity, quadrature check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def test_params_validation():
             ModelParams(lam=1.0, gamma=2.0, tau=tau, sigma=sigma)
     ModelParams(lam=1.0, gamma=2.0, tau=1e153, sigma=1.0)
     ModelParams(lam=1.0, gamma=2.0, tau=1.0, sigma=1e-154)
+
+
+def test_numpy_scalar_params_are_stored_as_floats_and_rejected_without_warnings():
+    """A numpy scalar whose square overflows raises the ValueError before numpy can warn on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau, sigma in ((np.float64(1e200), 1.0), (np.float64(1.34e154), np.float64(0.1))):
+            with pytest.raises(ValueError):
+                ModelParams(0.05, 3.0, tau, sigma)
+        p = ModelParams(np.float64(0.05), np.float32(3.0), np.float64(1.0), np.int64(1))
+    assert all(type(getattr(p, name)) is float for name in ("lam", "gamma", "tau", "sigma"))
 
 
 def test_variance_and_gain_formulas():

@@ -13,6 +13,7 @@ from aibt.wavelet import (
     SIGNAL_NAMES,
     WaveletDecomposition,
     WaveletFilter,
+    _raw_signal,
     _synthesis_step,
     _windows,
     add_noise,
@@ -210,23 +211,23 @@ def test_signal_name_and_length_validation():
 
 
 def test_blocks_is_piecewise_constant():
-    x = make_test_signal("Blocks", 256, standardize=False)
+    x = _raw_signal("blocks", np.arange(256) / 256)
     assert len(np.unique(x)) == 11
 
 
 def test_heavisine_midpoint_value():
     # 4 sin(2 pi) - sign(0.2) - sign(0.22) = -2 up to the sine's fp residue
-    x = make_test_signal("Heavisine", 16, standardize=False)
+    x = _raw_signal("heavisine", np.arange(16) / 16)
     assert x[8] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_doppler_left_endpoint_zero():
-    x = make_test_signal("Doppler", 64, standardize=False)
+    x = _raw_signal("doppler", np.arange(64) / 64)
     assert x[0] == 0.0
 
 
 def test_bumps_positive():
-    x = make_test_signal("Bumps", 128, standardize=False)
+    x = _raw_signal("bumps", np.arange(128) / 128)
     assert np.all(x >= 0) and x.max() > 1
 
 
