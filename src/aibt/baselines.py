@@ -85,22 +85,16 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
     Levels that look sparse (rescaled energy excess at most
     ``(log2 m)**1.5 / sqrt(m)``) take the level-wise universal threshold
     ``sigma * sqrt(2 log m)``; dense levels take the SURE minimizer.
-    One-coefficient levels degenerate to the same universal rule, whose
-    threshold is then zero.
+    On a one-coefficient level both rules give threshold zero.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     out = []
     for d in dec.details:
         m = d.size
-        x = d / sigma
-        t_univ = sigma * np.sqrt(2.0 * np.log(m)) if m > 1 else 0.0
-        if m > 1:
-            excess = (np.sum(x**2) - m) / m
-            sparse = excess <= np.log2(m) ** 1.5 / np.sqrt(m)
-        else:
-            sparse = True
-        t = t_univ if sparse else _sure_threshold(d, sigma)
+        excess = (np.sum((d / sigma) ** 2) - m) / m
+        sparse = excess <= np.log2(m) ** 1.5 / np.sqrt(m)
+        t = sigma * np.sqrt(2.0 * np.log(m)) if sparse else _sure_threshold(d, sigma)
         out.append(soft_threshold(d, t))
     return _replace(dec, out)
 

@@ -90,7 +90,10 @@ class ExperimentConfig:
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name} must be {kind}, not {getattr(self, name)!r}")
         object.__setattr__(self, "signals", tuple(self.signals))
-        object.__setattr__(self, "rsnr", tuple(float(r) for r in self.rsnr))
+        try:
+            object.__setattr__(self, "rsnr", tuple(float(r) for r in self.rsnr))
+        except OverflowError:
+            raise ValueError("rsnr values must be positive and finite") from None
         object.__setattr__(self, "methods", tuple(self.methods))
         for s in self.signals:
             if s not in SIGNAL_NAMES:
@@ -106,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.reps < 1 or self.n_draws < 1:
             raise ValueError("reps and n_draws must be at least 1")
+        for r in self.rsnr:  # a bad model setting fails here, before any cell runs
+            ModelParams(self.lam, self.gamma, self.tau, 1.0 / r)
 
 
 @dataclass(frozen=True)
@@ -201,23 +206,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Run every cell of the configuration and return rows in configuration order.
 
     ``workers`` bounds the process pool, which starts no more processes
-    than there are cells; cells are independent jobs and the reduction does
-    not depend on completion order.
+    than there are cells; cells are independent jobs, collected in the
+    order they were submitted.
     """
     cells = [(signal, i) for signal in cfg.signals for i in range(len(cfg.rsnr))]
-    results: dict[tuple[str, int], list[ResultRow]] = {}
     if workers <= 1:
-        for signal, i in cells:
-            results[(signal, i)] = _run_cell(cfg, signal, i)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            futures = {pool.submit(_run_cell, cfg, signal, i): (signal, i) for signal, i in cells}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    rows: list[ResultRow] = []
-    for key in cells:
-        rows.extend(results[key])
-    return rows
+        return [row for signal, i in cells for row in _run_cell(cfg, signal, i)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        futures = [pool.submit(_run_cell, cfg, signal, i) for signal, i in cells]
+        return [row for fut in futures for row in fut.result()]
 
 
 def emit_csv(rows: list[ResultRow], path: str) -> None:

@@ -215,7 +215,7 @@ class _OccupancyField:
         that no other occupied site covers is one where ``cov == occ[s]``.
         """
         rows, nbr = self.rows[c], self.lattice.class_nbr[c]
-        near = _rows(cov)[nbr].view(np.int8).reshape(*nbr.shape, cov.shape[-1])  # gathered one row per index
+        near = np.take(cov, nbr, axis=0)
         here = occ[rows]
         unc = (near == here).sum(axis=0, dtype=np.int8)
         return near, here, self.log_w[rows, None] - unc * self.log_gamma

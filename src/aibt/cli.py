@@ -7,12 +7,13 @@ with status 2 and runtime errors with status 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .bench import METHODS, emit_csv, load_config, run_experiment
+from .bench import METHODS, ExperimentConfig, emit_csv, load_config, run_experiment
 from .cftp import CoalescenceError, cftp_counts, held_sites
 from .estimator import denoise
 from .lattice import lattice_for
@@ -35,11 +36,7 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=256, help="samples for a named signal (power of two)")
     p.add_argument("--rsnr", type=float, help="root signal-to-noise ratio for a named signal")
     p.add_argument("--noise-seed", type=int, default=0, help="seed for the added noise")
-    p.add_argument("--sigma", type=float, help="noise level of a file input")
-    p.add_argument(
-        "--estimate-sigma", action="store_true",
-        help="estimate the noise level from the finest detail coefficients",
-    )
+    p.add_argument("--sigma", type=float, help="noise level of a file input; estimated from the data if left out")
     p.add_argument(
         "--wavelet", choices=("auto", "haar", "la10"), default="auto",
         help="analysis filter; auto picks haar for Blocks, la10 otherwise",
@@ -47,10 +44,19 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_param_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lam", type=float, default=0.05, help="prior per-site intensity")
-    p.add_argument("--gamma", type=float, default=3.0, help="clustering reward (>= 1)")
-    p.add_argument("--tau", type=float, default=1.0, help="prior coefficient scale")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
+    """The model and seed options, unset by default; ``denoise`` and ``sample`` default them to the config's."""
+    p.add_argument("--lam", type=float, help="prior per-site intensity")
+    p.add_argument("--gamma", type=float, help="clustering reward (>= 1)")
+    p.add_argument("--tau", type=float, help="prior coefficient scale")
+    p.add_argument("--seed", type=int, help="random seed")
+
+
+def _comma_list(kind):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _resolve_input(args) -> tuple[np.ndarray, float, str]:
@@ -60,6 +66,8 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
             raise ValueError(f"{flag} must be a non-negative integer, not {seed}")
     wavelet = resolve_wavelet(args.wavelet, args.signal)
     if args.signal is not None:
+        if args.sigma is not None:
+            raise ValueError("--sigma applies to --in only; a named signal's noise level is 1 / --rsnr")
         if args.rsnr is None:
             raise ValueError("--rsnr is required with --signal")
         if not (args.rsnr > 0 and np.isfinite(args.rsnr)):
@@ -68,13 +76,10 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
         sigma = 1.0 / args.rsnr
         y = add_noise(truth, sigma, args.noise_seed)
     else:
+        if args.rsnr is not None:
+            raise ValueError("--rsnr applies to --signal only; a file's noise level is --sigma or its estimate")
         y = np.loadtxt(args.infile)
-        if args.sigma is not None:
-            sigma = args.sigma
-        elif args.estimate_sigma:
-            sigma = estimate_sigma_mad(forward_dwt(y, get_filter(wavelet)))
-        else:
-            raise ValueError("file input needs --sigma or --estimate-sigma")
+        sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(forward_dwt(y, get_filter(wavelet)))
     if sigma <= 0:
         raise ValueError("noise level must be positive")
     return np.asarray(y, dtype=float), float(sigma), wavelet
@@ -104,56 +109,42 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_config(
-        args.config,
-        signals=args.signals.split(",") if args.signals else None,
-        n=args.n,
-        rsnr=[float(r) for r in args.rsnr.split(",")] if args.rsnr else None,
-        reps=args.reps,
-        n_draws=args.draws,
-        lam=args.lam,
-        gamma=args.gamma,
-        tau=args.tau,
-        seed=args.seed,
-        methods=args.methods.split(",") if args.methods else None,
-        record_runtime=False if args.no_runtime else None,
-    )
-    rows = run_experiment(cfg, workers=args.workers)
-    emit_csv(rows, args.out)
+    cfg = load_config(args.config, **{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)})
+    emit_csv(run_experiment(cfg, workers=args.workers), args.out)
     return 0
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aibt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    param_defaults = {name: getattr(ExperimentConfig, name) for name in ("lam", "gamma", "tau", "seed")}
 
-    d = sub.add_parser("denoise", help="denoise one signal", parents=[], add_help=True)
+    d = sub.add_parser("denoise", help="denoise one signal")
     _add_input_options(d)
     _add_param_options(d)
     d.add_argument("--draws", type=int, default=25, help="posterior draws for the median")
     d.add_argument("--out", required=True, help="output file, one sample per line")
-    d.set_defaults(func=_cmd_denoise)
+    d.set_defaults(func=_cmd_denoise, **param_defaults)
 
     s = sub.add_parser("sample", help="write one exact posterior occupancy draw")
     _add_input_options(s)
     _add_param_options(s)
     s.add_argument("--out", required=True, help="output CSV with columns j,k,xi,held")
-    s.set_defaults(func=_cmd_sample)
+    s.set_defaults(func=_cmd_sample, **param_defaults)
 
+    # each bench option sets the ExperimentConfig field its dest names; one left out keeps the config's value
     b = sub.add_parser("bench", help="run the benchmark grid and write CSV")
     b.add_argument("--config", help="JSON file with ExperimentConfig fields")
     b.add_argument("--out", required=True, help="output CSV path")
-    b.add_argument("--signals", help="comma-separated subset of " + ",".join(SIGNAL_NAMES))
+    b.add_argument("--signals", type=_comma_list(str), help="comma-separated subset of " + ",".join(SIGNAL_NAMES))
     b.add_argument("--n", type=int, help="signal length")
-    b.add_argument("--rsnr", help="comma-separated noise ratios")
+    b.add_argument("--rsnr", type=_comma_list(float), help="comma-separated noise ratios")
     b.add_argument("--reps", type=int, help="replicates per cell")
-    b.add_argument("--draws", type=int, help="posterior draws per estimate")
-    b.add_argument("--lam", type=float, help="prior per-site intensity")
-    b.add_argument("--gamma", type=float, help="clustering reward")
-    b.add_argument("--tau", type=float, help="prior coefficient scale")
-    b.add_argument("--seed", type=int, help="root seed")
-    b.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
-    b.add_argument("--no-runtime", action="store_true", help="record zero runtimes (byte-stable output)")
+    b.add_argument("--draws", dest="n_draws", type=int, help="posterior draws per estimate")
+    _add_param_options(b)
+    b.add_argument("--methods", type=_comma_list(str), help="comma-separated subset of " + ",".join(METHODS))
+    b.add_argument("--no-runtime", dest="record_runtime", action="store_false", default=None,
+                   help="record zero runtimes (byte-stable output)")
     b.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     b.set_defaults(func=_cmd_bench)
     return parser

@@ -54,7 +54,10 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "gamma", "tau", "sigma"):  # numpy scalars would warn on overflow below
-            object.__setattr__(self, name, float(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
         if not (self.gamma >= 1 and math.isfinite(self.gamma)):

@@ -71,6 +71,18 @@ def test_config_validation():
             ExperimentConfig(**{field: value})
 
 
+def test_config_checks_the_model_at_each_noise_level():
+    """Each rsnr's ``ModelParams(lam, gamma, tau, 1 / rsnr)`` is built with the config, not when a cell runs."""
+    for bad in (dict(lam=-1.0), dict(gamma=0.5), dict(tau=1e160), dict(tau=10**400)):
+        with pytest.raises(ValueError, match="^(lam|gamma|tau) "):
+            ExperimentConfig(**bad)
+    ExperimentConfig(tau=1e153, rsnr=(1.0,))
+    with pytest.raises(ValueError, match=r"^tau\*\*2 / sigma\*\*2"):  # overflows only at sigma = 0.01
+        ExperimentConfig(tau=1e153, rsnr=(1.0, 100.0))
+    with pytest.raises(ValueError, match="^rsnr "):
+        ExperimentConfig(rsnr=(10**400,))
+
+
 def test_load_config_from_file_and_mapping(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"signals": ["Blocks"], "reps": 3, "rsnr": [7.0]}))

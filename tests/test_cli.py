@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aibt
+from aibt import cli
 from aibt.cli import main
-from aibt.wavelet import SIGNAL_NAMES, add_noise, make_test_signal
+from aibt.model import estimate_sigma_mad
+from aibt.wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, make_test_signal
 
 
 def _stderr_json(capsys):
@@ -31,6 +33,7 @@ def test_usage_error_exits_2_with_json(capsys):
         ["denoise", "--signal", "Blocks"],  # missing --rsnr is caught later; --out now
         ["denoise", "--signal", "Blocks", "--rsnr", "7", "--out", "x.txt", "--t1", "5"],
         ["bench", "--wavelet-policy", "haar", "--out", "x.csv"],  # the harness picks each signal's filter
+        ["denoise", "--in", "x.txt", "--estimate-sigma", "--out", "x.txt"],  # leaving out --sigma estimates it
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -94,12 +97,36 @@ def test_parameter_whose_square_overflows_exits_1_with_json(flag, value, tmp_pat
     assert json.loads(err[0])["error"].startswith("tau" if flag == "--tau" else "sigma")
 
 
-def test_file_input_requires_sigma(tmp_path, capsys):
+def test_file_input_without_sigma_estimates_it(tmp_path):
+    """Leaving out ``--sigma`` is the same as passing the MAD estimate of the finest details."""
     f = tmp_path / "y.txt"
-    np.savetxt(f, np.zeros(32))
-    rc = main(["denoise", "--in", str(f), "--out", str(tmp_path / "out.txt")])
+    y = add_noise(make_test_signal("Doppler", 64), 0.2, seed=3)
+    np.savetxt(f, y, fmt="%.17g")
+    sigma = estimate_sigma_mad(forward_dwt(y, get_filter("la10")))
+    argv = ["denoise", "--in", str(f), "--draws", "3", "--out"]
+    assert main([*argv, str(tmp_path / "estimated.txt")]) == 0
+    assert main([*argv, str(tmp_path / "given.txt"), "--sigma", repr(sigma)]) == 0
+    assert (tmp_path / "estimated.txt").read_bytes() == (tmp_path / "given.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["denoise", "sample"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--signal", "Blocks", "--n", "32", "--rsnr", "3", "--sigma", "5"], "--sigma"),
+     (["--in", "{file}", "--rsnr", "3"], "--rsnr")],
+    ids=["sigma-with-signal", "rsnr-with-file"],
+)
+def test_option_for_the_other_input_exits_1_with_json(command, argv, flag, tmp_path, capsys):
+    """``--sigma`` belongs to file input and ``--rsnr`` to a named signal; neither is silently ignored."""
+    f = tmp_path / "y.txt"
+    np.savetxt(f, np.random.default_rng(0).standard_normal(32))
+    out = tmp_path / "out.txt"
+    rc = main([command, *(a.replace("{file}", str(f)) for a in argv), "--out", str(out)])
     assert rc == 1
-    assert "sigma" in _stderr_json(capsys)["error"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"].startswith(flag)
+    assert not out.exists()
 
 
 def test_denoise_named_signal(tmp_path):
@@ -120,8 +147,7 @@ def test_denoise_file_input_with_estimated_sigma(tmp_path):
     f = tmp_path / "noisy.txt"
     np.savetxt(f, y, fmt="%.17g")
     out = tmp_path / "est.txt"
-    rc = main(["denoise", "--in", str(f), "--estimate-sigma", "--draws", "9",
-               "--out", str(out)])
+    rc = main(["denoise", "--in", str(f), "--draws", "9", "--out", str(out)])
     assert rc == 0
     est = np.loadtxt(out)
     assert np.mean((est - truth) ** 2) < np.mean((y - truth) ** 2)
@@ -183,6 +209,35 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys):
     assert rc == 1
     assert "reps" in _stderr_json(capsys)["error"]
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, code",
+    [
+        (["--lam", "-1"], None, 1),
+        (["--methods", "FDR,AIBT", "--gamma", "0.5"], None, 1),
+        ([], {"tau": 10**400}, 1),
+        ([], {"rsnr": [10**400]}, 1),
+        (["--rsnr", "abc"], None, 2),
+    ],
+    ids=["lam--1", "gamma-0.5", "config-tau-401-digits", "config-rsnr-401-digits", "rsnr-abc"],
+)
+def test_bench_rejects_bad_settings_before_any_cell_runs(argv, config, code, tmp_path, capsys, monkeypatch):
+    """A bad flag exits 2 and a bad setting 1, each with one JSON line and before the runner is called."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    try:
+        rc = main(["bench", *argv, "--out", str(tmp_path / "o.csv")])
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 def test_module_entry_point_runs():

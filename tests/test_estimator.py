@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from oracles import enumerate_posterior
 
 from aibt import estimator
 from aibt.cftp import _root, cftp_counts, held_sites
@@ -127,6 +129,57 @@ def test_pinned_denoise(signal, wavelet, noise_seed, sigma, n, expected):
         y = make_test_signal(signal, n) + y
     est = denoise(y, get_filter(wavelet), ModelParams(0.05, 3, 1, sigma), n_draws=9, seed=5)
     assert hashlib.sha256(est.tobytes()).hexdigest()[:16] == expected
+
+
+def _exact_median(post, site, dhat, params):
+    """Median and density there of site ``site``'s exact posterior coefficient law, and its atom at zero.
+
+    The law is an atom at 0 (count 0) plus ``N(w_c dhat, w_c sigma**2)`` per count ``c >= 1``,
+    ``w_c = tau**2 c / (sigma**2 + tau**2 c)``; its cdf is inverted by bisection.
+    """
+    mass = {}
+    for counts, pr in post.items():
+        mass[counts[site]] = mass.get(counts[site], 0.0) + pr
+    atom = mass.pop(0, 0.0)
+    parts = []
+    for c, pr in mass.items():
+        w = params.tau**2 * c / (params.sigma**2 + params.tau**2 * c)
+        parts.append((pr, NormalDist(w * dhat[site], math.sqrt(w) * params.sigma)))
+    lo, hi = -100.0, 100.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        below = atom * (mid >= 0) + sum(pr * law.cdf(mid) for pr, law in parts)
+        lo, hi = (mid, hi) if below < 0.5 else (lo, mid)
+    return hi, sum(pr * law.pdf(hi) for pr, law in parts), atom
+
+
+@pytest.mark.parametrize(
+    "dhat, n_continuous", [((0.5, 0.3, -0.2), 0), ((4.0, 0.3, -0.2), 1)], ids=["all-atoms", "continuous-root"]
+)
+def test_posterior_median_matches_enumeration(dhat, n_continuous):
+    """On the 3-site lattice with no held site, the estimate converges to the exact posterior median.
+
+    Where the atom at zero holds more than half the mass the estimate is exactly 0; where the
+    median lies in the continuous part the estimate, a sample median of ``K`` exact draws, is
+    within 4 standard errors ``1 / (2 f(m) sqrt(K))`` of it.
+    """
+    params = ModelParams(lam=0.5, gamma=1.5, tau=1.0, sigma=1.0)
+    dhat = np.array(dhat)
+    assert not held_sites(dhat, params).any()
+    post = enumerate_posterior(dhat, params, caps=(20, 6, 6))
+    k = 4001
+    est = posterior_median_estimate(dhat, params, n_draws=k, seed=11)
+    continuous = 0
+    for site in range(3):
+        median, density, atom = _exact_median(post, site, dhat, params)
+        if atom > 0.5:
+            assert atom > 0.6  # far enough above 1/2 that fewer than half empty draws is negligible
+            assert est[site] == 0.0
+        else:
+            continuous += 1
+            assert median != 0.0
+            assert abs(est[site] - median) < 4.0 / (2.0 * density * math.sqrt(k))
+    assert continuous == n_continuous
 
 
 def test_posterior_median_deterministic():

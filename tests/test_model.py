@@ -34,8 +34,10 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)
-    # tau and sigma enter squared: a square that overflows or underflows to zero names its field
-    for name, value in (("tau", 1e160), ("sigma", 1e200), ("tau", 1e-170), ("sigma", 1e-200)):
+    # tau and sigma enter squared: a square that overflows or underflows to zero names its field,
+    # and so does any field given an integer too large for a float, as a JSON config can give one
+    for name, value in (("tau", 1e160), ("sigma", 1e200), ("tau", 1e-170), ("sigma", 1e-200),
+                        ("lam", 10**400), ("gamma", 10**400), ("tau", 10**400), ("sigma", 10**400)):
         with pytest.raises(ValueError, match=f"^{name} "):
             ModelParams(**{"lam": 1.0, "gamma": 2.0, "tau": 1.0, "sigma": 1.0, name: value})
     # tau**2 / sigma**2 must not overflow, and the gain tau**2 / (2 v(0) v(1)) must be neither 0 nor inf
