@@ -18,11 +18,14 @@ class have intersecting neighbourhoods, so a class updates as one
 vectorized step.  The chains of all draws are stored one
 row per site in the lattice's class-major order, so a class is a slice of
 rows and its update gathers and scatters only the coverage around it; its
-cost hardly grows with the number of draws.  A uniform at or above its
-site's cut turns the site off whatever its neighbours, so its logit is not
-computed.  The field knows only ``log W`` and ``log gamma``; the
-multiplicity law, kept apart, sums ``log W`` over chunks of rate-sorted
-sites, each only as far as its own rates need, and draws the counts.
+cost hardly grows with the number of draws.  Each sweep turns each
+uniform into an integer on-limit, the largest ``unc`` at which it turns
+its site on; a uniform at or above its site's cut turns it off whatever
+its neighbours, so its logit is not computed.  The field knows only ``log
+W`` and ``log gamma``; the multiplicity law, kept apart, sums ``log W``
+over chunks of rate-sorted sites, each only as far as its own rates need,
+and draws the counts.  Random streams are drawn only as far as they are
+read: numpy fills them one value at a time, so a short fill is a prefix.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
 exp(dhat**2 * g)``, ``g = tau**2 / (2 * sigma**2 * (sigma**2 + tau**2))``,
@@ -35,6 +38,7 @@ sampler targets.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -122,7 +126,10 @@ def _key(root: np.random.SeedSequence, t: int) -> np.random.Generator:
 
 def _root(seed) -> np.random.SeedSequence:
     """A draw's root key; taken from the generator, so a reused generator gives fresh draws."""
-    return np.random.SeedSequence(np.random.default_rng(seed).integers(2**63, size=2).tolist())
+    ints = np.random.default_rng(seed).integers(2**63, size=2).tolist()
+    # the uint32 words SeedSequence makes of a list of ints (no zero high word): the same keys, derived faster
+    words = [w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]]
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -133,22 +140,28 @@ def _rows(a: np.ndarray) -> np.ndarray:
 def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per site, the multiplicity cap and ``log W``; held sites get cap 0 and ``log W = +inf``.
 
-    Simulated sites are capped per chunk of ``_CHUNK_SITES`` in rate order (see :func:`_count_cap`).
+    Simulated sites are capped per chunk of ``_CHUNK_SITES`` in rate order, tied rates in site order (see
+    :func:`_count_cap`); a run of chunks with one cap shares one pass.
     """
     log_rate = log_dominating_rate(dhat, params)
     sim_sites = np.flatnonzero(~(log_rate > _HELD_LOG_RATE))  # the complement of held_sites
     log_rate = log_rate[sim_sites]
-    by_rate = np.argsort(log_rate, kind="stable")
+    by_rate = np.argsort(log_rate)
+    if not (log_rate[by_rate[1:]] > log_rate[by_rate[:-1]]).all():  # a tie or a nan: only the stable order is unique
+        by_rate = np.argsort(log_rate, kind="stable")
+    chunk_tops = log_rate[np.append(by_rate[_CHUNK_SITES - 1 :: _CHUNK_SITES], by_rate[-1:])]  # a last one may repeat
+    ranked = sim_sites[by_rate]
     cap = np.zeros(dhat.size, dtype=np.int64)
-    for lo in range(0, by_rate.size, _CHUNK_SITES):
-        chunk = by_rate[lo : lo + _CHUNK_SITES]
-        cap[sim_sites[chunk]] = _count_cap(float(log_rate[chunk[-1]]))
     log_w = np.full(dhat.size, np.inf)
-    for c in np.unique(cap[sim_sites]):
-        sites = np.flatnonzero(cap == c)
+    lo = 0
+    for c, run in itertools.groupby(_count_cap(r) for r in chunk_tops.tolist()):
+        sites = ranked[lo : lo + _CHUNK_SITES * len(list(run))]
+        lo += sites.size
+        cap[sites] = c
         terms = log_count_terms(dhat[sites], params, c)
         top = terms.max(axis=1)
-        log_w[sites] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        np.exp(np.subtract(terms, top[:, None], out=terms), out=terms)
+        log_w[sites] = top + np.log(terms.sum(axis=1))
     return cap, log_w
 
 
@@ -157,11 +170,13 @@ def _draw_counts(occ: np.ndarray, roots: list[np.random.SeedSequence], dhat: np.
     """Multiplicities from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``, ``c <= cap``, where ``occ[draw, site]`` holds.
 
     ``cap`` and ``log_w`` come from :func:`_site_weights`; the count terms
-    are evaluated only at the occupied simulated sites, once per cap.
+    are evaluated only at the occupied simulated sites, once per cap, with uniforms from each draw's key 0.
     """
     counts = np.zeros(occ.shape, dtype=np.int64)
-    u = np.stack([_key(root, 0).random(occ.shape[1]) for root in roots])
     draw, site = np.nonzero(occ & (cap > 0))
+    u = np.empty(occ.shape)
+    for i in np.flatnonzero(np.append(draw[1:] != draw[:-1], draw.size > 0)):  # each draw's last site
+        _key(roots[draw[i]], 0).random(out=u[draw[i], : site[i] + 1])
     site_cap = cap[site]
     for c in np.unique(site_cap):
         d, s = draw[site_cap == c], site[site_cap == c]
@@ -181,20 +196,18 @@ class _OccupancyField:
     ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
-    in ``cov``, so it never counts as uncovered.  Decided-off uniforms get
-    the logit ``+inf``.
+    in ``cov``, so it never counts as uncovered.  Row ``i``'s log-odds at ``unc = k`` is ``thresholds[i, k]``.
     """
 
     def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
         n = lattice.n_sites
         order = lattice.class_order
         self.lattice = lattice
-        self.log_gamma = log_gamma
         ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
         self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-        self.log_w = log_w[order]
+        self.thresholds = log_w[order, None] - np.arange(lattice.max_neighbourhood + 1) * log_gamma
         # both start states are constants of the field, built once and broadcast per run
-        held_pad = np.append(self.log_w == np.inf, False)
+        held_pad = np.append(log_w[order] == np.inf, False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
         held_near = held_pad[lattice.ordered_nbr].sum(axis=1)
@@ -208,30 +221,34 @@ class _OccupancyField:
         occ, cov = states.reshape(2, self.lattice.n_sites + 1, -1)
         return occ, cov
 
-    def _gather(self, occ: np.ndarray, cov: np.ndarray, c: int):
-        """Coverage around class ``c``, its occupancy and its log-odds ``log W_s - unc_s * log(gamma)``.
+    def on_limits(self, u: np.ndarray) -> np.ndarray:
+        """Per row and chain, the largest ``unc`` with ``logit(u[draw, site]) < log W - unc * log(gamma)``, or -1.
 
-        ``cov`` counts ``s`` itself when it is occupied, so a site of ``B(s)``
-        that no other occupied site covers is one where ``cov == occ[s]``.
+        The thresholds never increase with ``unc``, so ``unc <= limit`` is that float comparison.  Like
+        ``occ``, the result has a column per top chain and then per bottom chain; both chains share ``u``.
+        """
+        lim = np.full((self.lattice.n_sites, 2, u.shape[0]), -1, dtype=np.int8)
+        draw, site = np.nonzero(u < self.u_off)
+        row = self.lattice.rank[site]
+        with np.errstate(divide="ignore"):
+            logit = np.log(u[draw, site]) - np.log1p(-u[draw, site])
+        lim[row, :, draw] = (logit[:, None] < self.thresholds[row]).sum(axis=1, keepdims=True) - 1
+        return lim.reshape(self.lattice.n_sites, -1)
+
+    def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, lim: np.ndarray) -> None:
+        """Heat-bath update of class ``c`` in place: a site turns on iff ``unc <= lim``.
+
+        ``lim[i, j]`` is chain ``j``'s on-limit at row ``i`` (see :meth:`on_limits`).  ``cov`` counts ``s``
+        itself when occupied, so the sites of ``B(s)`` that no other occupied site covers are those with ``cov
+        == occ[s]``.  No two sites of a class share a neighbour, so the scattered rows are distinct, apart
+        from the pad row, which is reset after.
         """
         rows, nbr = self.rows[c], self.lattice.class_nbr[c]
         near = np.take(cov, nbr, axis=0)
         here = occ[rows]
-        unc = (near == here).sum(axis=0, dtype=np.int8)
-        return near, here, self.log_w[rows, None] - unc * self.log_gamma
-
-    def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, logit_u: np.ndarray) -> None:
-        """Heat-bath update of class ``c`` in place: a site turns on iff ``logit(u) < log-odds``.
-
-        ``logit_u[i, d]`` is draw ``d``'s uniform at row ``i``, shared by its
-        top and bottom chain.  No two sites of a class share a neighbour, so
-        the scattered rows are distinct, apart from the pad row, which is
-        reset after.
-        """
-        rows = self.rows[c]
-        near, here, odds = self._gather(occ, cov, c)
-        new = (logit_u[rows, None] < odds.reshape(len(here), 2, -1)).reshape(odds.shape).view(np.int8)
-        _rows(cov)[self.lattice.class_nbr[c]] = _rows(near + (new - here))
+        unc = (near == here).view(np.int8).sum(axis=0, dtype=np.int8)
+        new = (unc <= lim[rows]).view(np.int8)
+        _rows(cov)[nbr] = _rows(near + (new - here))
         cov[-1] = _PAD_COVERAGE
         occ[rows] = new
 
@@ -243,20 +260,13 @@ class _OccupancyField:
         n = self.lattice.n_sites
         occ, cov = self.start(len(roots))
         u = np.empty((len(roots), n))
-        logit_u = np.empty((n, len(roots)))
         for t in range(sweeps, 0, -1):
             for row, root in zip(u, roots):
                 _key(root, t).random(out=row)
-            # the logits of the uniforms below their site's cut, in row order; the rest are +inf
-            logit_u.fill(np.inf)
-            draw, site = np.nonzero(u < self.u_off)
-            with np.errstate(divide="ignore"):
-                logit_u[self.lattice.rank[site], draw] = np.log(u[draw, site]) - np.log1p(-u[draw, site])
+            lim = self.on_limits(u)
             for c in range(len(self.rows)):
-                self.update_class(occ, cov, c, logit_u)
-        state = np.empty((n, occ.shape[1]), dtype=bool)
-        state[self.lattice.class_order] = occ[:-1]
-        return state.reshape(n, 2, len(roots)).transpose(1, 2, 0)
+                self.update_class(occ, cov, c, lim)
+        return occ[self.lattice.rank[:-1]].view(bool).reshape(n, 2, -1).transpose(1, 2, 0)
 
 
 def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -114,6 +115,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # built on first use, not at import, and reused by later calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aibt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -155,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CoalescenceError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, CoalescenceError, json.JSONDecodeError, MemoryError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

@@ -60,9 +60,9 @@ def posterior_median_estimate(
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
     counts = cftp_counts(dhat, params, rngs)
-    noise = np.stack([rng.standard_normal(dhat.size) for rng in rngs])
     held = held_sites(dhat, params)
     cols = np.flatnonzero(held | (counts > 0).any(axis=0))
+    noise = np.stack([rng.standard_normal(cols[-1] + 1 if cols.size else 0) for rng in rngs])
     draws = _coefficients(counts[:, cols], dhat[cols], params, held[cols], noise[:, cols])
     est = np.zeros(dhat.size)
     est[cols] = np.sort(draws, axis=0)[(n_draws - 1) // 2]

@@ -112,8 +112,10 @@ def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:
     c = np.arange(1, cap + 1, dtype=float)
     v0 = params.variance(0)
     v = params.variance(c)
-    log_ratio = d2 * (1.0 / v0 - 1.0 / v) / 2.0 - 0.5 * np.log(v / v0)
-    return c * math.log(params.lam) - np.cumsum(np.log(c)) + log_ratio
+    terms = d2 * (1.0 / v0 - 1.0 / v)  # then in place: the floats of one expression, in one array
+    terms *= 0.5
+    terms -= 0.5 * np.log(v / v0)
+    return np.add(terms, c * math.log(params.lam) - np.cumsum(np.log(c)), out=terms)
 
 
 def log_dominating_rate(dhat_u, params: ModelParams):

@@ -96,6 +96,21 @@ def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
     return cov
 
 
+def heat_bath_log_odds(lattice: Lattice, log_w: np.ndarray, log_gamma: float, occ: np.ndarray, c: int) -> np.ndarray:
+    """The float log-odds ``log W_s - unc_s * log(gamma)`` of colour class ``c``'s sites in each chain of a state.
+
+    ``occ`` is a sampler state (see :func:`gathered_coverage`) and ``log_w``
+    is per site in flat order.  ``unc_s`` counts the sites of ``B(s)`` that
+    no occupied site other than ``s`` covers.  The sampler compares integer
+    on-limits with ``unc_s``; these are the floats those comparisons stand for.
+    """
+    sites = lattice.colour_classes[c]
+    rows = lattice.rank[sites]
+    cov = gathered_coverage(lattice, occ)[lattice.ordered_nbr[rows]]  # (sites, neighbours, chains)
+    unc = (cov - occ[rows, None].astype(np.int64) == 0).sum(axis=1)
+    return log_w[sites, None] - unc * log_gamma
+
+
 def uncovered_measure(u: Site, counts) -> int:
     """Number of sites in ``B(u)`` not covered by any occupied site of a count vector.
 

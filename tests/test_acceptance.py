@@ -17,7 +17,13 @@ from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
-from oracles import enumerate_posterior, gathered_coverage, gillespie_occupancy, occupancy_pattern_probs
+from oracles import (
+    enumerate_posterior,
+    gathered_coverage,
+    gillespie_occupancy,
+    heat_bath_log_odds,
+    occupancy_pattern_probs,
+)
 
 
 def test_exact_draws_match_enumeration():
@@ -95,13 +101,12 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
         top = slice(0, len(roots))
         bottom = slice(len(roots), None)
         for t in range(32, 0, -1):
-            u = np.stack([_key(r, t).random(lat.n_sites) for r in roots], axis=1)[lat.class_order]
-            logit_u = np.log(u) - np.log1p(-u)
+            lim = field.on_limits(np.stack([_key(r, t).random(lat.n_sites) for r in roots]))
             for c, rows in enumerate(field.rows):
-                prob = 1.0 / (1.0 + np.exp(-field._gather(occ, cov, c)[2]))
+                prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(p.gamma), occ, c)))
                 lo, hi = prob[:, bottom], prob[:, top]
                 assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
-                field.update_class(occ, cov, c, logit_u)
+                field.update_class(occ, cov, c, lim)
                 assert np.all(occ[:, bottom] <= occ[:, top])
                 total += int(sim_rows[rows].sum()) * len(roots)  # held sites are not counted
             assert np.array_equal(cov[:-1], gathered_coverage(lat, occ)[:-1])
@@ -126,12 +131,12 @@ def test_conditional_intensity_factor_bounds():
         if log_rate > _HELD_LOG_RATE:  # a held site, never simulated
             continue
         dhat = np.full(lat.n_sites, d)
-        field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
+        log_w = _site_weights(dhat, params)[1]
         occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
         occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
-        cov = gathered_coverage(lat, occ)
-        c = int(rng.integers(len(field.rows)))
-        clustering = field._gather(occ, cov, c)[2] - field.log_w[field.rows[c], None]
+        c = int(rng.integers(len(lat.colour_classes)))
+        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)
+        clustering = odds - log_w[lat.colour_classes[c], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -155,13 +160,13 @@ def test_intensity_consistent_with_density():
         counts = rng.poisson(0.4, lat.n_sites)
         dhat = rng.normal(0.0, 1.2, lat.n_sites)
         clamped = held_sites(dhat, params)
-        field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
+        log_w = _site_weights(dhat, params)[1]
         # the classes that hold a simulated site, drawn from as when held sites sat outside them
         live = [c for c, members in enumerate(lat.colour_classes) if not clamped[members].all()]
         c = live[int(rng.integers(len(live)))]
         sites = lat.colour_classes[c]
         occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
-        odds = field._gather(occ, gathered_coverage(lat, occ), c)[2][:, 0]
+        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:
                 assert odds[i] == math.inf
@@ -192,16 +197,15 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
     dhat = np.array([0.3, -0.6, 1.8863236699596295 if clamped else 0.5])
     held = held_sites(dhat, params)
     assert held.tolist() == [False, False, clamped]
-    field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
+    log_w = _site_weights(dhat, params)[1]
     patterns = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(40, 40, 4 if clamped else 40)))
     worst = 0.0
     for pattern in patterns:
         if clamped and not pattern[2]:
             continue
         occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
-        cov = gathered_coverage(lat, occ)
         for c, sites in enumerate(lat.colour_classes):
-            prob = 1.0 / (1.0 + np.exp(-field._gather(occ, cov, c)[2][:, 0]))
+            prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]))
             for s, p_on in zip(sites.tolist(), prob):
                 if held[s]:  # a held site sits in its class and always turns on
                     assert p_on == 1.0

@@ -26,7 +26,14 @@ from aibt.estimator import _coefficients
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from aibt.wavelet import forward_dwt, get_filter, make_test_signal
-from oracles import brute_coverage, enumerate_posterior, gathered_coverage, neighbourhood, occupancy_pattern_probs
+from oracles import (
+    brute_coverage,
+    enumerate_posterior,
+    gathered_coverage,
+    heat_bath_log_odds,
+    neighbourhood,
+    occupancy_pattern_probs,
+)
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 
@@ -164,7 +171,8 @@ def test_sandwich_order_holds_eventwise():
     rng = np.random.default_rng(8)
     updates = 0
     for case in range(40):
-        field, _, held = _field(case, n_levels=5, clamp=case % 2 == 1)
+        field, dhat, held = _field(case, n_levels=5, clamp=case % 2 == 1)
+        log_w = _site_weights(dhat, MODERATE)[1]
         n = field.lattice.n_sites
         order = field.lattice.class_order
         sim_rows = ~held[order]
@@ -174,12 +182,11 @@ def test_sandwich_order_holds_eventwise():
         occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T[order]
         cov = gathered_coverage(field.lattice, occ)
         for _ in range(3):
-            u = rng.random((6, n)).T[order]
-            logit_u = np.log(u) - np.log1p(-u)
+            lim = field.on_limits(rng.random((6, n)))
             for c, rows in enumerate(field.rows):
-                odds = field._gather(occ, cov, c)[2]
+                odds = heat_bath_log_odds(field.lattice, log_w, math.log(MODERATE.gamma), occ, c)
                 assert np.all(odds[:, :6] >= odds[:, 6:])
-                field.update_class(occ, cov, c, logit_u)
+                field.update_class(occ, cov, c, lim)
                 assert np.all(occ[:, :6] >= occ[:, 6:])
                 updates += int(sim_rows[rows].sum()) * 6  # held sites are not counted
         assert np.array_equal(cov[:n], gathered_coverage(field.lattice, occ)[:n])
@@ -260,6 +267,105 @@ def test_decided_off_cut_never_misclassifies():
         assert np.all((logit >= log_w)[keep])
         probes += int(keep.sum())
     assert probes > 1_500_000
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0, 30.0])
+def test_on_limits_match_the_float_comparison_at_every_unc(gamma):
+    """``unc <= lim`` is ``logit(u) < log W - unc * log(gamma)`` at every ``unc`` from 0 to the largest
+    neighbourhood: at ``u = 0``, at held sites, a few ulp either side of each cut and of each threshold,
+    and for ``log W`` at and outside ``(-700, 20)``, where the cut is ``+inf``."""
+    lat = Lattice(6)
+    rng = np.random.default_rng(int(gamma))
+    edges = [-np.inf, -1e4, -750.0, -700.0, np.nextafter(-700.0, 0.0), -5.0, 0.0, 3.0,
+             np.nextafter(20.0, 0.0), 20.0, 23.0, 40.0, np.inf, np.inf]
+    log_w = np.concatenate([edges, rng.uniform(-30.0, 25.0, lat.n_sites - len(edges))])
+    field = _OccupancyField(lat, log_w, math.log(gamma))
+    ks = np.arange(lat.max_neighbourhood + 1)
+    with np.errstate(over="ignore"):
+        cut = np.where(field.u_off < 1.0, field.u_off, 0.5)
+        near_thresholds = 1.0 / (1.0 + np.exp(-(log_w - rng.choice(ks, (40, lat.n_sites)) * math.log(gamma))))
+    steps = rng.integers(-4, 5, (80, lat.n_sites))
+    u = np.concatenate([
+        np.zeros((1, lat.n_sites)),
+        rng.random((20, lat.n_sites)),
+        (np.broadcast_to(cut, (40, lat.n_sites)).view(np.int64) + steps[:40]).view(np.float64),
+        (near_thresholds.view(np.int64) + steps[40:]).view(np.float64),
+    ])
+    u = np.where((u >= 0.0) & (u < 1.0), u, np.nextafter(1.0, 0.0))
+    lim = field.on_limits(u)[lat.rank[:-1]]
+    assert np.array_equal(lim[:, : len(u)], lim[:, len(u) :])  # a draw's top and bottom chain share it
+    lim = lim[:, : len(u)].T  # per draw and site
+    with np.errstate(divide="ignore"):
+        logit = np.log(u) - np.log1p(-u)
+    for k in ks.tolist():
+        assert np.array_equal(k <= lim, logit < log_w - k * math.log(gamma))
+    assert (lim == -1).any() and (lim == ks[-1]).any() and np.all(lim[:, log_w == np.inf] == ks[-1])
+
+
+def test_tied_rates_across_a_chunk_boundary_take_the_stable_caps():
+    """Sites whose rates tie across a chunk boundary are capped as a stable sort orders them, by site index,
+    and each ``log W`` is its row's log-sum-exp to that cap, byte for byte."""
+    p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
+    rng = np.random.default_rng(12)
+    n = Lattice(10).n_sites
+    # in rate order: 200 distinct low rates, 112 tied ones across rank 256, the rest distinct and higher
+    dhat = rng.permutation(np.concatenate([rng.uniform(0.0, 0.05, 200), np.full(112, 0.1),
+                                           rng.uniform(0.15, 0.3, n - 312)]))
+    rate = log_dominating_rate(dhat, p)
+    assert not held_sites(dhat, p).any()
+    order = np.argsort(rate, kind="stable")
+    expected = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, 256):
+        expected[order[lo : lo + 256]] = _count_cap(float(rate[order[min(lo + 256, n) - 1]]))
+    tied = np.flatnonzero(dhat == 0.1)
+    assert expected[tied[:56]].tolist() == [expected[tied[0]]] * 56
+    assert expected[tied[56]] > expected[tied[0]]
+    cap, log_w = _site_weights(dhat, p)
+    assert np.array_equal(cap, expected)
+    for c in np.unique(cap):
+        sites = np.flatnonzero(cap == c)
+        terms = log_count_terms(dhat[sites], p, int(c))
+        top = terms.max(axis=1)
+        assert np.array_equal(log_w[sites], top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+
+
+class _FixedIntegers(np.random.Generator):
+    """A generator whose ``integers`` returns set values, to give :func:`_root` chosen entropy."""
+
+    def integers(self, *args, **kwargs):
+        return np.array(self.values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("values", [[0, 0], [0, 7], [2**32 - 1, 5], [2**32, 1], [2**63 - 1, 2**40 + 3]])
+def test_key_equals_the_stream_of_the_integer_entropy(values):
+    """``_root`` keeps its two integers as uint32 words; every key still gives the stream that
+    ``SeedSequence`` derives from the integers themselves: 0, below ``2**32`` and at or above it."""
+    g = _FixedIntegers(np.random.PCG64(0))
+    g.values = values
+    root = _root(g)
+    for t in (0, 1, 2, 4096):
+        expected = np.random.default_rng(np.random.SeedSequence(values, spawn_key=(t,))).random(16)
+        assert np.array_equal(_key(root, t).random(16), expected)
+    for seed in range(20):
+        values = np.random.default_rng(seed).integers(2**63, size=2).tolist()
+        expected = np.random.default_rng(np.random.SeedSequence(values, spawn_key=(3,))).random(16)
+        assert np.array_equal(_key(_root(seed), 3).random(16), expected)
+
+
+def test_shorter_fills_are_prefixes_of_longer_ones():
+    """numpy fills ``random`` and ``standard_normal`` one value at a time, so the count uniforms drawn up
+    to a draw's last occupied site and the normals drawn up to the last kept site are the first values
+    of the full-length fills.  A numpy release that changes this fails here instead of moving draws."""
+    for seed in range(5):
+        root = _root(seed)
+        uniforms = _key(root, 0).random(4095)
+        normals = np.random.default_rng(seed).standard_normal(4095)
+        for m in (0, 1, 2, 7, 255, 4094):
+            out = np.empty(m)
+            _key(root, 0).random(out=out)
+            assert np.array_equal(out, uniforms[:m])
+            assert np.array_equal(_key(root, 0).random(m), uniforms[:m])
+            assert np.array_equal(np.random.default_rng(seed).standard_normal(m), normals[:m])
 
 
 def _ladder_from_one(dhat, params, seeds, lattice):

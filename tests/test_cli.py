@@ -286,6 +286,54 @@ def test_default_bench_finishes_within_the_limits(tmp_path):
     assert {row.split(",")[header.split(",").index("reps")] for row in rows} == {"5"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "--signal", "Blocks", "--n", str(2**30), "--rsnr", "10"],
+        ["bench", "--n", str(2**30), "--signals", "Blocks", "--rsnr", "10", "--reps", "1", "--methods", "FDR"],
+    ],
+    ids=["denoise", "bench"],
+)
+def test_out_of_memory_exits_1_with_json(tmp_path, argv):
+    """A signal too long for memory ends with one JSON error line and exit 1, not a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aibt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aibt", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=_cap_cpu_and_memory,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "allocate" in json.loads(lines[0])["error"], proc.stderr[-2000:]
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """The parser is built once per process; denoise, bench, sample and denoise again with other flags
+    each write what a fresh process writes, and a later usage error still exits 2 with one JSON line."""
+    runs = [
+        ["denoise", "--signal", "Blocks", "--n", "64", "--rsnr", "7", "--draws", "3"],
+        ["bench", "--signals", "Bumps", "--n", "32", "--rsnr", "10,3", "--reps", "1", "--draws", "2", "--no-runtime"],
+        ["sample", "--signal", "Doppler", "--n", "64", "--rsnr", "5", "--seed", "2"],
+        ["denoise", "--signal", "Doppler", "--n", "32", "--rsnr", "3", "--lam", "0.3", "--wavelet", "haar", "--seed", "4"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(aibt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    for i, argv in enumerate(runs):
+        fresh = subprocess.run([sys.executable, "-m", "aibt", *argv, "--out", str(tmp_path / f"fresh{i}")],
+                               capture_output=True, text=True, timeout=120, env=env)
+        assert fresh.returncode == 0, fresh.stderr[-2000:]
+    cli._build_parser.cache_clear()
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"reused{i}")]) == 0
+        assert (tmp_path / f"reused{i}").read_bytes() == (tmp_path / f"fresh{i}").read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--signal", "Blocks", "--rsnr", "7", "--out", "x.txt", "--draws", "many"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
 def test_import_and_bench_load_no_scipy(tmp_path):
     """The package, its CLI and a bench over all five methods run without scipy."""
     cfg = tmp_path / "cfg.json"
