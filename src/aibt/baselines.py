@@ -52,14 +52,10 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.where(np.abs(x) < t, 0.0, x)
 
 
-def _replace(dec: WaveletDecomposition, details: list[np.ndarray]) -> WaveletDecomposition:
-    return WaveletDecomposition(details, dec.scaling, dec.filter)
-
-
 def universal_threshold(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition:
     """Soft-threshold every detail at ``sigma * sqrt(2 log n)`` (n = signal length)."""
     t = sigma * np.sqrt(2.0 * np.log(dec.n))
-    return _replace(dec, [soft_threshold(d, t) for d in dec.details])
+    return WaveletDecomposition([soft_threshold(d, t) for d in dec.details], dec.scaling, dec.filter)
 
 
 def _sure_threshold(x: np.ndarray, sigma: float) -> float:
@@ -96,7 +92,7 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
         sparse = excess <= np.log2(m) ** 1.5 / np.sqrt(m)
         t = sigma * np.sqrt(2.0 * np.log(m)) if sparse else _sure_threshold(d, sigma)
         out.append(soft_threshold(d, t))
-    return _replace(dec, out)
+    return WaveletDecomposition(out, dec.scaling, dec.filter)
 
 
 def _mixture_median(d: np.ndarray, sigma: float, pi: float, tau: float) -> np.ndarray:
@@ -143,7 +139,7 @@ def bayes_thresh(
         _mixture_median(d, sigma, float(pis[j]), float(taus[j]))
         for j, d in enumerate(dec.details)
     ]
-    return _replace(dec, out)
+    return WaveletDecomposition(out, dec.scaling, dec.filter)
 
 
 def estimate_mixture_hyperparams(
@@ -187,6 +183,6 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     ladder = q * (np.arange(1, m + 1) / m)
     passed = np.flatnonzero(p[order] <= ladder)
     if passed.size == 0:
-        return _replace(dec, [np.zeros_like(d) for d in dec.details])
+        return WaveletDecomposition([np.zeros_like(d) for d in dec.details], dec.scaling, dec.filter)
     t = float(np.abs(flat[order[passed[-1]]]))
     return dec.with_details(hard_threshold(flat, t))

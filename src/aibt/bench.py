@@ -162,7 +162,6 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
     signal_id = SIGNAL_NAMES.index(signal)
     mses: dict[str, list[float]] = {m: [] for m in cfg.methods}
     runtime: dict[str, float] = {m: 0.0 for m in cfg.methods}
-    failures: dict[str, int] = {m: 0 for m in cfg.methods}
     for rep in range(cfg.reps):
         cell_ss = np.random.SeedSequence(cfg.seed, spawn_key=(signal_id, rsnr_index, rep))
         noise_ss, method_ss = cell_ss.spawn(2)
@@ -172,7 +171,6 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
             try:
                 est = inverse_dwt(_estimate_one(method, dec, sigma, cfg, method_ss))
             except CoalescenceError as err:
-                failures[method] += 1
                 logger.warning(
                     "replicate dropped: %s",
                     json.dumps({"signal": signal, "rsnr": rsnr, "method": method,
@@ -195,7 +193,7 @@ def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[Resul
                 se=se,
                 reps=len(got),
                 runtime_s=runtime[method] if cfg.record_runtime else 0.0,
-                failures=failures[method],
+                failures=cfg.reps - len(got),
                 replicate_mses=tuple(got),
             )
         )

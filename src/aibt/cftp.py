@@ -147,7 +147,7 @@ def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np
     sim_sites = np.flatnonzero(~(log_rate > _HELD_LOG_RATE))  # the complement of held_sites
     log_rate = log_rate[sim_sites]
     by_rate = np.argsort(log_rate)
-    if not (log_rate[by_rate[1:]] > log_rate[by_rate[:-1]]).all():  # a tie or a nan: only the stable order is unique
+    if not (log_rate[by_rate[1:]] > log_rate[by_rate[:-1]]).all():  # a tie: only the stable order is unique
         by_rate = np.argsort(log_rate, kind="stable")
     chunk_tops = log_rate[np.append(by_rate[_CHUNK_SITES - 1 :: _CHUNK_SITES], by_rate[-1:])]  # a last one may repeat
     ranked = sim_sites[by_rate]
@@ -206,7 +206,7 @@ class _OccupancyField:
         ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
         self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
         self.thresholds = log_w[order, None] - np.arange(lattice.max_neighbourhood + 1) * log_gamma
-        # both start states are constants of the field, built once and broadcast per run
+        # both start states are constants of the field, built once and repeated per run
         held_pad = np.append(log_w[order] == np.inf, False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
@@ -216,10 +216,7 @@ class _OccupancyField:
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
         """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
-        states = np.empty((2, self.lattice.n_sites + 1, 2, n_draws), dtype=np.int8)
-        states[...] = np.stack([self.start_occ, self.start_cov])[..., None]
-        occ, cov = states.reshape(2, self.lattice.n_sites + 1, -1)
-        return occ, cov
+        return np.repeat(self.start_occ, n_draws, axis=1), np.repeat(self.start_cov, n_draws, axis=1)
 
     def on_limits(self, u: np.ndarray) -> np.ndarray:
         """Per row and chain, the largest ``unc`` with ``logit(u[draw, site]) < log W - unc * log(gamma)``, or -1.
@@ -293,6 +290,8 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
     dhat = np.asarray(dhat, dtype=float)
     if dhat.ndim != 1:
         raise ValueError("dhat must hold one value per lattice site")
+    if np.isnan(dhat).any():  # +-inf is allowed: those sites are held
+        raise ValueError("dhat must not hold nan")
     lattice = lattice_for(dhat.size)
     roots = [_root(s) for s in seeds]
     cap, log_w = _site_weights(dhat, params)

@@ -17,7 +17,6 @@ import numpy as np
 from .bench import METHODS, ExperimentConfig, emit_csv, load_config, run_experiment
 from .cftp import CoalescenceError, cftp_counts, held_sites
 from .estimator import denoise
-from .lattice import lattice_for
 from .model import ModelParams, estimate_sigma_mad
 from .wavelet import SIGNAL_NAMES, add_noise, forward_dwt, get_filter, make_test_signal, resolve_wavelet
 
@@ -81,8 +80,6 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
             raise ValueError("--rsnr applies to --signal only; a file's noise level is --sigma or its estimate")
         y = np.loadtxt(args.infile)
         sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(forward_dwt(y, get_filter(wavelet)))
-    if sigma <= 0:
-        raise ValueError("noise level must be positive")
     return np.asarray(y, dtype=float), float(sigma), wavelet
 
 
@@ -98,14 +95,11 @@ def _cmd_sample(args) -> int:
     y, sigma, wavelet = _resolve_input(args)
     params = ModelParams(args.lam, args.gamma, args.tau, sigma)
     dhat = forward_dwt(y, get_filter(wavelet)).flat_details()
-    lattice = lattice_for(dhat.size)
     counts = cftp_counts(dhat, params, [args.seed])[0]
-    held = held_sites(dhat, params)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("j,k,xi,held\n")
-        for s in range(lattice.n_sites):
-            j, k = lattice.site_of(s)
-            fh.write(f"{j},{k},{int(counts[s])},{int(held[s])}\n")
+    s = np.arange(dhat.size)
+    j = np.frexp(s + 1)[1] - 1  # flat site s is (j, k) with s + 1 = 2**j + k, 0 <= k < 2**j
+    columns = np.column_stack([j, s + 1 - 2**j, counts, held_sites(dhat, params)])
+    np.savetxt(args.out, columns, fmt="%d", delimiter=",", header="j,k,xi,held", comments="")
     return 0
 
 
@@ -157,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CoalescenceError, json.JSONDecodeError, MemoryError) as err:
+    except (ValueError, OSError, CoalescenceError, MemoryError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

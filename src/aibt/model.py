@@ -72,8 +72,7 @@ class ModelParams:
     def variance(self, count) -> np.ndarray | float:
         """Marginal coefficient variance ``sigma**2 + tau**2 * count``."""
         c = np.asarray(count, dtype=float)
-        v = self.sigma**2 + self.tau**2 * c
-        return float(v) if v.ndim == 0 else v
+        return self.sigma**2 + self.tau**2 * c
 
 
 def _gain(params: ModelParams) -> float:
@@ -127,8 +126,7 @@ def log_dominating_rate(dhat_u, params: ModelParams):
     """
     with np.errstate(over="ignore"):
         d2 = np.asarray(dhat_u, dtype=float) ** 2
-    out = math.log(params.lam) + d2 * _gain(params)
-    return float(out) if out.ndim == 0 else out
+    return math.log(params.lam) + d2 * _gain(params)
 
 
 def estimate_sigma_mad(dec: WaveletDecomposition) -> float:

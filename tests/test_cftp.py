@@ -441,6 +441,17 @@ def test_cftp_sample_validates_dhat_length():
         cftp_counts(np.zeros(4), MODERATE, [0])
 
 
+def test_nan_coefficient_is_rejected_before_any_work(monkeypatch):
+    """A nan in ``dhat`` raises a ValueError naming ``dhat`` before the site weights are built; ``+-inf``
+    stays allowed, since those sites are held."""
+    dhat = np.array([np.inf, 0.1, -np.inf])
+    assert held_sites(dhat, MODERATE).tolist() == [True, False, True]
+    assert cftp_counts(dhat, MODERATE, [0])[0][[0, 2]].tolist() == [0, 0]
+    monkeypatch.setattr(cftp, "_site_weights", lambda *args: pytest.fail("site weights built for a nan dhat"))
+    with pytest.raises(ValueError, match="dhat"):
+        cftp_counts(np.array([0.1, np.nan, 0.2]), MODERATE, [0])
+
+
 def test_cftp_sample_zeroes_non_simulated_sites():
     dhat = np.array([1.8863236699596295, 0.1, 3.682148420127842])
     assert held_sites(dhat, MODERATE).tolist() == [True, False, True]

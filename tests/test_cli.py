@@ -1,6 +1,7 @@
 """Command line contract: exit codes, JSON errors, output files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -97,6 +98,21 @@ def test_parameter_whose_square_overflows_exits_1_with_json(flag, value, tmp_pat
     assert json.loads(err[0])["error"].startswith("tau" if flag == "--tau" else "sigma")
 
 
+@pytest.mark.parametrize("command", ["denoise", "sample"])
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+def test_bad_file_sigma_exits_1_naming_sigma(command, sigma, tmp_path, capsys):
+    """A given noise level is checked once, where the model is built: zero, negative, nan and inf all fail."""
+    f = tmp_path / "y.txt"
+    np.savetxt(f, np.random.default_rng(0).standard_normal(32))
+    out = tmp_path / "out.txt"
+    rc = main([command, "--in", str(f), "--sigma", sigma, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "sigma" in json.loads(err[0])["error"]
+    assert not out.exists()
+
+
 def test_file_input_without_sigma_estimates_it(tmp_path):
     """Leaving out ``--sigma`` is the same as passing the MAD estimate of the finest details."""
     f = tmp_path / "y.txt"
@@ -171,6 +187,19 @@ def test_sample_writes_site_csv(tmp_path):
         levels.setdefault(j, []).append(k)
     assert {j: len(ks) for j, ks in levels.items()} == {0: 1, 1: 2, 2: 4, 3: 8, 4: 16}
     assert 0 < n_held < 31  # Blocks at rsnr 10 has both kinds of site
+
+
+@pytest.mark.parametrize(
+    "signal, n, rsnr, seed, expected",
+    [("Doppler", 128, 10, 0, "2e4d4fedb7f16eb9"), ("Blocks", 4096, 3, 4, "929936c0cfef85cf")],
+)
+def test_pinned_sample_csv(signal, n, rsnr, seed, expected, tmp_path):
+    """``aibt sample`` output is pinned byte for byte: header, row order, columns, number format and line ends."""
+    out = tmp_path / "draw.csv"
+    rc = main(["sample", "--signal", signal, "--n", str(n), "--rsnr", str(rsnr), "--seed", str(seed),
+               "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == expected
 
 
 def test_bench_end_to_end(tmp_path):

@@ -199,6 +199,14 @@ def test_posterior_median_validation():
         posterior_median_estimate(np.zeros(4), PARAMS)
 
 
+def test_nan_coefficient_is_rejected_naming_dhat():
+    """A nan in ``dhat`` raises a ValueError naming it; a held ``+-inf`` passes through as itself."""
+    with pytest.raises(ValueError, match="dhat"):
+        posterior_median_estimate(np.array([0.1, np.nan, 0.2]), PARAMS, n_draws=3)
+    est = posterior_median_estimate(np.array([np.inf, 0.1, -np.inf]), PARAMS, n_draws=3)
+    assert est[[0, 2]].tolist() == [np.inf, -np.inf]
+
+
 def test_pure_noise_estimates_are_sparse():
     """Most coefficients of a pure-noise input come back exactly zero."""
     rng = np.random.default_rng(5)
