@@ -40,8 +40,8 @@ def _norm_sf(x: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
-def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    """Shrink towards zero by ``t``, clipping at zero."""
+def soft_threshold(x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Shrink towards zero by ``t`` (a scalar or one per entry), clipping at zero."""
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
@@ -55,7 +55,7 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
 def universal_threshold(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition:
     """Soft-threshold every detail at ``sigma * sqrt(2 log n)`` (n = signal length)."""
     t = sigma * np.sqrt(2.0 * np.log(dec.n))
-    return WaveletDecomposition([soft_threshold(d, t) for d in dec.details], dec.scaling, dec.filter)
+    return dec.with_details(soft_threshold(dec.flat_details(), t))
 
 
 def _sure_threshold(x: np.ndarray, sigma: float) -> float:
@@ -85,17 +85,16 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    out = []
+    ts = []
     for d in dec.details:
         m = d.size
         excess = (np.sum((d / sigma) ** 2) - m) / m
         sparse = excess <= np.log2(m) ** 1.5 / np.sqrt(m)
-        t = sigma * np.sqrt(2.0 * np.log(m)) if sparse else _sure_threshold(d, sigma)
-        out.append(soft_threshold(d, t))
-    return WaveletDecomposition(out, dec.scaling, dec.filter)
+        ts.append(sigma * np.sqrt(2.0 * np.log(m)) if sparse else _sure_threshold(d, sigma))
+    return dec.with_details(soft_threshold(dec.flat_details(), np.repeat(ts, [d.size for d in dec.details])))
 
 
-def _mixture_median(d: np.ndarray, sigma: float, pi: float, tau: float) -> np.ndarray:
+def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     """Posterior median under a point-mass-at-zero / Gaussian slab mixture.
 
     With prior ``pi * N(0, tau^2) + (1 - pi) * delta_0`` and Gaussian noise,
@@ -103,22 +102,22 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float, tau: float) -> np.nd
     Gaussian slab; the median is zero unless the slab carries enough mass
     past zero, which gives thresholding behaviour.
     """
-    if not 0.0 <= pi <= 1.0:
+    pi, tau = np.broadcast_to(pi, d.shape), np.broadcast_to(tau, d.shape)
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise ValueError("pi must lie in [0, 1]")
-    if pi == 0.0 or tau <= 0.0:
-        return np.zeros_like(d)
-    s2 = sigma**2 + tau**2
+    med = np.zeros_like(d)
+    live = np.flatnonzero((pi > 0.0) & (tau > 0.0))  # the median is exactly 0 everywhere else
+    d, pi, tau2 = d[live], pi[live], np.float_power(tau[live], 2)  # C pow, as tau**2 on a Python float
+    s2 = sigma**2 + tau2
     g1 = _norm_pdf(d, np.sqrt(s2))
     g0 = _norm_pdf(d, sigma)
     w = pi * g1 / (pi * g1 + (1.0 - pi) * g0)
-    mu = tau**2 / s2 * np.abs(d)
-    nu = np.sqrt(sigma**2 * tau**2 / s2)
+    mu = tau2 / s2 * np.abs(d)
+    nu = np.sqrt(sigma**2 * tau2 / s2)
     # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2
     take = w * _norm_sf(-mu / nu) > 0.5
-    med = np.zeros_like(d)
-    if take.any():
-        q = 1.0 - 1.0 / (2.0 * w[take])
-        med[take] = np.sign(d[take]) * (mu[take] + nu * _inv_cdf(q))
+    q = 1.0 - 1.0 / (2.0 * w[take])
+    med[live[take]] = np.sign(d[take]) * (mu[take] + nu[take] * _inv_cdf(q))
     return med
 
 
@@ -132,14 +131,10 @@ def bayes_thresh(
 
     ``pi`` and ``tau`` may be scalars or one value per level.
     """
-    n_levels = dec.n_levels
-    pis = np.broadcast_to(np.asarray(pi, dtype=float), (n_levels,))
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n_levels,))
-    out = [
-        _mixture_median(d, sigma, float(pis[j]), float(taus[j]))
-        for j, d in enumerate(dec.details)
-    ]
-    return WaveletDecomposition(out, dec.scaling, dec.filter)
+    sizes = [d.size for d in dec.details]
+    pis = np.repeat(np.broadcast_to(np.asarray(pi, dtype=float), (dec.n_levels,)), sizes)
+    taus = np.repeat(np.broadcast_to(np.asarray(tau, dtype=float), (dec.n_levels,)), sizes)
+    return dec.with_details(_mixture_median(dec.flat_details(), sigma, pis, taus))
 
 
 def estimate_mixture_hyperparams(
@@ -183,6 +178,6 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     ladder = q * (np.arange(1, m + 1) / m)
     passed = np.flatnonzero(p[order] <= ladder)
     if passed.size == 0:
-        return WaveletDecomposition([np.zeros_like(d) for d in dec.details], dec.scaling, dec.filter)
+        return dec.with_details(np.zeros_like(flat))
     t = float(np.abs(flat[order[passed[-1]]]))
     return dec.with_details(hard_threshold(flat, t))

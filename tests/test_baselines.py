@@ -169,8 +169,9 @@ def test_bayes_thresh_is_a_thresholding_rule():
 def test_bayes_thresh_degenerate_weights():
     dec = _dec([[3.0], [1.0, -2.0]])
     assert np.allclose(bayes_thresh(dec, 1.0, 0.0, 1.0).flat_details(), 0.0, atol=0)
-    with pytest.raises(ValueError):
-        bayes_thresh(dec, 1.0, 1.5, 1.0)
+    for pi in (1.5, [0.5, 1.5], [np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            bayes_thresh(dec, 1.0, pi, 1.0)
 
 
 def test_bayes_thresh_per_level_parameters():
@@ -258,7 +259,9 @@ def test_normal_helpers_match_scipy():
 
 
 def _scipy_bayes_thresh(flat, sigma, pi, tau):
-    """The spike-and-slab median computed with ``scipy.stats.norm``."""
+    """The spike-and-slab median computed with ``scipy.stats.norm``; exactly 0 without a slab."""
+    if pi == 0.0 or tau <= 0.0:
+        return np.zeros_like(flat)
     s2 = sigma**2 + tau**2
     g1 = norm.pdf(flat, scale=math.sqrt(s2))
     g0 = norm.pdf(flat, scale=sigma)
@@ -282,16 +285,25 @@ def _scipy_fdr(flat, sigma, q):
 
 
 def test_bayes_thresh_and_fdr_match_scipy_reference():
+    """Scalar and per-level weights and scales; each per-level draw has a level with no
+    slab weight and another with a zero slab scale."""
     rng = np.random.default_rng(17)
-    for _ in range(40):
+    for i in range(40):
         sigma = float(rng.uniform(0.05, 2.0))
-        pi, tau = float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.1, 5.0))
         x = np.where(rng.random(256) < 0.2, rng.normal(0.0, 6.0 * sigma, 256), 0.0)
         dec = forward_dwt(x + rng.normal(0.0, sigma, 256), HAAR)
         flat = dec.flat_details()
-        got = bayes_thresh(dec, sigma, pi, tau).flat_details()
-        want = _scipy_bayes_thresh(flat, sigma, pi, tau)
-        assert np.array_equal(got == 0.0, want == 0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        pis, taus = rng.uniform(0.01, 0.99, dec.n_levels), rng.uniform(0.1, 5.0, dec.n_levels)
+        if i % 2:
+            pis[:], taus[:] = pis[0], taus[0]
+            got = bayes_thresh(dec, sigma, float(pis[0]), float(taus[0]))
+        else:
+            no_pi, no_tau = rng.choice(dec.n_levels, 2, replace=False)
+            pis[no_pi], taus[no_tau] = 0.0, 0.0
+            got = bayes_thresh(dec, sigma, pis, taus)
+        for j, (d, g) in enumerate(zip(dec.details, got.details)):
+            want = _scipy_bayes_thresh(d, sigma, float(pis[j]), float(taus[j]))
+            assert np.array_equal(g == 0.0, want == 0.0), j
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
         q = float(rng.uniform(0.01, 0.5))
         assert np.array_equal(fdr_threshold(dec, sigma, q).flat_details(), _scipy_fdr(flat, sigma, q))

@@ -439,6 +439,8 @@ def test_cftp_sample_deterministic_and_seedable():
 def test_cftp_sample_validates_dhat_length():
     with pytest.raises(ValueError):
         cftp_counts(np.zeros(4), MODERATE, [0])
+    with pytest.raises(ValueError, match="one value per lattice site"):
+        cftp_counts(np.zeros((3, 1)), MODERATE, [0])
 
 
 def test_nan_coefficient_is_rejected_before_any_work(monkeypatch):

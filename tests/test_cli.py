@@ -364,19 +364,21 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
 
 
 def test_import_and_bench_load_no_scipy(tmp_path):
-    """The package, its CLI and a bench over all five methods run without scipy."""
+    """The package and its CLI parser import without scipy, and a bench over all five methods runs without it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"signals": ["Bumps"], "rsnr": [10.0]}))
     argv = ["bench", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"),
             "--n", "32", "--reps", "1", "--draws", "2", "--no-runtime", "--seed", "5"]
     code = (
         "import sys, aibt, aibt.cli\n"
+        "aibt.cli._build_parser()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         f"assert aibt.cli.main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]  # after the import and parser, and after the bench
     assert len((tmp_path / "rows.csv").read_text().strip().splitlines()) == 6
 
 

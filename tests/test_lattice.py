@@ -134,6 +134,10 @@ def test_lattice_indexing_round_trip():
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice(0)
+    with pytest.raises(ValueError, match="outside"):
+        Lattice(3).site_index(3, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        Lattice(3).site_of(7)
 
 
 # --- coverage ------------------------------------------------------------------

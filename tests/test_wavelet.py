@@ -76,6 +76,13 @@ def test_bad_filter_rejected():
         WaveletFilter("bad", np.array([0.6, 0.8]))  # unit energy but wrong sum
     with pytest.raises(ValueError):
         WaveletFilter("bad", np.array([1.0, 1.0]))  # right sum, wrong energy
+    r2 = math.sqrt(2.0)
+    with pytest.raises(ValueError, match="even"):
+        WaveletFilter("bad", [0.5, 0.5, r2 - 1.0])  # right sum, odd length
+    with pytest.raises(ValueError, match="unit energy"):
+        WaveletFilter("bad", [r2, 0.0])
+    with pytest.raises(ValueError, match="orthogonality at shift 2"):
+        WaveletFilter("bad", [r2 / 6, 2 * r2 / 3, r2 / 6, 0.0])  # right sum and energy
 
 
 def test_get_filter_lookup():
@@ -174,6 +181,10 @@ def test_decomposition_shape_contract():
     assert np.allclose(flat, np.concatenate(dec.details), atol=0)
     rebuilt = dec.with_details(flat.copy())
     assert np.allclose(inverse_dwt(rebuilt), x, atol=1e-10)
+    with pytest.raises(ValueError, match="expected 3 detail coefficients"):
+        forward_dwt(x[:4], HAAR).with_details(np.zeros(5))
+    with pytest.raises(ValueError, match="level 0 must hold 1"):
+        WaveletDecomposition([np.zeros(2)], 0.0, HAAR)
 
 
 def test_with_details_replaces_values():
@@ -191,6 +202,8 @@ def test_dwt_input_validation():
         forward_dwt(np.array([1.0]), HAAR)
     with pytest.raises(ValueError):
         forward_dwt(np.array([1.0, np.nan, 0.0, 0.0]), HAAR)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        forward_dwt(np.zeros((4, 2)), HAAR)
 
 
 # --- test signals -------------------------------------------------------------
