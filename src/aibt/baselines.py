@@ -111,7 +111,12 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: fl
     s2 = sigma**2 + tau2
     g1 = _norm_pdf(d, np.sqrt(s2))
     g0 = _norm_pdf(d, sigma)
-    w = pi * g1 / (pi * g1 + (1.0 - pi) * g0)
+    den = pi * g1 + (1.0 - pi) * g0
+    w = np.divide(pi * g1, den, out=np.empty_like(den), where=den > 0.0)
+    lost = den == 0.0  # both densities underflow: w from their log ratio, which is +inf at pi = 1 or a huge d
+    with np.errstate(divide="ignore", over="ignore"):
+        w[lost] = 0.5 + 0.5 * np.tanh(np.log(pi[lost] / (1.0 - pi[lost]) * sigma / np.sqrt(s2[lost])) / 2
+                                      + d[lost] ** 2 / 4 * (1 / sigma**2 - 1 / s2[lost]))
     mu = tau2 / s2 * np.abs(d)
     nu = np.sqrt(sigma**2 * tau2 / s2)
     # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2

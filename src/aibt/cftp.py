@@ -84,19 +84,21 @@ class CoalescenceError(RuntimeError):
         self.horizon = horizon
 
 
-def _count_cap(log_rate: float) -> int:
+def _count_cap(log_rate: float, start: int = 1) -> int:
     """How many multiplicities the sums over ``c`` keep, given the largest log rate.
 
     With ``r = exp(log_rate)`` the terms obey ``a_{c+1} <= a_c * r / (c+1)``,
     so ``a_c <= a_1 * r**(c-1) / c!``; past ``c >= 2r`` they at least halve
     at each step.  The mass dropped beyond ``cap`` is then at most
     ``2 * r**cap / (cap+1)!`` times ``a_1 <= W_s``, which the loop pushes
-    below ``2**-60``.  The sampler asks once per chunk of rate-sorted
+    below ``2**-60``.  The cap never falls as the rate rises (the bound
+    grows with it, and so does ``2r``), so a search may ``start`` at the cap
+    of any lower rate.  The sampler asks once per chunk of rate-sorted
     sites, with the chunk's largest rate, and evaluates the terms of all
     chunks with one cap together: 10 terms at a rate of ``e**-3``, 19 at 1
     and 180 at the largest simulated rate, ``e**4``.
     """
-    cap = max(1, math.ceil(2.0 * math.exp(log_rate)))
+    cap = max(start, math.ceil(2.0 * math.exp(log_rate)))
     while math.log(2.0) + cap * log_rate - math.lgamma(cap + 2) > _LOG_TAIL_SHARE:
         cap += 1
     return cap
@@ -154,12 +156,13 @@ def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np
     cap = np.zeros(dhat.size, dtype=np.int64)
     log_w = np.full(dhat.size, np.inf)
     lo = 0
-    for c, run in itertools.groupby(_count_cap(r) for r in chunk_tops.tolist()):
+    caps = itertools.accumulate(chunk_tops.tolist(), lambda c, r: _count_cap(r, c), initial=1)  # tops ascend
+    for c, run in itertools.groupby(itertools.islice(caps, 1, None)):
         sites = ranked[lo : lo + _CHUNK_SITES * len(list(run))]
         lo += sites.size
         cap[sites] = c
         terms = log_count_terms(dhat[sites], params, c)
-        top = terms.max(axis=1)
+        top = np.ascontiguousarray(terms.T).max(axis=0)
         np.exp(np.subtract(terms, top[:, None], out=terms), out=terms)
         log_w[sites] = top + np.log(terms.sum(axis=1))
     return cap, log_w
@@ -173,7 +176,7 @@ def _draw_counts(occ: np.ndarray, roots: list[np.random.SeedSequence], dhat: np.
     are evaluated only at the occupied simulated sites, once per cap, with uniforms from each draw's key 0.
     """
     counts = np.zeros(occ.shape, dtype=np.int64)
-    draw, site = np.nonzero(occ & (cap > 0))
+    draw, site = np.divmod(np.flatnonzero(occ & (cap > 0)), occ.shape[1])
     u = np.empty(occ.shape)
     for i in np.flatnonzero(np.append(draw[1:] != draw[:-1], draw.size > 0)):  # each draw's last site
         _key(roots[draw[i]], 0).random(out=u[draw[i], : site[i] + 1])
@@ -196,7 +199,7 @@ class _OccupancyField:
     ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
-    in ``cov``, so it never counts as uncovered.  Row ``i``'s log-odds at ``unc = k`` is ``thresholds[i, k]``.
+    in ``cov``, so it never counts as uncovered.
     """
 
     def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
@@ -205,12 +208,13 @@ class _OccupancyField:
         self.lattice = lattice
         ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
         self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-        self.thresholds = log_w[order, None] - np.arange(lattice.max_neighbourhood + 1) * log_gamma
+        self.log_w = log_w[order]  # by row
+        self.steps = np.arange(lattice.max_neighbourhood + 1)[:, None] * log_gamma  # log-odds drop per unc
         # both start states are constants of the field, built once and repeated per run
-        held_pad = np.append(log_w[order] == np.inf, False)
+        held_pad = np.append(self.log_w == np.inf, False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
-        held_near = held_pad[lattice.ordered_nbr].sum(axis=1)
+        held_near = np.bincount(lattice.ordered_nbr[held_pad[:-1]].ravel(), minlength=n + 1)[:-1]
         self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes[order], held_near], axis=1)
         self.u_off = _decided_off_cut(log_w)
 
@@ -221,16 +225,17 @@ class _OccupancyField:
     def on_limits(self, u: np.ndarray) -> np.ndarray:
         """Per row and chain, the largest ``unc`` with ``logit(u[draw, site]) < log W - unc * log(gamma)``, or -1.
 
-        The thresholds never increase with ``unc``, so ``unc <= limit`` is that float comparison.  Like
+        The log-odds never increase with ``unc``, so ``unc <= limit`` is that float comparison.  Like
         ``occ``, the result has a column per top chain and then per bottom chain; both chains share ``u``.
         """
-        lim = np.full((self.lattice.n_sites, 2, u.shape[0]), -1, dtype=np.int8)
-        draw, site = np.nonzero(u < self.u_off)
-        row = self.lattice.rank[site]
+        lim = np.full((u.shape[1], 2 * len(u)), -1, dtype=np.int8)
+        live = np.flatnonzero(u < self.u_off)
+        draw, site = np.divmod(live, u.shape[1])
+        row, v = self.lattice.rank[site], np.take(u, live)
         with np.errstate(divide="ignore"):
-            logit = np.log(u[draw, site]) - np.log1p(-u[draw, site])
-        lim[row, :, draw] = (logit[:, None] < self.thresholds[row]).sum(axis=1, keepdims=True) - 1
-        return lim.reshape(self.lattice.n_sites, -1)
+            logit = np.log(v) - np.log1p(-v)
+        lim[row, draw] = lim[row, draw + len(u)] = (logit < self.log_w[row] - self.steps).sum(axis=0) - 1
+        return lim
 
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, lim: np.ndarray) -> None:
         """Heat-bath update of class ``c`` in place: a site turns on iff ``unc <= lim``.
@@ -250,7 +255,7 @@ class _OccupancyField:
         occ[rows] = new
 
     def run(self, roots: list[np.random.SeedSequence], sweeps: int) -> np.ndarray:
-        """Both chains at time zero after ``sweeps`` sweeps, shape ``(2, draws, n_sites)``.
+        """Both chains at time zero after ``sweeps`` sweeps, C-contiguous, shape ``(2, draws, n_sites)``.
 
         Each sweep's uniforms come from the draw's key for that sweep.
         """
@@ -263,7 +268,7 @@ class _OccupancyField:
             lim = self.on_limits(u)
             for c in range(len(self.rows)):
                 self.update_class(occ, cov, c, lim)
-        return occ[self.lattice.rank[:-1]].view(bool).reshape(n, 2, -1).transpose(1, 2, 0)
+        return np.ascontiguousarray(np.take(occ, self.lattice.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
 
 
 def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:

@@ -174,6 +174,14 @@ def test_bayes_thresh_degenerate_weights():
             bayes_thresh(dec, 1.0, pi, 1.0)
 
 
+def test_bayes_thresh_where_both_densities_underflow():
+    """At d = 100 (sigma = 1, tau = 1, pi = 1/2) both densities underflow, so the slab weight comes from
+    their log ratio: it is 1, and the median is the slab's, d / 2, with no warning, as at d = 50."""
+    out = bayes_thresh(_dec([[100.0], [50.0, -100.0]]), 1.0, 0.5, 1.0).flat_details()
+    assert out.tolist() == [50.0, 25.0, -50.0]
+    assert bayes_thresh(_dec([[100.0]]), 1.0, 1.0, 1.0).flat_details().tolist() == [50.0]
+
+
 def test_bayes_thresh_per_level_parameters():
     dec = _dec([[2.0], [2.0, -2.0]])
     out = bayes_thresh(dec, 1.0, [0.0, 0.9], [1.0, 1.0])

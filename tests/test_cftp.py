@@ -206,15 +206,23 @@ def test_coalesced_replay_returns_identical_chains():
         assert np.array_equal(counts > 0, state & ~held)
 
 
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 6])
 @pytest.mark.parametrize("clamp", [False, True])
-def test_start_coverage_equals_gathered_coverage(clamp):
-    """The start states' coverage, built from neighbourhood sizes and held sites, equals a gather."""
+def test_start_coverage_equals_gathered_coverage(clamp, n_levels):
+    """The start states' coverage, built from neighbourhood sizes and a count of the rows in each held
+    site's neighbourhood, equals a gather.  That count is right only because neighbourhoods are
+    symmetric, and narrow levels are where they are truncated and deduplicated."""
     wide = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=5.0)  # holds no N(0, 1) coefficient
+    lat = Lattice(n_levels)
     for seed in range(4):
-        field, _, held = _field(seed, wide, n_levels=6, clamp=clamp)
-        assert held.any() == clamp
+        rng = np.random.default_rng(seed + 1000)
+        dhat = rng.normal(0.0, 1.0, lat.n_sites)
+        if clamp:  # a random third of the sites, and always one, observe a coefficient large enough to be held
+            dhat[(rng.random(lat.n_sites) < 1 / 3) | (np.arange(lat.n_sites) == seed % lat.n_sites)] = 1e3
+        assert held_sites(dhat, wide).any() == clamp
+        field = _OccupancyField(lat, _site_weights(dhat, wide)[1], math.log(wide.gamma))
         assert field.start_cov.dtype == np.int8
-        assert np.array_equal(field.start_cov, gathered_coverage(field.lattice, field.start_occ))
+        assert np.array_equal(field.start_cov, gathered_coverage(lat, field.start_occ))
 
 
 def test_rate_sorted_count_terms_match_one_global_cap():
@@ -327,6 +335,24 @@ def test_tied_rates_across_a_chunk_boundary_take_the_stable_caps():
         terms = log_count_terms(dhat[sites], p, int(c))
         top = terms.max(axis=1)
         assert np.array_equal(log_w[sites], top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+
+
+def test_warm_started_count_caps_equal_cold_caps(monkeypatch):
+    """Each chunk's cap search starts at the previous chunk's cap.  On sorted rates with ties, the largest
+    simulated rate ``e**4`` and very negative rates, every cap equals a cold search at its chunk's top."""
+    rng = np.random.default_rng(17)
+    n = Lattice(11).n_sites
+    rate = np.concatenate([[-1e300, -745.0], rng.uniform(-800.0, -40.0, 298), np.full(300, -3.0),
+                           rng.uniform(-8.0, 4.0, n - 1200), np.round(rng.uniform(0.0, 3.0, 300), 1),
+                           np.full(300, 4.0)])
+    rng.shuffle(rate)
+    monkeypatch.setattr(cftp, "log_dominating_rate", lambda dhat, params: rate)
+    cap, _ = _site_weights(np.zeros(n), MODERATE)
+    order = np.argsort(rate, kind="stable")
+    tops = rate[order[np.minimum(np.arange(256, n + 256, 256), n) - 1]]
+    cold = [_count_cap(float(r)) for r in tops]
+    assert cold[0] == 1 and cold[-1] == 180 and len(set(cold)) > 5
+    assert np.array_equal(cap[order], np.repeat(cold, 256)[:n])
 
 
 class _FixedIntegers(np.random.Generator):
