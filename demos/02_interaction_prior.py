@@ -19,10 +19,12 @@ print(f"Lattice with {lat.n_levels} levels and {lat.n_sites} sites\n")
 
 # A site's neighbourhood: itself, nearest same-level neighbours, the
 # parent pair above, and the children below.
+# Flat site order is level-major: site (j, k) sits at index 2**j - 1 + k.
 # Row ``s`` of ``lat.nbr`` lists the flat indices of B(s), padded with n_sites.
-for site in [(0, 0), (2, 1), (3, 4)]:
-    nb = sorted(lat.site_of(v) for v in lat.nbr[lat.site_index(*site)].tolist() if v < lat.n_sites)
-    print(f"neighbourhood of {site}: {nb}")
+site_at = [(j, k) for j in range(lat.n_levels) for k in range(2**j)]  # flat index -> (j, k)
+for j, k in [(0, 0), (2, 1), (3, 4)]:
+    nb = sorted(site_at[v] for v in lat.nbr[2**j - 1 + k].tolist() if v < lat.n_sites)
+    print(f"neighbourhood of {(j, k)}: {nb}")
 
 # The interaction term counts covered sites.  Compare a clustered pair
 # (parent and child, overlapping neighbourhoods) against a scattered
@@ -34,7 +36,7 @@ dhat = np.zeros(lat.n_sites)
 def one_point_at(*sites):
     """A configuration as a count vector: one point at each given (level, position) site."""
     counts = np.zeros(lat.n_sites, dtype=int)
-    counts[[lat.site_index(j, k) for j, k in sites]] = 1
+    counts[[2**j - 1 + k for j, k in sites]] = 1
     return counts
 
 

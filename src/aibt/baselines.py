@@ -30,9 +30,10 @@ _inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
 def _norm_pdf(x: np.ndarray, scale: float) -> np.ndarray:
-    """Density of ``N(0, scale**2)``."""
+    """Density of ``N(0, scale**2)``; 0 where the square of ``x / scale`` passes the float range."""
     z = x / scale
-    return np.exp(-(z**2) / 2.0) / _SQRT_2PI / scale
+    with np.errstate(over="ignore"):
+        return np.exp(-(z**2) / 2.0) / _SQRT_2PI / scale
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:
@@ -69,7 +70,8 @@ def _sure_threshold(x: np.ndarray, sigma: float) -> float:
     a = np.sort(np.abs(x) / sigma)
     cap = np.sqrt(2.0 * np.log(m))
     cand = np.concatenate([[0.0], np.minimum(a, cap)])
-    csum = np.concatenate([[0.0], np.cumsum(a**2)])
+    with np.errstate(over="ignore"):  # sums that overflow hold entries past the cap, which no risk reads
+        csum = np.concatenate([[0.0], np.cumsum(a**2)])
     k = np.searchsorted(a, cand, side="right")  # entries at or below each candidate
     risk = m - 2.0 * k + csum[k] + (m - k) * cand**2
     return float(sigma * cand[int(np.argmin(risk))])
@@ -88,7 +90,8 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
     ts = []
     for d in dec.details:
         m = d.size
-        excess = (np.sum((d / sigma) ** 2) - m) / m
+        with np.errstate(over="ignore"):  # an inf energy marks the level dense
+            excess = (np.sum((d / sigma) ** 2) - m) / m
         sparse = excess <= np.log2(m) ** 1.5 / np.sqrt(m)
         ts.append(sigma * np.sqrt(2.0 * np.log(m)) if sparse else _sure_threshold(d, sigma))
     return dec.with_details(soft_threshold(dec.flat_details(), np.repeat(ts, [d.size for d in dec.details])))
@@ -168,9 +171,9 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     """Hard thresholding with the false-discovery-rate step-up rule.
 
     Two-sided p-values of all detail coefficients are compared against the
-    Benjamini-Hochberg ladder at rate ``q``; the magnitude of the last
-    coefficient kept becomes a hard threshold.  With no discoveries all
-    details are zeroed.
+    Benjamini-Hochberg ladder at rate ``q``; the smallest magnitude among the
+    discoveries becomes a hard threshold, so p-values that tie (at 0, far
+    out) keep every discovery.  With no discoveries all details are zeroed.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -184,5 +187,5 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     passed = np.flatnonzero(p[order] <= ladder)
     if passed.size == 0:
         return dec.with_details(np.zeros_like(flat))
-    t = float(np.abs(flat[order[passed[-1]]]))
+    t = float(np.abs(flat[order[: passed[-1] + 1]]).min())
     return dec.with_details(hard_threshold(flat, t))

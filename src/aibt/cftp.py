@@ -195,7 +195,8 @@ class _OccupancyField:
     Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in class-major
     order: row ``i`` holds site ``lattice.class_order[i]`` in the top chains
     of every draw, then in the bottom chains, and class ``c`` is the slice
-    ``rows[c]``, whose coverage is gathered through ``lattice.class_nbr[c]``.
+    ``lattice.class_rows[c]``, whose coverage is gathered through
+    ``lattice.class_nbr[c]``.
     ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
@@ -206,16 +207,16 @@ class _OccupancyField:
         n = lattice.n_sites
         order = lattice.class_order
         self.lattice = lattice
-        ends = np.cumsum([0] + [nb.shape[1] for nb in lattice.class_nbr])
-        self.rows = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
         self.log_w = log_w[order]  # by row
         self.steps = np.arange(lattice.max_neighbourhood + 1)[:, None] * log_gamma  # log-odds drop per unc
         # both start states are constants of the field, built once and repeated per run
         held_pad = np.append(self.log_w == np.inf, False)
         self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
         self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
-        held_near = np.bincount(lattice.ordered_nbr[held_pad[:-1]].ravel(), minlength=n + 1)[:-1]
-        self.start_cov[:-1] = np.stack([lattice.neighbourhood_sizes[order], held_near], axis=1)
+        # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
+        held_near = np.bincount(lattice.nbr[log_w == np.inf].ravel(), minlength=n + 1)
+        self.start_cov[:-1, 0] = lattice.neighbourhood_sizes[order]
+        self.start_cov[:-1, 1] = held_near[order]
         self.u_off = _decided_off_cut(log_w)
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +246,7 @@ class _OccupancyField:
         == occ[s]``.  No two sites of a class share a neighbour, so the scattered rows are distinct, apart
         from the pad row, which is reset after.
         """
-        rows, nbr = self.rows[c], self.lattice.class_nbr[c]
+        rows, nbr = self.lattice.class_rows[c], self.lattice.class_nbr[c]
         near = np.take(cov, nbr, axis=0)
         here = occ[rows]
         unc = (near == here).view(np.int8).sum(axis=0, dtype=np.int8)
@@ -266,7 +267,7 @@ class _OccupancyField:
             for row, root in zip(u, roots):
                 _key(root, t).random(out=row)
             lim = self.on_limits(u)
-            for c in range(len(self.rows)):
+            for c in range(len(self.lattice.class_rows)):
                 self.update_class(occ, cov, c, lim)
         return np.ascontiguousarray(np.take(occ, self.lattice.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
 

@@ -15,17 +15,14 @@ import functools
 import numpy as np
 
 __all__ = [
-    "Site",
     "Lattice",
     "lattice_for",
     "coverage_measure",
 ]
 
-Site = tuple[int, int]
-
 
 class Lattice:
-    """Site indexing, padded neighbour table and colour classes for a fixed depth.
+    """Padded neighbour table and colour classes for a fixed depth.
 
     Flat site order is level-major: site ``(j, k)`` sits at index
     ``2**j - 1 + k``, so all ``2**n_levels - 1`` sites pack into one vector
@@ -37,10 +34,10 @@ class Lattice:
     on one level they meet only for positions at most three apart, so this
     closed form is enough (checked exhaustively by the test suite).
 
-    For the sampler, ``class_order`` lists the sites class by class, so each
-    class is one block of it, and ``rank[s]`` is site ``s``'s place in it;
-    ``ordered_nbr`` is ``nbr`` in that order and renumbered into it (the pad
-    stays ``n_sites``); ``class_nbr[c]`` is class ``c``'s block of it,
+    For the sampler, ``class_order`` lists the sites class by class, so the
+    non-empty class ``c`` is the block ``class_rows[c]`` of it, and
+    ``rank[s]`` is site ``s``'s place in it (the pad keeps ``n_sites``);
+    ``class_nbr[c]`` is ``nbr`` of that block renumbered by ``rank``,
     neighbour-major.  All arrays are read-only.
     """
 
@@ -71,28 +68,15 @@ class Lattice:
         self.max_neighbourhood = int(self.neighbourhood_sizes.max())
         self.nbr = self.nbr[:, : self.max_neighbourhood]
         colour = (j % 3) * 4 + k % 4
-        self.colour_classes: tuple[np.ndarray, ...] = tuple(
-            np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()
-        )
-        self.class_order = np.concatenate(self.colour_classes)
+        self.class_order = np.argsort(colour, kind="stable")
         self.rank = np.append(np.argsort(self.class_order), n)  # the pad keeps its index
-        self.ordered_nbr = self.rank[self.nbr[self.class_order]]
-        blocks = np.split(self.ordered_nbr, np.cumsum([c.size for c in self.colour_classes])[:-1])
-        self.class_nbr = tuple(np.ascontiguousarray(b.T) for b in blocks)
-        for a in (self.nbr, self.neighbourhood_sizes, *self.colour_classes, self.class_order, self.rank,
-                  self.ordered_nbr, *self.class_nbr):
+        ends = np.cumsum(np.bincount(colour)).tolist()
+        self.class_rows = tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends) if hi > lo)
+        self.class_nbr = tuple(
+            np.ascontiguousarray(self.rank[self.nbr[self.class_order[r]]].T) for r in self.class_rows
+        )
+        for a in (self.nbr, self.neighbourhood_sizes, self.class_order, self.rank, *self.class_nbr):
             a.flags.writeable = False
-
-    def site_index(self, j: int, k: int) -> int:
-        if not (0 <= j < self.n_levels and 0 <= k < 2**j):
-            raise ValueError(f"site ({j}, {k}) outside a {self.n_levels}-level lattice")
-        return 2**j - 1 + k
-
-    def site_of(self, index: int) -> Site:
-        if not 0 <= index < self.n_sites:
-            raise ValueError(f"flat index {index} out of range")
-        j = (index + 1).bit_length() - 1
-        return j, index - (2**j - 1)
 
     def __repr__(self) -> str:
         return f"Lattice(n_levels={self.n_levels})"

@@ -15,8 +15,21 @@ import math
 import numpy as np
 
 from aibt.cftp import _PAD_COVERAGE
-from aibt.lattice import Lattice, Site, lattice_for
+from aibt.lattice import Lattice, lattice_for
 from aibt.model import ModelParams
+
+Site = tuple[int, int]
+
+
+def flat_index(j: int, k: int) -> int:
+    """Flat index of site ``(j, k)``: level-major, ``2**j - 1 + k``."""
+    return 2**j - 1 + k
+
+
+def site_of(s: int) -> Site:
+    """The ``(j, k)`` site at flat index ``s``, the inverse of :func:`flat_index`."""
+    j = (s + 1).bit_length() - 1
+    return j, s - (2**j - 1)
 
 
 def haar_matrix(n: int) -> np.ndarray:
@@ -76,8 +89,8 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
     n_levels = lattice.n_levels
     covered = 0
     for s in range(lattice.n_sites):
-        b = neighbourhood(lattice.site_of(s), n_levels)
-        if any(lattice.site_index(*v) in occupied for v in b):
+        b = neighbourhood(site_of(s), n_levels)
+        if any(flat_index(*v) in occupied for v in b):
             covered += 1
     return covered
 
@@ -92,7 +105,7 @@ def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
     its running counts and start states against this full gather.
     """
     cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
-    cov[:-1] = occ.astype(np.int64)[lattice.ordered_nbr].sum(axis=1)
+    cov[:-1] = occ.astype(np.int64)[lattice.rank[lattice.nbr[lattice.class_order]]].sum(axis=1)
     return cov
 
 
@@ -104,9 +117,9 @@ def heat_bath_log_odds(lattice: Lattice, log_w: np.ndarray, log_gamma: float, oc
     no occupied site other than ``s`` covers.  The sampler compares integer
     on-limits with ``unc_s``; these are the floats those comparisons stand for.
     """
-    sites = lattice.colour_classes[c]
-    rows = lattice.rank[sites]
-    cov = gathered_coverage(lattice, occ)[lattice.ordered_nbr[rows]]  # (sites, neighbours, chains)
+    rows = lattice.class_rows[c]
+    sites = lattice.class_order[rows]
+    cov = gathered_coverage(lattice, occ)[lattice.rank[lattice.nbr[sites]]]  # (sites, neighbours, chains)
     unc = (cov - occ[rows, None].astype(np.int64) == 0).sum(axis=1)
     return log_w[sites, None] - unc * log_gamma
 
@@ -119,7 +132,7 @@ def uncovered_measure(u: Site, counts) -> int:
     """
     lat = lattice_for(len(counts))
     occ = np.append(np.asarray(counts) > 0, False)
-    b = lat.nbr[lat.site_index(*u)]
+    b = lat.nbr[flat_index(*u)]
     b = b[b < lat.n_sites]
     return int((~occ[lat.nbr[b]].any(axis=1)).sum())
 

@@ -74,7 +74,7 @@ def test_occupancy_matches_forward_equilibrium_chain():
     )
 
 
-def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
+def test_class_updates_keep_chains_sandwiched():
     """Over 1e5 heat-bath site updates of coupled top and bottom chains, every
     class update keeps bottom <= top, with acceptance probabilities ordered in [0, 1]
     and the incremental coverage counts exact."""
@@ -102,7 +102,7 @@ def test_replay_keeps_chains_sandwiched_with_ordered_acceptance():
         bottom = slice(len(roots), None)
         for t in range(32, 0, -1):
             lim = field.on_limits(np.stack([_key(r, t).random(lat.n_sites) for r in roots]))
-            for c, rows in enumerate(field.rows):
+            for c, rows in enumerate(lat.class_rows):
                 prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(p.gamma), occ, c)))
                 lo, hi = prob[:, bottom], prob[:, top]
                 assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
@@ -134,9 +134,9 @@ def test_conditional_intensity_factor_bounds():
         log_w = _site_weights(dhat, params)[1]
         occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
         occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
-        c = int(rng.integers(len(lat.colour_classes)))
+        c = int(rng.integers(len(lat.class_rows)))
         odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)
-        clustering = odds - log_w[lat.colour_classes[c], None]
+        clustering = odds - log_w[lat.class_order[lat.class_rows[c]], None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -162,9 +162,9 @@ def test_intensity_consistent_with_density():
         clamped = held_sites(dhat, params)
         log_w = _site_weights(dhat, params)[1]
         # the classes that hold a simulated site, drawn from as when held sites sat outside them
-        live = [c for c, members in enumerate(lat.colour_classes) if not clamped[members].all()]
+        live = [c for c, rows in enumerate(lat.class_rows) if not clamped[lat.class_order[rows]].all()]
         c = live[int(rng.integers(len(live)))]
-        sites = lat.colour_classes[c]
+        sites = lat.class_order[lat.class_rows[c]]
         occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
         odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]
         for i, s in enumerate(sites.tolist()):
@@ -204,9 +204,9 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
         if clamped and not pattern[2]:
             continue
         occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
-        for c, sites in enumerate(lat.colour_classes):
+        for c, rows in enumerate(lat.class_rows):
             prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]))
-            for s, p_on in zip(sites.tolist(), prob):
+            for s, p_on in zip(lat.class_order[rows].tolist(), prob):
                 if held[s]:  # a held site sits in its class and always turns on
                     assert p_on == 1.0
                     continue
@@ -302,7 +302,7 @@ def test_pure_noise_estimates_mostly_exact_zeros():
     print(f"PASS sparsity on noise: {frac:.1%} exact zeros > 80%")
 
 
-def test_tier_assignment_monotone_in_signal():
+def test_held_mask_monotone_in_signal():
     """A larger observed coefficient never turns a held site back into a simulated one."""
     params = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     grid = np.linspace(0.0, 100.0, 4001)

@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from aibt.baselines import (
     _inv_cdf,
+    _mixture_median,
     _norm_pdf,
     _norm_sf,
     bayes_thresh,
@@ -182,6 +183,15 @@ def test_bayes_thresh_where_both_densities_underflow():
     assert bayes_thresh(_dec([[100.0]]), 1.0, 1.0, 1.0).flat_details().tolist() == [50.0]
 
 
+def test_coefficients_that_square_past_the_float_range_raise_no_warning():
+    """At 1e200 sigma the squares overflow: the densities are 0 and the level energy inf, with no
+    RuntimeWarning (an error under the suite's filter).  The mixture median is the slab's, d / 2,
+    and SureShrink keeps the spike."""
+    assert _mixture_median(np.array([1e200, -1e200]), 1.0, 0.5, 1.0).tolist() == [5e199, -5e199]
+    out = sure_shrink(_dec([[0.3], [1e200, -0.5], [0.1, -0.2, 0.4, 0.2]]), 1.0)
+    assert out.details[1][0] == 1e200
+
+
 def test_bayes_thresh_per_level_parameters():
     dec = _dec([[2.0], [2.0, -2.0]])
     out = bayes_thresh(dec, 1.0, [0.0, 0.9], [1.0, 1.0])
@@ -214,6 +224,18 @@ def test_fdr_threshold_hand_trace():
     # the fifth 2*Phi(-1.0) = 0.317 does not, so the cut sits at |x| = 2.2
     expected = np.array([5.0, -3.2, 2.8, 0.0, 0.0, 0.0, -2.2])
     assert np.array_equal(got, expected)
+
+
+def test_fdr_keeps_every_discovery_when_p_values_tie_at_zero():
+    """A Haar spike of 1000 sigma at n = 16 has four nonzero details, all with p-values that underflow
+    to 0.  Benjamini-Hochberg keeps every discovery, whichever order the tie sorts in."""
+    x = np.zeros(16)
+    x[5] = 1000.0
+    dec = forward_dwt(x, HAAR)
+    flat = dec.flat_details()
+    spike = flat != 0.0
+    assert spike.sum() == 4 and np.all(_norm_sf(np.abs(flat[spike])) == 0.0)
+    assert np.array_equal(fdr_threshold(dec, sigma=1.0).flat_details(), flat)
 
 
 def test_fdr_no_discoveries_zeroes_all_details():

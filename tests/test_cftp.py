@@ -29,10 +29,12 @@ from aibt.wavelet import forward_dwt, get_filter, make_test_signal
 from oracles import (
     brute_coverage,
     enumerate_posterior,
+    flat_index,
     gathered_coverage,
     heat_bath_log_odds,
     neighbourhood,
     occupancy_pattern_probs,
+    site_of,
 )
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
@@ -58,13 +60,6 @@ def test_classify_sites_boundary_is_exclusive():
 
 def test_classify_sites_handles_huge_signals_in_log_space():
     assert held_sites(np.array([1e6, -1e6]), MODERATE).all()
-
-
-def test_classify_sites_monotone_in_signal():
-    p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
-    grid = np.linspace(0.0, 100.0, 2001)
-    held = held_sites(grid, p).astype(int)
-    assert np.all(np.diff(held) >= 0)
 
 
 # --- heat-bath sweeps --------------------------------------------------------------
@@ -118,7 +113,7 @@ def _reference_run(field, dhat, params, held, roots, sweeps):
     coverage, direct sums.  Returns both chains of every draw, shape ``(2, draws, n_sites)``."""
     lat = field.lattice
     n = lat.n_sites
-    nbhd = [{lat.site_index(*v) for v in neighbourhood(lat.site_of(s), lat.n_levels)} for s in range(n)]
+    nbhd = [{flat_index(*v) for v in neighbourhood(site_of(s), lat.n_levels)} for s in range(n)]
     log_w = []
     for s in range(n):
         terms = [
@@ -135,8 +130,8 @@ def _reference_run(field, dhat, params, held, roots, sweeps):
         chains = [[True] * n, [not x for x in sim]]
         for t in range(sweeps, 0, -1):
             u = _key(root, t).random(n)
-            for members in lat.colour_classes:
-                for s in members.tolist():
+            for rows in lat.class_rows:
+                for s in lat.class_order[rows].tolist():
                     if not sim[s]:
                         continue
                     for occ in chains:
@@ -147,7 +142,7 @@ def _reference_run(field, dhat, params, held, roots, sweeps):
     return np.array(draws).transpose(1, 0, 2)
 
 
-def test_fast_replay_matches_checked_replay():
+def test_class_updates_match_sequential_heat_bath():
     """Vectorized class updates reproduce a sequential site-by-site heat bath exactly.
 
     Each chain row is ``2 * draws`` wide, so the batches vary in width.
@@ -183,7 +178,7 @@ def test_sandwich_order_holds_eventwise():
         cov = gathered_coverage(field.lattice, occ)
         for _ in range(3):
             lim = field.on_limits(rng.random((6, n)))
-            for c, rows in enumerate(field.rows):
+            for c, rows in enumerate(field.lattice.class_rows):
                 odds = heat_bath_log_odds(field.lattice, log_w, math.log(MODERATE.gamma), occ, c)
                 assert np.all(odds[:, :6] >= odds[:, 6:])
                 field.update_class(occ, cov, c, lim)

@@ -5,7 +5,7 @@ import pytest
 
 from aibt.lattice import Lattice, coverage_measure, lattice_for
 from aibt.model import ModelParams, log_marginal_posterior
-from oracles import brute_coverage, neighbourhood, uncovered_measure
+from oracles import brute_coverage, flat_index, neighbourhood, site_of, uncovered_measure
 
 RNG = np.random.default_rng(42)
 
@@ -56,11 +56,11 @@ def test_neighbourhood_rejects_outside_lattice():
 @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
 def test_neighbourhood_symmetric(n_levels):
     lat = Lattice(n_levels)
-    sets = [neighbourhood(lat.site_of(s), n_levels) for s in range(lat.n_sites)]
+    sets = [neighbourhood(site_of(s), n_levels) for s in range(lat.n_sites)]
     for u in range(lat.n_sites):
         for v in range(lat.n_sites):
-            u_in_v = lat.site_of(u) in sets[v]
-            v_in_u = lat.site_of(v) in sets[u]
+            u_in_v = site_of(u) in sets[v]
+            v_in_u = site_of(v) in sets[u]
             assert u_in_v == v_in_u
 
 
@@ -70,7 +70,7 @@ def test_neighbourhood_size_bound(n_levels):
     sizes = lat.neighbourhood_sizes
     assert sizes.max() == lat.max_neighbourhood <= 9
     for s in range(lat.n_sites):
-        assert sizes[s] == len(neighbourhood(lat.site_of(s), n_levels))
+        assert sizes[s] == len(neighbourhood(site_of(s), n_levels))
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5, 6, 7])
@@ -79,7 +79,7 @@ def test_padded_neighbour_table_matches_neighbourhood(n_levels):
     assert lat.nbr.shape == (lat.n_sites, lat.max_neighbourhood)
     for s in range(lat.n_sites):
         row = lat.nbr[s]
-        expected = sorted(lat.site_index(*v) for v in neighbourhood(lat.site_of(s), n_levels))
+        expected = sorted(flat_index(*v) for v in neighbourhood(site_of(s), n_levels))
         assert row[row < lat.n_sites].tolist() == expected
         assert (row[len(expected):] == lat.n_sites).all()
 
@@ -87,9 +87,9 @@ def test_padded_neighbour_table_matches_neighbourhood(n_levels):
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
     lat = Lattice(n_levels)
-    members = np.concatenate(lat.colour_classes)
-    assert np.array_equal(np.sort(members), np.arange(lat.n_sites))
-    for cls in lat.colour_classes:
+    classes = [lat.class_order[rows] for rows in lat.class_rows]
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(lat.n_sites))
+    for cls in classes:
         covered = lat.nbr[cls]
         covered = covered[covered < lat.n_sites]
         assert np.unique(covered).size == covered.size  # no site lies in two neighbourhoods
@@ -97,21 +97,23 @@ def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
 
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_class_order_lays_out_colour_classes_as_blocks(n_levels):
-    """``class_order`` is a permutation whose blocks are the colour classes; the renumbered
-    table maps back to ``nbr``, and each class table is its block, neighbour-major."""
+    """``class_rows`` tile ``class_order`` in consecutive blocks, each the sites of one colour
+    ``(j mod 3, k mod 4)`` in flat order; ``rank`` inverts ``class_order``, and each class table
+    is ``nbr`` of its block renumbered by ``rank``, neighbour-major."""
     lat = Lattice(n_levels)
     n = lat.n_sites
-    assert np.array_equal(np.sort(lat.class_order), np.arange(n))
-    sizes = [table.shape[1] for table in lat.class_nbr]
-    blocks = np.split(lat.class_order, np.cumsum(sizes)[:-1])
-    assert len(blocks) == len(lat.colour_classes)
-    for block, members in zip(blocks, lat.colour_classes):
-        assert np.array_equal(block, members)
-    assert np.array_equal(np.append(lat.class_order, n)[lat.ordered_nbr], lat.nbr[lat.class_order])
-    for table, lo in zip(lat.class_nbr, np.cumsum([0, *sizes])):
+    assert np.array_equal(lat.rank[lat.class_order], np.arange(n)) and lat.rank[n] == n
+    j, k = np.array([site_of(s) for s in range(n)]).T
+    colour = (j % 3) * 4 + k % 4
+    members = [np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()]
+    ends = [rows.stop for rows in lat.class_rows]
+    assert [rows.start for rows in lat.class_rows] == [0, *ends[:-1]] and ends[-1] == n
+    assert len(lat.class_rows) == len(members) == len(lat.class_nbr)
+    for rows, sites, table in zip(lat.class_rows, members, lat.class_nbr):
+        assert np.array_equal(lat.class_order[rows], sites)
         assert table.flags.c_contiguous
-        assert np.array_equal(table.T, lat.ordered_nbr[lo : lo + table.shape[1]])
-    for a in (lat.class_order, lat.ordered_nbr, *lat.class_nbr):
+        assert np.array_equal(np.append(lat.class_order, n)[table.T], lat.nbr[sites])
+    for a in (lat.nbr, lat.neighbourhood_sizes, lat.class_order, lat.rank, *lat.class_nbr):
         assert not a.flags.writeable
 
 
@@ -122,22 +124,9 @@ def test_lattice_for_shares_one_lattice_per_size():
         lattice_for(14)
 
 
-def test_lattice_indexing_round_trip():
-    lat = Lattice(4)
-    assert lat.n_sites == 15
-    for s in range(lat.n_sites):
-        assert lat.site_index(*lat.site_of(s)) == s
-    assert lat.site_index(0, 0) == 0
-    assert lat.site_index(3, 0) == 7
-
-
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice(0)
-    with pytest.raises(ValueError, match="outside"):
-        Lattice(3).site_index(3, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        Lattice(3).site_of(7)
 
 
 # --- coverage ------------------------------------------------------------------
@@ -159,16 +148,16 @@ def test_uncovered_matches_bruteforce(n_levels):
         counts = RNG.poisson(0.5, lat.n_sites)
         occ = set(np.flatnonzero(counts > 0).tolist())
         for u in range(lat.n_sites):
-            b = neighbourhood(lat.site_of(u), n_levels)
+            b = neighbourhood(site_of(u), n_levels)
             uncov = sum(
                 1
                 for v in b
                 if not any(
-                    lat.site_index(*w) in occ
+                    flat_index(*w) in occ
                     for w in neighbourhood(v, n_levels)
                 )
             )
-            assert uncovered_measure(lat.site_of(u), counts) == uncov
+            assert uncovered_measure(site_of(u), counts) == uncov
 
 
 def test_coverage_monotone_under_insertion():
@@ -188,7 +177,7 @@ def test_uncovered_plus_covered_partitions_neighbourhood():
     lat = Lattice(3)
     counts = RNG.poisson(0.7, lat.n_sites)
     for u in range(lat.n_sites):
-        site = lat.site_of(u)
+        site = site_of(u)
         assert 0 <= uncovered_measure(site, counts) <= len(neighbourhood(site, 3))
 
 

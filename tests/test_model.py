@@ -16,7 +16,7 @@ from aibt.model import (
     log_marginal_posterior,
 )
 from aibt.wavelet import HAAR, WaveletDecomposition
-from oracles import log_density, uncovered_measure
+from oracles import log_density, site_of, uncovered_measure
 
 RNG = np.random.default_rng(7)
 
@@ -125,7 +125,7 @@ def test_factor_bounds_random_states():
             tau=float(RNG.uniform(0.3, 2.0)), sigma=float(RNG.uniform(0.1, 1.0)),
         )
         counts = RNG.poisson(0.5, lat.n_sites)
-        u = lat.site_of(int(RNG.integers(lat.n_sites)))
+        u = site_of(int(RNG.integers(lat.n_sites)))
         assert 0 < p.gamma ** -uncovered_measure(u, counts) <= 1.0
         d = float(RNG.normal(0, 1.0))
         terms = log_count_terms(d, p, 40)
@@ -149,7 +149,7 @@ def test_intensity_equals_density_ratio():
         # the density is against unit-rate Poisson, the count terms carry 1/c!
         expected = (
             float(log_count_terms(dhat[s], p, c)[-1]) + math.lgamma(c + 1)
-            - uncovered_measure(lat.site_of(s), counts) * math.log(p.gamma)
+            - uncovered_measure(site_of(s), counts) * math.log(p.gamma)
         )
         assert delta == pytest.approx(expected, abs=1e-10)
 
