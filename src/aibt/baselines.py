@@ -24,16 +24,14 @@ __all__ = [
 ]
 
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
-def _norm_pdf(x: np.ndarray, scale: float) -> np.ndarray:
-    """Density of ``N(0, scale**2)``; 0 where the square of ``x / scale`` passes the float range."""
-    z = x / scale
-    with np.errstate(over="ignore"):
-        return np.exp(-(z**2) / 2.0) / _SQRT_2PI / scale
+def _check_sigma(sigma: float) -> None:
+    """Reject a noise level that is not positive and finite."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:
@@ -55,6 +53,7 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
 
 def universal_threshold(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition:
     """Soft-threshold every detail at ``sigma * sqrt(2 log n)`` (n = signal length)."""
+    _check_sigma(sigma)
     t = sigma * np.sqrt(2.0 * np.log(dec.n))
     return dec.with_details(soft_threshold(dec.flat_details(), t))
 
@@ -85,8 +84,7 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
     ``sigma * sqrt(2 log m)``; dense levels take the SURE minimizer.
     On a one-coefficient level both rules give threshold zero.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     ts = []
     for d in dec.details:
         m = d.size
@@ -110,18 +108,15 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: fl
         raise ValueError("pi must lie in [0, 1]")
     med = np.zeros_like(d)
     live = np.flatnonzero((pi > 0.0) & (tau > 0.0))  # the median is exactly 0 everywhere else
-    d, pi, tau2 = d[live], pi[live], np.float_power(tau[live], 2)  # C pow, as tau**2 on a Python float
-    s2 = sigma**2 + tau2
-    g1 = _norm_pdf(d, np.sqrt(s2))
-    g0 = _norm_pdf(d, sigma)
-    den = pi * g1 + (1.0 - pi) * g0
-    w = np.divide(pi * g1, den, out=np.empty_like(den), where=den > 0.0)
-    lost = den == 0.0  # both densities underflow: w from their log ratio, which is +inf at pi = 1 or a huge d
+    d, pi, r = d[live], pi[live], sigma / tau[live]
+    # the slab weight is the logistic of the log density ratio, which is +inf at pi = 1 or where (d / sigma)**2
+    # overflows; rho = tau**2 / (sigma**2 + tau**2) is taken from sigma / tau, so no tau is squared
     with np.errstate(divide="ignore", over="ignore"):
-        w[lost] = 0.5 + 0.5 * np.tanh(np.log(pi[lost] / (1.0 - pi[lost]) * sigma / np.sqrt(s2[lost])) / 2
-                                      + d[lost] ** 2 / 4 * (1 / sigma**2 - 1 / s2[lost]))
-    mu = tau2 / s2 * np.abs(d)
-    nu = np.sqrt(sigma**2 * tau2 / s2)
+        rho = 1.0 / (1.0 + r**2)
+        x = np.log(pi / (1.0 - pi)) + np.log(r) + 0.5 * np.log(rho) + (d / sigma) ** 2 * rho / 2
+        w = 0.5 + 0.5 * np.tanh(x / 2)
+    mu = rho * np.abs(d)
+    nu = sigma * np.sqrt(rho)
     # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2
     take = w * _norm_sf(-mu / nu) > 0.5
     q = 1.0 - 1.0 / (2.0 * w[take])
@@ -139,6 +134,7 @@ def bayes_thresh(
 
     ``pi`` and ``tau`` may be scalars or one value per level.
     """
+    _check_sigma(sigma)
     sizes = [d.size for d in dec.details]
     pis = np.repeat(np.broadcast_to(np.asarray(pi, dtype=float), (dec.n_levels,)), sizes)
     taus = np.repeat(np.broadcast_to(np.asarray(tau, dtype=float), (dec.n_levels,)), sizes)
@@ -155,6 +151,7 @@ def estimate_mixture_hyperparams(
     surplus ``mean(d^2) - sigma^2`` spread over that weight.  Levels with no
     exceedances get weight zero (the slab scale is then immaterial).
     """
+    _check_sigma(sigma)
     u = sigma * np.sqrt(2.0 * np.log(dec.n))
     pis = np.zeros(dec.n_levels)
     taus = np.full(dec.n_levels, sigma)
@@ -162,8 +159,9 @@ def estimate_mixture_hyperparams(
         pi = float(np.mean(np.abs(d) > u))
         pis[j] = pi
         if pi > 0:
-            surplus = max(float(np.mean(d**2)) - sigma**2, 0.0)
-            taus[j] = np.sqrt(max(surplus / pi, 1e-4 * sigma**2))
+            s = float(np.max(np.abs(d)))  # squares in units of the largest magnitude cannot overflow
+            surplus = max(float(np.mean((d / s) ** 2)) - (sigma / s) ** 2, 0.0)
+            taus[j] = s * np.sqrt(max(surplus / pi, 1e-4 * (sigma / s) ** 2))
     return pis, taus
 
 
@@ -177,8 +175,7 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     flat = dec.flat_details()
     m = flat.size
     p = 2.0 * _norm_sf(np.abs(flat) / sigma)

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -236,7 +237,7 @@ def load_config(source=None, **overrides) -> ExperimentConfig:
     rejected rather than ignored.  An override of ``None`` is skipped, so
     unset command-line options leave the source's value.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
             mapping = json.load(fh)
     else:

@@ -8,9 +8,10 @@ The heat-bath conditional of a site is ``sigmoid(log W_s - unc_s * log
 gamma)``, where ``unc_s`` counts the sites of ``B(s)`` that no other
 occupied site covers.  For ``gamma >= 1`` it grows with the rest of the
 pattern, so the field is attractive and Propp-Wilson monotone CFTP is exact
-on it: a top chain started all occupied and a bottom chain started all
-empty share every uniform; once they agree at time zero the common pattern
-is an exact draw.  The lookback doubles from 2 to at most 4096 sweeps;
+on it: a top chain started all occupied and a bottom chain started with
+only the held sites (below) occupied, the least pattern they allow, share
+every uniform; once they agree at time zero the common pattern is an
+exact draw.  The lookback doubles from 2 to at most 4096 sweeps;
 near the field's ordered phase (large ``lam`` and ``gamma``) the chains
 may not meet by then, and the sampler raises rather than run on.  Each
 sweep updates the lattice's colour classes in turn; no two sites of one

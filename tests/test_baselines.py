@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import expit
 from scipy.stats import norm
 
 from aibt.baselines import (
     _inv_cdf,
     _mixture_median,
-    _norm_pdf,
     _norm_sf,
     bayes_thresh,
     estimate_mixture_hyperparams,
@@ -192,6 +192,21 @@ def test_coefficients_that_square_past_the_float_range_raise_no_warning():
     assert out.details[1][0] == 1e200
 
 
+@pytest.mark.parametrize("sigma,tau,pi", [(1.0, 0.1, 0.5), (0.3, 0.02, 0.2)])
+def test_mixture_median_where_the_spike_density_is_subnormal(sigma, tau, pi):
+    """At |d| / sigma in [37, 38.6] the spike density N(d; 0, sigma^2) is subnormal; the median still
+    matches a reference whose slab weight is the logistic of scipy's log density ratio."""
+    d = sigma * np.concatenate([np.linspace(37.0, 38.6, 161), -np.linspace(37.0, 38.6, 161)])
+    s = math.hypot(sigma, tau)
+    w = expit(math.log(pi / (1.0 - pi)) + norm.logpdf(d, scale=s) - norm.logpdf(d, scale=sigma))
+    mu, nu = tau**2 / s**2 * np.abs(d), sigma * tau / s
+    take = w * norm.cdf(mu / nu) > 0.5
+    want = np.where(take, np.sign(d) * (mu + nu * norm.ppf(1.0 - 1.0 / (2.0 * w))), 0.0)
+    got = _mixture_median(d, sigma, pi, tau)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_bayes_thresh_per_level_parameters():
     dec = _dec([[2.0], [2.0, -2.0]])
     out = bayes_thresh(dec, 1.0, [0.0, 0.9], [1.0, 1.0])
@@ -209,6 +224,16 @@ def test_estimate_mixture_hyperparams_moment_matching():
     assert pis[2] == pytest.approx(np.mean(np.abs(loud) > u), abs=0)
     surplus = np.mean(loud**2) - sigma**2
     assert taus[2] == pytest.approx(math.sqrt(surplus / pis[2]), rel=1e-12)
+
+
+def test_mixture_hyperparams_of_a_coefficient_that_squares_past_the_float_range():
+    """The level [1e200, -0.5] has a slab scale of 1e200, not inf: its squares are taken in units of its
+    largest magnitude.  BayesThresh then keeps 1e200, with no RuntimeWarning."""
+    dec = _dec([[0.3], [1e200, -0.5]])
+    pis, taus = estimate_mixture_hyperparams(dec, 1.0)
+    assert pis.tolist() == [0.0, 0.5]
+    assert taus[1] == pytest.approx(1e200, rel=1e-12)
+    assert bayes_thresh(dec, 1.0, pis, taus).details[1].tolist() == [1e200, 0.0]
 
 
 # --- false discovery rate rule ----------------------------------------------------------------
@@ -269,6 +294,24 @@ def test_rules_preserve_scaling_and_shapes():
         assert [d.size for d in out.details] == [d.size for d in dec.details]
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "rule",
+    [
+        universal_threshold,
+        sure_shrink,
+        lambda dec, sigma: bayes_thresh(dec, sigma, 0.5, 1.0),
+        estimate_mixture_hyperparams,
+        fdr_threshold,
+    ],
+    ids=["universal", "sure", "bayes", "hyperparams", "fdr"],
+)
+def test_rules_reject_a_noise_level_that_is_not_positive_and_finite(rule, sigma):
+    dec = forward_dwt(np.sin(np.arange(16.0)), HAAR)
+    with pytest.raises(ValueError, match="sigma"):
+        rule(dec, sigma)
+
+
 # --- normal-law helpers against scipy ---------------------------------------------------------
 
 EPS = np.finfo(float).eps
@@ -276,9 +319,6 @@ EPS = np.finfo(float).eps
 
 def test_normal_helpers_match_scipy():
     x = np.linspace(-38.0, 38.0, 20001)
-    for scale in (0.1, 1.0, 3.7):
-        np.testing.assert_allclose(_norm_pdf(x * scale, scale), norm.pdf(x * scale, scale=scale),
-                                   rtol=2 * EPS, atol=0)
     # erfc(x / sqrt 2) has condition number ~x**2, so rounding x / sqrt 2 alone costs
     # about 38**2 * eps ~ 3e-13 relative at the ends; subnormal tails differ absolutely
     np.testing.assert_allclose(_norm_sf(x), norm.sf(x), rtol=1e-12, atol=1e-300)

@@ -88,6 +88,7 @@ def test_load_config_from_file_and_mapping(tmp_path):
     path.write_text(json.dumps({"signals": ["Blocks"], "reps": 3, "rsnr": [7.0]}))
     cfg = load_config(str(path))
     assert cfg.signals == ("Blocks",) and cfg.reps == 3 and cfg.rsnr == (7.0,)
+    assert load_config(path) == cfg  # a pathlib.Path reads the same file
     assert load_config({"n": 64}).n == 64
     # overrides replace the file's values, and an override of None leaves them
     cfg = load_config(str(path), reps=5, n=None, rsnr=[3.0])

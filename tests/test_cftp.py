@@ -43,14 +43,14 @@ MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
 # --- held sites ------------------------------------------------------------------
 
 
-def test_classify_sites_frozen_examples():
+def test_held_sites_frozen_examples():
     # with gain tau^2 / (2 v(0) v(1)) = 1.6 these signal values put the log rate at 5 and 21
     assert log_dominating_rate(1.0, MODERATE) - math.log(MODERATE.lam) == pytest.approx(1.6, rel=1e-12)
     dhat = np.array([0.0, 1.8863236699596295, 3.682148420127842])
     assert held_sites(dhat, MODERATE).tolist() == [False, True, True]
 
 
-def test_classify_sites_boundary_is_exclusive():
+def test_held_sites_boundary_is_exclusive():
     # at dhat = 0 the dominating rate is lam: a rate of exactly e**4 is still simulated
     at = ModelParams(lam=math.exp(4.0), gamma=2.0, tau=1.0, sigma=0.5)
     above = ModelParams(lam=math.exp(4.0) * (1 + 1e-12), gamma=2.0, tau=1.0, sigma=0.5)
@@ -58,7 +58,7 @@ def test_classify_sites_boundary_is_exclusive():
     assert held_sites(np.array([0.0]), above)[0]
 
 
-def test_classify_sites_handles_huge_signals_in_log_space():
+def test_held_sites_handles_huge_signals_in_log_space():
     assert held_sites(np.array([1e6, -1e6]), MODERATE).all()
 
 
@@ -84,7 +84,7 @@ def _coalescence_sweeps(field, root):
         sweeps *= 2
 
 
-def test_extension_preserves_prefix_and_endpoint():
+def test_draws_do_not_depend_on_batch_or_order():
     """A sweep's uniforms depend on its draw and its time only, never on the batch or horizon."""
     root = _root(3)
     assert np.array_equal(_key(root, 5).random(7), _key(root, 5).random(7))
@@ -188,7 +188,7 @@ def test_sandwich_order_holds_eventwise():
     assert updates > 10_000
 
 
-def test_coalesced_replay_returns_identical_chains():
+def test_deeper_start_returns_the_coalesced_draw():
     """A start 2T sweeps back returns the draw that coalesced at T."""
     for seed in range(6):
         field, dhat, held = _field(seed, n_levels=4, clamp=seed % 2 == 1)
