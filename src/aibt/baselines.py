@@ -107,12 +107,14 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: fl
     if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise ValueError("pi must lie in [0, 1]")
     med = np.zeros_like(d)
-    live = np.flatnonzero((pi > 0.0) & (tau > 0.0))  # the median is exactly 0 everywhere else
-    d, pi, r = d[live], pi[live], sigma / tau[live]
-    # the slab weight is the logistic of the log density ratio, which is +inf at pi = 1 or where (d / sigma)**2
-    # overflows; rho = tau**2 / (sigma**2 + tau**2) is taken from sigma / tau, so no tau is squared
+    # rho = tau**2 / (sigma**2 + tau**2) is taken from sigma / tau, so no tau is squared; the slab weight is the
+    # logistic of the log density ratio, which is +inf at pi = 1 or where (d / sigma)**2 overflows
     with np.errstate(divide="ignore", over="ignore"):
+        r = sigma / tau
         rho = 1.0 / (1.0 + r**2)
+        # the median is exactly 0 where pi = 0, tau = 0, or rho = 0 ((sigma / tau)**2 overflows: no slab is left)
+        live = np.flatnonzero((pi > 0.0) & (tau > 0.0) & (rho > 0.0))
+        d, pi, r, rho = d[live], pi[live], r[live], rho[live]
         x = np.log(pi / (1.0 - pi)) + np.log(r) + 0.5 * np.log(rho) + (d / sigma) ** 2 * rho / 2
         w = 0.5 + 0.5 * np.tanh(x / 2)
     mu = rho * np.abs(d)

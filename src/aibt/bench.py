@@ -149,9 +149,7 @@ def _estimate_one(
         return sure_shrink(dec, sigma)
     if method == "BayesThresh":
         return bayes_thresh(dec, sigma, *estimate_mixture_hyperparams(dec, sigma))
-    if method == "FDR":
-        return fdr_threshold(dec, sigma)
-    raise ValueError(f"unknown method {method!r}")
+    return fdr_threshold(dec, sigma)
 
 
 def _run_cell(cfg: ExperimentConfig, signal: str, rsnr_index: int) -> list[ResultRow]:

@@ -122,17 +122,16 @@ def _decided_off_cut(log_w: np.ndarray) -> np.ndarray:
     return cut
 
 
-def _key(root: np.random.SeedSequence, t: int) -> np.random.Generator:
+def _key(root: np.ndarray, t: int) -> np.random.Generator:
     """The stream of one draw at sweep ``t`` (``t >= 1`` steps before time zero; 0 for counts)."""
-    return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
+    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(t,)))
 
 
-def _root(seed) -> np.random.SeedSequence:
-    """A draw's root key; taken from the generator, so a reused generator gives fresh draws."""
+def _root(seed) -> np.ndarray:
+    """A draw's root entropy; taken from the generator, so a reused generator gives fresh draws."""
     ints = np.random.default_rng(seed).integers(2**63, size=2).tolist()
     # the uint32 words SeedSequence makes of a list of ints (no zero high word): the same keys, derived faster
-    words = [w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]]
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.array([w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]], dtype=np.uint32)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -169,7 +168,7 @@ def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np
     return cap, log_w
 
 
-def _draw_counts(occ: np.ndarray, roots: list[np.random.SeedSequence], dhat: np.ndarray, params: ModelParams,
+def _draw_counts(occ: np.ndarray, roots: list[np.ndarray], dhat: np.ndarray, params: ModelParams,
                  cap: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     """Multiplicities from ``P(c) ~ lam**c/c! N(dhat; 0, v(c))``, ``c <= cap``, where ``occ[draw, site]`` holds.
 
@@ -256,7 +255,7 @@ class _OccupancyField:
         cov[-1] = _PAD_COVERAGE
         occ[rows] = new
 
-    def run(self, roots: list[np.random.SeedSequence], sweeps: int) -> np.ndarray:
+    def run(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
         """Both chains at time zero after ``sweeps`` sweeps, C-contiguous, shape ``(2, draws, n_sites)``.
 
         Each sweep's uniforms come from the draw's key for that sweep.

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,7 +79,9 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
     else:
         if args.rsnr is not None:
             raise ValueError("--rsnr applies to --signal only; a file's noise level is --sigma or its estimate")
-        y = np.loadtxt(args.infile)
+        with warnings.catch_warnings():  # an empty file fails the transform's length check with one JSON line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            y = np.loadtxt(args.infile)
         sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(forward_dwt(y, get_filter(wavelet)))
     return np.asarray(y, dtype=float), float(sigma), wavelet
 
@@ -154,7 +157,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, CoalescenceError, MemoryError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

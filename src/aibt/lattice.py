@@ -78,9 +78,6 @@ class Lattice:
         for a in (self.nbr, self.neighbourhood_sizes, self.class_order, self.rank, *self.class_nbr):
             a.flags.writeable = False
 
-    def __repr__(self) -> str:
-        return f"Lattice(n_levels={self.n_levels})"
-
 
 @functools.lru_cache(maxsize=32)
 def lattice_for(n_sites: int) -> Lattice:

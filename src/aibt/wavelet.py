@@ -263,7 +263,7 @@ def make_test_signal(name: str, n: int) -> np.ndarray:
 
 def add_noise(signal: np.ndarray, sigma: float, seed: int | np.random.Generator) -> np.ndarray:
     """Add i.i.d. centred Gaussian noise with standard deviation ``sigma``."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     signal = np.asarray(signal, dtype=float)
     return signal + sigma * np.random.default_rng(seed).standard_normal(signal.size)

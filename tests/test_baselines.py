@@ -186,8 +186,11 @@ def test_bayes_thresh_where_both_densities_underflow():
 def test_coefficients_that_square_past_the_float_range_raise_no_warning():
     """At 1e200 sigma the squares overflow: the densities are 0 and the level energy inf, with no
     RuntimeWarning (an error under the suite's filter).  The mixture median is the slab's, d / 2,
-    and SureShrink keeps the spike."""
+    and SureShrink keeps the spike.  Where tau is so far below sigma that (sigma / tau)**2 overflows,
+    the slab collapses onto the spike and the median is exactly 0."""
     assert _mixture_median(np.array([1e200, -1e200]), 1.0, 0.5, 1.0).tolist() == [5e199, -5e199]
+    for tau in (1e-150, 1e-160, 1e-200, 1e-310, 5e-324):
+        assert _mixture_median(np.array([1.0, 40.0]), 1.0, 0.5, tau).tolist() == [0.0, 0.0]
     out = sure_shrink(_dec([[0.3], [1e200, -0.5], [0.1, -0.2, 0.4, 0.2]]), 1.0)
     assert out.details[1][0] == 1e200
 

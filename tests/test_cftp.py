@@ -104,7 +104,7 @@ def test_same_seed_same_schedule_is_deterministic():
     roots = [_root(9), _root(10)]
     for sweeps in (1, 2, 4, 8):
         a = field.run(roots, sweeps)
-        b = field.run([np.random.SeedSequence(r.entropy) for r in roots], sweeps)
+        b = field.run([r.copy() for r in roots], sweeps)
         assert np.array_equal(a, b)
 
 
@@ -446,7 +446,7 @@ def test_pinned_draws(signal, wavelet, noise_seed, sigma, lam, gamma, held, expe
     assert hashlib.sha256(cftp_counts(dhat, params, range(9)).tobytes()).hexdigest()[:16] == expected
 
 
-def test_cftp_sample_deterministic_and_seedable():
+def test_cftp_counts_deterministic_and_seedable():
     dhat = np.array([0.8, -0.3, 0.5])
     a = cftp_counts(dhat, MODERATE, [12])[0]
     b = cftp_counts(dhat, MODERATE, [12])[0]
@@ -457,7 +457,7 @@ def test_cftp_sample_deterministic_and_seedable():
     assert any(not np.array_equal(a, cftp_counts(dhat, MODERATE, [s])[0]) for s in range(13, 20))
 
 
-def test_cftp_sample_validates_dhat_length():
+def test_cftp_counts_validates_dhat_length():
     with pytest.raises(ValueError):
         cftp_counts(np.zeros(4), MODERATE, [0])
     with pytest.raises(ValueError, match="one value per lattice site"):
@@ -475,7 +475,7 @@ def test_nan_coefficient_is_rejected_before_any_work(monkeypatch):
         cftp_counts(np.array([0.1, np.nan, 0.2]), MODERATE, [0])
 
 
-def test_cftp_sample_zeroes_non_simulated_sites():
+def test_cftp_counts_zeroes_non_simulated_sites():
     dhat = np.array([1.8863236699596295, 0.1, 3.682148420127842])
     assert held_sites(dhat, MODERATE).tolist() == [True, False, True]
     for seed in range(20):
@@ -537,13 +537,6 @@ def test_single_site_chain_matches_hand_enumeration():
     assert 0.5 * float(np.abs(freq - hand).sum()) < 0.05
 
 
-def test_small_lattice_matches_enumeration():
-    dhat = np.array([0.8, -0.3, 0.5])
-    exact = occupancy_pattern_probs(enumerate_posterior(dhat, MODERATE, caps=(14, 14, 14)))
-    mc = _empirical_patterns(dhat, MODERATE, n_draws=2500)
-    assert _tv(exact, mc) < 0.05
-
-
 def test_small_lattice_matches_enumeration_hot_site():
     # one site carries a dominating rate near 22: deep count intervals in play
     p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
@@ -595,7 +588,7 @@ def test_forced_occupied_site_conditions_the_chain():
     reason="held-site bias: a held site is occupied in every draw although its exact "
     "posterior occupancy is 0.173",
 )
-def test_occupied_assumed_site_matches_enumeration():
+def test_held_site_matches_enumeration():
     p = ModelParams(lam=0.05, gamma=3.0, tau=1.0, sigma=0.1)
     dhat = np.array([0.3763, 0.0, 0.0])
     assert held_sites(dhat, p).tolist() == [True, False, False]

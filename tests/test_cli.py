@@ -427,21 +427,24 @@ _BLOCKS_16 = ["--signal", "Blocks", "--n", "16", "--rsnr", "10"]
         (["--signal", "Blocks", "--n", "16", "--rsnr", "1e-154"], 1),  # sigma**2 (sigma**2 + tau**2) overflows
         ([*_BLOCKS_16, "--tau", "1.34e154"], 1),  # tau**2 / sigma**2 overflows
         (["--in", "{huge}", "--sigma", "1"], 0),  # every dhat**2 overflows
+        (["--in", "{empty}"], 1),  # numpy's loadtxt warns on a file with no data
         ([*_BLOCKS_16, "--lam", "1e300"], 0),
         ([*_BLOCKS_16, "--gamma", "1e300"], 0),
         ([*_BLOCKS_16, "--z", "1"], 2),  # the model has no multiplicity power
     ],
-    ids=["rsnr-1e-154", "tau-1.34e154", "file-1e200", "lam-1e300", "gamma-1e300", "z"],
+    ids=["rsnr-1e-154", "tau-1.34e154", "file-1e200", "file-empty", "lam-1e300", "gamma-1e300", "z"],
 )
 def test_child_stderr_is_empty_or_one_json_line(tmp_path, argv, code):
     """Run as its own process, ``aibt denoise`` prints nothing to stderr when it succeeds and a single
     JSON error line when it fails: no numpy warning comes before it."""
     huge = tmp_path / "huge.txt"
     huge.write_text("1e200\n" * 16)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
     env = {**os.environ, "PYTHONPATH": str(Path(aibt.__file__).parents[1]), "PYTHONWARNINGS": "default"}
+    argv = [a.replace("{huge}", str(huge)).replace("{empty}", str(empty)) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "aibt", "denoise", *(a.replace("{huge}", str(huge)) for a in argv), "--draws", "3",
-         "--out", str(tmp_path / "est.txt")],
+        [sys.executable, "-m", "aibt", "denoise", *argv, "--draws", "3", "--out", str(tmp_path / "est.txt")],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == code, proc.stderr[-2000:]

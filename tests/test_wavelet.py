@@ -252,5 +252,7 @@ def test_add_noise_reproducible():
     assert np.array_equal(y1, y2)
     assert not np.array_equal(y1, y3)
     assert np.std(y1 - x) == pytest.approx(0.25, rel=0.3)
-    with pytest.raises(ValueError):
-        add_noise(x, -0.1, seed=0)
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            add_noise(x, sigma, seed=0)
+    assert np.array_equal(add_noise(x, 0.0, seed=0), x)
