@@ -119,8 +119,9 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: fl
         w = 0.5 + 0.5 * np.tanh(x / 2)
     mu = rho * np.abs(d)
     nu = sigma * np.sqrt(rho)
-    # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2
-    take = w * _norm_sf(-mu / nu) > 0.5
+    # for d > 0 the median is positive iff w * Phi(mu/nu) > 1/2; mu/nu may overflow to inf, where Phi is 1
+    with np.errstate(over="ignore"):
+        take = w * _norm_sf(-mu / nu) > 0.5
     q = 1.0 - 1.0 / (2.0 * w[take])
     med[live[take]] = np.sign(d[take]) * (mu[take] + nu[take] * _inv_cdf(q))
     return med

@@ -300,6 +300,8 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
         raise ValueError("dhat must not hold nan")
     lattice = lattice_for(dhat.size)
     roots = [_root(s) for s in seeds]
+    if not roots:  # no draws to run: a chain state with no columns has no rows to view
+        return np.zeros((0, lattice.n_sites), dtype=np.int64)
     cap, log_w = _site_weights(dhat, params)
     field = _OccupancyField(lattice, log_w, math.log(params.gamma))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)

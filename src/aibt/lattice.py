@@ -93,7 +93,7 @@ def coverage_measure(counts) -> int:
 
     Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an occupied site.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or (counts < 0).any():
-        raise ValueError("counts must be nonnegative with one entry per site")
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or not ((counts >= 0) & np.isfinite(counts) & (np.floor(counts) == counts)).all():
+        raise ValueError("counts must be finite, nonnegative whole numbers, one entry per site")
     return int(np.append(counts > 0, False)[lattice_for(counts.size).nbr].any(axis=1).sum())

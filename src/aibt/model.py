@@ -82,20 +82,22 @@ def _gain(params: ModelParams) -> float:
 
 
 def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> float:
-    """Log posterior density of a count vector, one multiplicity per site, coefficients integrated out.
+    """Log posterior probability of a count vector, one multiplicity per site, coefficients integrated out.
 
     Up to one additive constant shared by all count vectors:
-    ``N*log(lam) - coverage*log(gamma)`` plus, per site, the log Gaussian
-    likelihood of ``dhat`` under variance ``v(count)``.
+    ``N*log(lam) - coverage*log(gamma)`` plus, per site, ``-log(count!)`` and
+    the log Gaussian likelihood of ``dhat`` under variance ``v(count)``.
+    This is the law :func:`aibt.cftp_counts` draws when no site is held.
     """
+    m_cov = coverage_measure(counts)
     counts = np.asarray(counts, dtype=np.int64)
     dhat = np.asarray(dhat, dtype=float)
-    m_cov = coverage_measure(counts)
     if dhat.shape != counts.shape:
         raise ValueError("dhat must hold one value per lattice site")
     v = params.variance(counts)
     loglik = float(np.sum(-(dhat**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)))
-    return int(counts.sum()) * math.log(params.lam) - m_cov * math.log(params.gamma) + loglik
+    log_factorials = sum(math.lgamma(c + 1) for c in counts.tolist())
+    return int(counts.sum()) * math.log(params.lam) - m_cov * math.log(params.gamma) + loglik - log_factorials
 
 
 def log_count_terms(dhat_u, params: ModelParams, cap: int) -> np.ndarray:

@@ -138,11 +138,10 @@ class WaveletDecomposition:
     filter: WaveletFilter
 
     def __post_init__(self) -> None:
+        self.details = [np.asarray(d, dtype=float) for d in self.details]  # a new list: the caller's stays as given
         for j, d in enumerate(self.details):
-            d = np.asarray(d, dtype=float)
             if d.shape != (2**j,):
                 raise ValueError(f"level {j} must hold {2**j} coefficients, got shape {d.shape}")
-            self.details[j] = d
 
     @property
     def n_levels(self) -> int:

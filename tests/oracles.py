@@ -138,12 +138,12 @@ def uncovered_measure(u: Site, counts) -> int:
 
 
 def log_density(counts, dhat: np.ndarray, params: ModelParams, lattice: Lattice) -> float:
-    """Log posterior density of a count vector against unit-rate Poisson per site.
+    """Log posterior probability of a count vector, up to a constant shared by all count vectors.
 
     Written from the model definition: independent Poisson(1) reference per
-    site, intensity ``lam`` per point, clustering reward ``gamma`` per
-    covered site, and a Gaussian marginal likelihood with variance
-    ``sigma^2 + tau^2 c`` at each site.
+    site (its ``1/c!``), intensity ``lam`` per point, clustering reward
+    ``gamma`` per covered site, and a Gaussian marginal likelihood with
+    variance ``sigma^2 + tau^2 c`` at each site.
     """
     occ = {s for s, c in enumerate(counts) if c > 0}
     n = int(sum(counts))

@@ -150,8 +150,8 @@ def test_conditional_intensity_factor_bounds():
 
 
 def test_intensity_consistent_with_density():
-    """The sampler's heat-bath log-odds equal the log density summed over the
-    site's multiplicities, to 1e-10, with held sites occupied."""
+    """The sampler's heat-bath log-odds equal the log posterior probability summed
+    over the site's multiplicities, to 1e-10, with held sites occupied."""
     rng = np.random.default_rng(17)
     params = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     lat = Lattice(4)
@@ -179,7 +179,7 @@ def test_intensity_consistent_with_density():
             for m in range(1, 40):
                 base[s] = m
                 lp = log_marginal_posterior(base, dhat, params)
-                terms.append(lp - lp0 - math.lgamma(m + 1))
+                terms.append(lp - lp0)
             top = max(terms)
             expected = top + math.log(sum(math.exp(t - top) for t in terms))
             worst = max(worst, abs(odds[i] - expected))
@@ -219,16 +219,21 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
 
 
 def test_site_likelihood_quadrature():
-    """Closed-form site likelihood matches Gauss-Hermite integration to 1e-6."""
+    """Closed-form site likelihood matches Gauss-Hermite integration to 1e-6.
+
+    A site holding ``c`` points has coefficient ``N(0, tau^2 c)`` plus noise ``N(0, sigma^2)``, so the
+    closed form adds the two variances; the quadrature integrates the prior density over the noise.
+    """
     from numpy.polynomial.hermite_e import hermegauss
 
     nodes, weights = hermegauss(150)
     worst = 0.0
-    for tau, sigma in ((1.0, 0.1), (0.8, 0.35), (2.0, 1.0), (1.5, 0.2), (0.5, 0.5), (3.0, 0.7)):
+    pairs = ((1.0, 0.1), (0.8, 0.35), (1.0, 0.35), (1.7, 0.35), (2.0, 1.0), (1.5, 0.2), (0.5, 0.5), (3.0, 0.7))
+    for tau, sigma in pairs:
         params = ModelParams(lam=0.5, gamma=2.0, tau=tau, sigma=sigma)
         for c in (1, 2, 3, 5, 10):
             prior_var = tau**2 * float(c)
-            for dhat in (-2.5, -0.7, 0.0, 0.4, 1.3, 3.0):
+            for dhat in (-2.5, -1.3, -0.7, 0.0, 0.4, 1.3, 2.5, 3.0):
                 eps = nodes * sigma
                 dens = np.exp(-((dhat - eps) ** 2) / (2 * prior_var)) / math.sqrt(
                     2 * math.pi * prior_var

@@ -189,6 +189,9 @@ def test_coefficients_that_square_past_the_float_range_raise_no_warning():
     and SureShrink keeps the spike.  Where tau is so far below sigma that (sigma / tau)**2 overflows,
     the slab collapses onto the spike and the median is exactly 0."""
     assert _mixture_median(np.array([1e200, -1e200]), 1.0, 0.5, 1.0).tolist() == [5e199, -5e199]
+    # with sigma tiny, mu / nu overflows to inf, where the slab's normal cdf is 1
+    assert _mixture_median(np.array([1e10]), 1e-300, 0.5, 1.0).tolist() == [1e10]
+    assert _mixture_median(np.array([1e300, -1e300]), 1e-300, 0.5, 1e-300).tolist() == [5e299, -5e299]
     for tau in (1e-150, 1e-160, 1e-200, 1e-310, 5e-324):
         assert _mixture_median(np.array([1.0, 40.0]), 1.0, 0.5, tau).tolist() == [0.0, 0.0]
     out = sure_shrink(_dec([[0.3], [1e200, -0.5], [0.1, -0.2, 0.4, 0.2]]), 1.0)

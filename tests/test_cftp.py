@@ -27,11 +27,11 @@ from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from aibt.wavelet import forward_dwt, get_filter, make_test_signal
 from oracles import (
-    brute_coverage,
     enumerate_posterior,
     flat_index,
     gathered_coverage,
     heat_bath_log_odds,
+    log_density,
     neighbourhood,
     occupancy_pattern_probs,
     site_of,
@@ -458,10 +458,15 @@ def test_cftp_counts_deterministic_and_seedable():
 
 
 def test_cftp_counts_validates_dhat_length():
+    """The length is checked before the seeds are read; with no seeds a valid length gives no draws."""
     with pytest.raises(ValueError):
         cftp_counts(np.zeros(4), MODERATE, [0])
+    with pytest.raises(ValueError):
+        cftp_counts(np.zeros(4), MODERATE, [])
     with pytest.raises(ValueError, match="one value per lattice site"):
         cftp_counts(np.zeros((3, 1)), MODERATE, [0])
+    none = cftp_counts(np.zeros(7), MODERATE, [])
+    assert none.shape == (0, 7) and none.dtype == np.int64
 
 
 def test_nan_coefficient_is_rejected_before_any_work(monkeypatch):
@@ -550,9 +555,9 @@ def test_small_lattice_matches_enumeration_hot_site():
 def test_forced_occupied_site_conditions_the_chain():
     """An always-occupied site must shift its neighbours' law exactly.
 
-    The two simulated sites are enumerated against the density conditioned
-    on the third site being occupied: its coverage contribution stays, its
-    count terms drop out as constants.
+    The two simulated sites are enumerated against the law conditioned on
+    the third site being occupied: held at count 1, it keeps its coverage
+    contribution, and its count terms drop out as one constant.
     """
     p = MODERATE
     lat = Lattice(2)
@@ -560,15 +565,10 @@ def test_forced_occupied_site_conditions_the_chain():
     dhat = np.array([0.3, 0.15, d_occ])
     assert held_sites(dhat, p).tolist() == [False, False, True]
     caps = (12, 12)
-    logw = {}
-    for c0, c1 in itertools.product(range(caps[0] + 1), range(caps[1] + 1)):
-        occ = {s for s, c in ((0, c0), (1, c1)) if c > 0} | {2}
-        lp = (c0 + c1) * math.log(p.lam) - brute_coverage(lat, occ) * math.log(p.gamma)
-        for s, c in ((0, c0), (1, c1)):
-            v = p.sigma**2 + p.tau**2 * c
-            lp += -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
-            lp -= math.lgamma(c + 1)
-        logw[(c0, c1)] = lp
+    logw = {
+        (c0, c1): log_density((c0, c1, 1), dhat, p, lat)
+        for c0, c1 in itertools.product(range(caps[0] + 1), range(caps[1] + 1))
+    }
     mx = max(logw.values())
     z = sum(math.exp(v - mx) for v in logw.values())
     exact: dict[tuple[int, int], float] = {}

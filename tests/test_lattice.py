@@ -185,9 +185,10 @@ def test_uncovered_plus_covered_partitions_neighbourhood():
 
 
 def test_configuration_rejects_bad_counts():
-    """A count vector needs one nonnegative entry per site of a ``2**J - 1``-site lattice."""
+    """A count vector needs one finite, nonnegative whole number per site of a ``2**J - 1``-site lattice."""
     p = ModelParams(lam=0.4, gamma=2.0, tau=1.0, sigma=0.5)
-    for bad in (np.array([1, -1, 0]), np.array([1, 0])):
+    for bad in (np.array([1, -1, 0]), np.array([1, 0]), np.array([0.5, 0, 0]), np.array([1.5, 0, 0]),
+                np.array([np.nan, 0, 0]), np.array([np.inf, 0, 0])):
         with pytest.raises(ValueError):
             coverage_measure(bad)
         with pytest.raises(ValueError):

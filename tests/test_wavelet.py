@@ -187,6 +187,13 @@ def test_decomposition_shape_contract():
         WaveletDecomposition([np.zeros(2)], 0.0, HAAR)
 
 
+def test_decomposition_leaves_the_callers_list_alone():
+    given = [[1], [2, 3]]
+    dec = WaveletDecomposition(given, 0.0, HAAR)
+    assert [type(d) for d in given] == [list, list]
+    assert [d.dtype for d in dec.details] == [np.float64, np.float64]
+
+
 def test_with_details_replaces_values():
     x = RNG.standard_normal(16)
     dec = forward_dwt(x, HAAR)
