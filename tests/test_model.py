@@ -1,10 +1,11 @@
-"""Model terms: variances, count terms, the count-vector law against its oracle."""
+"""Model terms: variances, count terms, the count-vector law against its oracle, quadrature check."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from aibt.lattice import Lattice
 from aibt.model import (
@@ -157,6 +158,34 @@ def test_log_marginal_posterior_matches_independent_formula():
         dhat = RNG.normal(0, 1.0, lat.n_sites)
         ref = log_density(counts.tolist(), dhat, p, lat)
         assert log_marginal_posterior(counts, dhat, p) == pytest.approx(ref, abs=1e-10)
+
+
+# --- marginal likelihood vs quadrature ---------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1, 2, 5])
+@pytest.mark.parametrize("tau", [1.0, 1.7])
+def test_site_likelihood_matches_gauss_hermite(c, tau):
+    """The closed-form site likelihood equals numerically integrating out the mean.
+
+    A site holding ``c`` points models its coefficient as Gaussian with
+    variance ``tau^2 c`` around zero plus observation noise, so the
+    marginal of the observed value is Gaussian with the two variances
+    added; the quadrature integrates the noise density against the prior.
+    """
+    p = ModelParams(lam=0.5, gamma=2.0, tau=tau, sigma=0.35)
+    nodes, weights = hermegauss(120)  # weight exp(-x^2/2), total mass sqrt(2 pi)
+    prior_var = p.tau**2 * float(c)
+    for dhat in (0.0, 0.4, -1.3, 2.5):
+        # integrate over the (narrower) noise; the convolution is symmetric
+        eps = nodes * p.sigma
+        dens = np.exp(-((dhat - eps) ** 2) / (2 * prior_var)) / math.sqrt(
+            2 * math.pi * prior_var
+        )
+        integral = float(np.dot(weights, dens)) / math.sqrt(2 * math.pi)
+        v = p.variance(c)
+        closed = math.exp(-(dhat**2) / (2 * v)) / math.sqrt(2 * math.pi * v)
+        assert closed == pytest.approx(integral, rel=1e-6)
 
 
 # --- dominating rate ----------------------------------------------------------------
