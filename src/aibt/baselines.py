@@ -106,6 +106,8 @@ def _mixture_median(d: np.ndarray, sigma: float, pi: float | np.ndarray, tau: fl
     pi, tau = np.broadcast_to(pi, d.shape), np.broadcast_to(tau, d.shape)
     if not np.all((pi >= 0.0) & (pi <= 1.0)):
         raise ValueError("pi must lie in [0, 1]")
+    if not np.all(tau >= 0.0):
+        raise ValueError("tau must be nonnegative")
     med = np.zeros_like(d)
     # rho = tau**2 / (sigma**2 + tau**2) is taken from sigma / tau, so no tau is squared; the slab weight is the
     # logistic of the log density ratio, which is +inf at pi = 1 or where (d / sigma)**2 overflows

@@ -94,6 +94,8 @@ def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> flo
     dhat = np.asarray(dhat, dtype=float)
     if dhat.shape != counts.shape:
         raise ValueError("dhat must hold one value per lattice site")
+    if np.isnan(dhat).any():  # +-inf is allowed: it scores -inf
+        raise ValueError("dhat must not hold nan")
     v = params.variance(counts)
     loglik = float(np.sum(-(dhat**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)))
     log_factorials = sum(math.lgamma(c + 1) for c in counts.tolist())

@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately written from first principles: explicit
-basis matrices, brute-force set arithmetic, an exhaustive state enumeration,
-and a forward birth-death equilibrium chain.  None of it reuses the
+basis matrices, brute-force set arithmetic, and exhaustive enumerations of
+count vectors and of occupancy patterns.  None of it reuses the
 package's incremental or coupled machinery, so agreement is evidence, not
 tautology.
 """
@@ -149,10 +149,14 @@ def log_density(counts, dhat: np.ndarray, params: ModelParams, lattice: Lattice)
     n = int(sum(counts))
     lp = n * math.log(params.lam) - brute_coverage(lattice, occ) * math.log(params.gamma)
     for s, c in enumerate(counts):
-        v = params.sigma**2 + params.tau**2 * float(c)
-        lp += -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
-        lp -= math.lgamma(c + 1)
+        lp += log_likelihood(dhat[s], c, params) - math.lgamma(c + 1)
     return lp
+
+
+def log_likelihood(d: float, c: int, params: ModelParams) -> float:
+    """Log Gaussian density of an observation ``d`` at a site with ``c`` points: variance ``sigma^2 + tau^2 c``."""
+    v = params.sigma**2 + params.tau**2 * float(c)
+    return -(d**2) / (2 * v) - 0.5 * math.log(2 * math.pi * v)
 
 
 def enumerate_posterior(
@@ -178,80 +182,33 @@ def occupancy_pattern_probs(post: dict[tuple[int, ...], float]) -> dict[tuple[in
     return out
 
 
-def gillespie_occupancy(
-    dhat: np.ndarray,
-    params: ModelParams,
-    lattice: Lattice,
-    n_chains: int,
-    n_events: int,
-    seed: int,
-    n_groups: int = 50,
-    count_cap: int = 64,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time-weighted occupancy of independent forward birth-death chains, with group SE.
+def occupancy_law(dhat, params: ModelParams, held=()) -> np.ndarray:
+    """Exact law of the occupancy pattern on a lattice of at most 15 sites, by enumerating all ``2**n`` patterns.
 
-    Birth rates are ratios of :func:`log_density` at neighbouring states
-    (each point also dies at unit rate), which is detailed balance with the
-    target posterior; the chains therefore equilibrate to the same law the
-    coupled sampler draws from, by a completely different route.  All
-    ``n_chains`` chains start empty and run ``n_events`` events each, side
-    by side; the first 5% of each chain's events are discarded as burn-in.
-    The chains are split into ``n_groups`` groups whose time-weighted means
-    give the standard error.
+    Entry ``p`` is the probability that exactly the sites of the bits of
+    ``p`` are occupied (bit ``s`` for flat site ``s``).  Given occupancy the
+    counts are independent, so a pattern scores ``sum_occupied log W_s -
+    coverage * log(gamma)``, where ``W_s`` sums ``lam**c / c!`` times the
+    likelihood ratio of ``c`` points against none over ``c = 1..400``, term by
+    term, and coverage is the union of the occupied sites' neighbourhoods,
+    built by :func:`neighbourhood`.  The law is conditioned on the ``held``
+    sites being occupied.
     """
-    ns = lattice.n_sites
-    dhat = np.asarray(dhat, dtype=float)
-    if n_chains % n_groups:
-        raise ValueError("n_chains must be a multiple of n_groups")
-
-    def gauss(s: int, c: int) -> float:
-        v = params.sigma**2 + params.tau**2 * float(c)
-        return -dhat[s] ** 2 / (2 * v) - 0.5 * math.log(2 * math.pi * v)
-
-    # birth rate tables: count part per site, coverage part per occupancy pattern
-    exp_g = np.array(
-        [
-            [math.exp(math.log(params.lam) + gauss(s, c + 1) - gauss(s, c)) for c in range(count_cap)]
-            for s in range(ns)
-        ]
-    )
-    cov_tab = [
-        brute_coverage(lattice, {s for s in range(ns) if pat >> s & 1})
-        for pat in range(1 << ns)
-    ]
-    dcov_pow = np.array(
-        [
-            [params.gamma ** -(cov_tab[pat | 1 << s] - cov_tab[pat]) for s in range(ns)]
-            for pat in range(1 << ns)
-        ]
-    )
-
-    rng = np.random.default_rng(seed)
-    chains = np.arange(n_chains)
-    sites = np.arange(ns)
-    bits = 1 << sites
-    counts = np.zeros((n_chains, ns), dtype=np.int64)
-    burn = n_events // 20
-    occ_time = np.zeros((n_chains, ns))
-    t_total = np.zeros(n_chains)
-    for ev in range(n_events):
-        occupied = counts > 0
-        # IndexError if a count reaches count_cap: the tables would be too short
-        births = exp_g[sites, counts] * np.where(occupied, 1.0, dcov_pow[occupied @ bits])
-        rates = np.concatenate([births, counts], axis=1)
-        cum = np.cumsum(rates, axis=1)
-        tot = cum[:, -1]
-        u = rng.random((2, n_chains))
-        dt = -np.log(u[0]) / tot
-        if ev >= burn:
-            t_total += dt
-            occ_time += dt[:, None] * occupied
-        # the first event whose cumulative rate exceeds the pick; its rate is positive
-        pick = (cum <= (u[1] * tot)[:, None]).sum(axis=1)
-        counts[chains, pick % ns] += np.where(pick < ns, 1, -1)
-    groups = n_chains // n_groups
-    group_time = t_total.reshape(n_groups, groups).sum(axis=1)
-    means = occ_time.reshape(n_groups, groups, ns).sum(axis=1) / group_time[:, None]
-    est = np.average(means, axis=0, weights=group_time)
-    se = means.std(axis=0, ddof=1) / math.sqrt(n_groups)
-    return est, se
+    n = len(dhat)
+    n_levels = (n + 1).bit_length() - 1
+    assert 2**n_levels - 1 == n <= 15
+    log_w = []
+    for d in dhat:
+        terms = [c * math.log(params.lam) - math.lgamma(c + 1) + log_likelihood(d, c, params) for c in range(1, 401)]
+        top = max(terms)
+        assert terms[-1] < top - 60, "the sum over counts needs more terms"
+        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)) - log_likelihood(d, 0, params))
+    cover = np.array([sum(1 << flat_index(*v) for v in neighbourhood(site_of(s), n_levels)) for s in range(n)])
+    patterns = np.arange(2**n)
+    occupied = patterns[:, None] >> np.arange(n) & 1
+    covered = np.bitwise_or.reduce(occupied * cover, axis=1)[:, None] >> np.arange(n) & 1
+    log_p = occupied @ np.array(log_w) - covered.sum(axis=1) * math.log(params.gamma)
+    held_bits = sum(1 << int(s) for s in held)
+    log_p[patterns & held_bits != held_bits] = -np.inf
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum()

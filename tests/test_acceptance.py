@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
 from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, _site_weights, cftp_counts, held_sites
@@ -17,13 +18,7 @@ from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
-from oracles import (
-    enumerate_posterior,
-    gathered_coverage,
-    gillespie_occupancy,
-    heat_bath_log_odds,
-    occupancy_pattern_probs,
-)
+from oracles import enumerate_posterior, gathered_coverage, heat_bath_log_odds, occupancy_law, occupancy_pattern_probs
 
 
 def test_exact_draws_match_enumeration():
@@ -44,34 +39,65 @@ def test_exact_draws_match_enumeration():
     print(f"PASS exact sampling: TV={tv:.4f} < 0.02 over {n_draws} draws ({elapsed:.1f}s)")
 
 
-def test_occupancy_matches_forward_equilibrium_chain():
-    """Per-site occupancy agrees with an independent forward birth-death chain.
+MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
+FIFTEEN = [1.2, -0.8, 1.5, 0.3, -1.4, 0.9, 1.1, -0.6, 1.6, 0.2, -1.3, 0.7, -1.0, 1.45, 0.4]
+# the pooled chi-square p-value each case must reach; every simulated site must also be within 4 standard errors
+ALPHA = 1e-3
 
-    1e4 exact draws against 1000 chains of 1e4 events each (1e7 in all) in
-    detailed balance with the same density; every site within three
-    combined standard errors.
+
+def test_occupancy_law_matches_count_enumeration():
+    """The pattern enumerator equals the count enumeration's occupancy law on 3 sites, with and without a held site."""
+    dhat = np.array([0.8, -0.3, 0.5])
+    post = enumerate_posterior(dhat, MODERATE, caps=(25, 25, 25))
+    for held in ((), (0,)):
+        kept = {k: p for k, p in post.items() if all(k[s] > 0 for s in held)}
+        total = sum(kept.values())
+        exact = occupancy_pattern_probs({k: p / total for k, p in kept.items()})
+        law = occupancy_law(dhat, MODERATE, held)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert all(law[sum(b << s for s, b in enumerate(pat))] == pytest.approx(p, abs=1e-12) for pat, p in exact.items())
+
+
+@pytest.mark.parametrize(
+    "dhat, params, n_held, first_seed",
+    [
+        pytest.param([1.2, -0.8, 0.3, 0.9, 0.05, -0.45, 0.6], MODERATE, 0, 0, id="7-sites"),
+        pytest.param(FIFTEEN, MODERATE, 0, 10_000, id="15-sites"),
+        pytest.param([0.9, 1.3, -0.5, -1.2, 0.4, 1.5, -0.9, 0.1, -1.4, 1.0, 0.6, -0.3, 1.2, -1.5, 0.8],
+                     ModelParams(1.0, 1.5, 1.0, 0.5), 0, 20_000, id="15-sites-weaker-clustering"),
+        pytest.param(FIFTEEN[:4] + [2.5] + FIFTEEN[5:], MODERATE, 1, 30_000, id="15-sites-one-held"),
+    ],
+)
+def test_occupancy_matches_exact_law(dhat, params, n_held, first_seed):
+    """Occupancy patterns of 1e4 draws against the exact law of all ``2**n`` patterns.
+
+    On 15 sites the lattice has full 9-site neighbourhoods (level 2), a
+    truncated finest level, merged narrow levels and colour classes of
+    several sites.  Held sites carry count 0, so a draw's pattern is its
+    occupied counts or held sites, against the law conditioned on the held
+    sites.  Cells of expected count below 5 are pooled into one.
     """
     start = time.perf_counter()
-    params = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
-    lattice = Lattice(3)
-    dhat = np.array([1.2, -0.8, 0.3, 0.9, 0.05, -0.45, 0.6])
-    assert not held_sites(dhat, params).any()
-    mc_est, mc_se = gillespie_occupancy(
-        dhat, params, lattice, n_chains=1000, n_events=10_000, seed=42
-    )
+    dhat = np.array(dhat)
+    held = held_sites(dhat, params)
+    assert held.sum() == n_held
+    exact = occupancy_law(dhat, params, np.flatnonzero(held))
     n_draws = 10_000
-    occ = (cftp_counts(dhat, params, range(n_draws)) > 0).sum(axis=0)
-    p_cftp = occ / n_draws
-    se_cftp = np.sqrt(p_cftp * (1 - p_cftp) / n_draws)
-    combined = np.sqrt(mc_se**2 + se_cftp**2)
-    z = np.abs(p_cftp - mc_est) / combined
+    occ = (cftp_counts(dhat, params, range(first_seed, first_seed + n_draws)) > 0) | held
+    observed = np.bincount(occ @ (1 << np.arange(dhat.size)), minlength=exact.size)
+    expected = n_draws * exact
+    small = expected < 5
+    obs_cells = np.append(observed[~small], observed[small].sum())
+    exp_cells = np.append(expected[~small], expected[small].sum())
+    p_value = scipy.stats.chi2.sf(((obs_cells - exp_cells) ** 2 / exp_cells).sum(), exp_cells.size - 1)
+    marginal = exact @ (np.arange(exact.size)[:, None] >> np.arange(dhat.size) & 1)
+    m = marginal[~held]
+    z = (occ[:, ~held].mean(axis=0) - m) / np.sqrt(m * (1 - m) / n_draws)
     elapsed = time.perf_counter() - start
-    assert np.all(z <= 3.0), (p_cftp, mc_est, z)
-    assert elapsed < 600.0
-    print(
-        "PASS occupancy cross-check: max |z| = "
-        f"{float(z.max()):.2f} <= 3 over {lattice.n_sites} sites ({elapsed:.0f}s)"
-    )
+    assert p_value >= ALPHA and np.abs(z).max() <= 4.0, (p_value, z)
+    assert elapsed < 120.0
+    print(f"PASS exact occupancy law: chi2 p = {p_value:.2f} >= {ALPHA}, max |z| = {np.abs(z).max():.2f} <= 4 "
+          f"over {dhat.size} sites, E[occupied] = {marginal.sum():.1f} ({elapsed:.1f}s)")
 
 
 def test_class_updates_keep_chains_sandwiched():

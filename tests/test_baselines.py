@@ -170,9 +170,13 @@ def test_bayes_thresh_is_a_thresholding_rule():
 def test_bayes_thresh_degenerate_weights():
     dec = _dec([[3.0], [1.0, -2.0]])
     assert np.allclose(bayes_thresh(dec, 1.0, 0.0, 1.0).flat_details(), 0.0, atol=0)
+    assert np.allclose(bayes_thresh(dec, 1.0, 0.5, 0.0).flat_details(), 0.0, atol=0)
     for pi in (1.5, [0.5, 1.5], [np.nan, 0.5]):
         with pytest.raises(ValueError):
             bayes_thresh(dec, 1.0, pi, 1.0)
+    for tau in (np.nan, -1.0, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="tau"):
+            bayes_thresh(dec, 1.0, 0.5, tau)
 
 
 def test_bayes_thresh_where_both_densities_underflow():

@@ -195,3 +195,6 @@ def test_configuration_rejects_bad_counts():
             log_marginal_posterior(bad, np.zeros(bad.size), p)
     with pytest.raises(ValueError):
         log_marginal_posterior(np.array([1, 0, 0]), np.zeros(2), p)
+    with pytest.raises(ValueError, match="nan"):
+        log_marginal_posterior(np.array([1, 0, 0]), np.array([np.nan, 0, 0]), p)
+    assert log_marginal_posterior(np.array([1, 0, 0]), np.array([np.inf, 0, 0]), p) == -np.inf
