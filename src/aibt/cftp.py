@@ -39,6 +39,7 @@ sampler targets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -134,9 +135,15 @@ def _root(seed) -> np.ndarray:
     return np.array([w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]], dtype=np.uint32)
 
 
+@functools.lru_cache(maxsize=64)
+def _void(width: int) -> np.dtype:
+    """The ``np.void`` dtype of ``width`` bytes, built once per width."""
+    return np.dtype((np.void, width))
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """Each row along the last axis of a contiguous 1-byte array as one ``np.void`` element."""
-    return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
+    return a.view(_void(a.shape[-1]))[..., 0]
 
 
 def _site_weights(dhat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +258,8 @@ class _OccupancyField:
         here = occ[rows]
         unc = (near == here).view(np.int8).sum(axis=0, dtype=np.int8)
         new = (unc <= lim[rows]).view(np.int8)
-        _rows(cov)[nbr] = _rows(near + (new - here))
+        near += new - here
+        _rows(cov)[nbr] = _rows(near)
         cov[-1] = _PAD_COVERAGE
         occ[rows] = new
 

@@ -5,9 +5,9 @@ Gaussian: shrunk towards zero at a simulated occupied site, exactly zero
 at an empty one, and centred on the observation at a held site.
 Repeating the draw and taking per-site medians yields the posterior-median
 estimate, which is then mapped back through the inverse transform.  The
-coefficients are drawn and sorted only at the sites some draw occupies or
-that are held; every other median is exactly zero.  The scaling
-coefficient is never shrunk.
+coefficients are drawn and sorted only at held sites and at the sites more
+than ``(n_draws - 1) // 2`` draws occupy; every other median is exactly
+zero.  The scaling coefficient is never shrunk.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def posterior_median_estimate(
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
     counts = cftp_counts(dhat, params, rngs)
     held = held_sites(dhat, params)
-    cols = np.flatnonzero(held | (counts > 0).any(axis=0))
+    cols = np.flatnonzero(held | ((counts > 0).sum(axis=0) > (n_draws - 1) // 2))
     noise = np.stack([rng.standard_normal(cols[-1] + 1 if cols.size else 0) for rng in rngs])
     draws = _coefficients(counts[:, cols], dhat[cols], params, held[cols], noise[:, cols])
     est = np.zeros(dhat.size)

@@ -123,45 +123,49 @@ def resolve_wavelet(policy: str, signal: str | None = None) -> str:
     return "haar" if signal == "Blocks" else "la10"
 
 
-@dataclass
 class WaveletDecomposition:
     """Full multiresolution decomposition of a length ``2**J`` signal.
 
-    ``details[j]`` holds the ``2**j`` detail coefficients at resolution
-    level ``j``; level 0 is the coarsest and level ``J-1`` the finest.
-    ``scaling`` is the single remaining scaling coefficient, which for an
-    orthonormal transform equals ``mean(signal) * sqrt(n)``.
+    The ``n - 1`` details are one read-only vector in the lattice's flat order, coarsest level first;
+    ``details[j]`` is a view of the ``2**j`` coefficients of level ``j``.  ``scaling`` is the remaining
+    scaling coefficient, which for an orthonormal transform equals ``mean(signal) * sqrt(n)``.
     """
 
-    details: list[np.ndarray]
-    scaling: float
-    filter: WaveletFilter
-
-    def __post_init__(self) -> None:
-        self.details = [np.asarray(d, dtype=float) for d in self.details]  # a new list: the caller's stays as given
-        for j, d in enumerate(self.details):
+    def __init__(self, details, scaling: float, filter: WaveletFilter):
+        levels = [np.asarray(d, dtype=float) for d in details]  # a new list: the caller's stays as given
+        for j, d in enumerate(levels):
             if d.shape != (2**j,):
                 raise ValueError(f"level {j} must hold {2**j} coefficients, got shape {d.shape}")
+        self._own(np.concatenate([np.empty(0), *levels]), scaling, filter)
+
+    def _own(self, flat: np.ndarray, scaling: float, filter: WaveletFilter) -> "WaveletDecomposition":
+        """Store ``flat``, a float vector of ``2**J - 1`` entries that no one else holds, as the details."""
+        flat.flags.writeable = False
+        self._flat, self.scaling, self.filter = flat, scaling, filter
+        return self
+
+    @property
+    def details(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._flat[2**j - 1 : 2 ** (j + 1) - 1] for j in range(self.n_levels))
 
     @property
     def n_levels(self) -> int:
-        return len(self.details)
+        return self._flat.size.bit_length()
 
     @property
     def n(self) -> int:
-        return 2**self.n_levels
+        return self._flat.size + 1
 
     def flat_details(self) -> np.ndarray:
-        """All detail coefficients as one vector, coarsest level first."""
-        return np.concatenate(self.details) if self.details else np.empty(0)
+        """All detail coefficients as one vector, coarsest level first: a copy the caller may write into."""
+        return self._flat.copy()
 
     def with_details(self, flat: np.ndarray) -> "WaveletDecomposition":
         """Copy of this decomposition with detail coefficients replaced from a flat vector."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n - 1,):
+        flat = np.array(flat, dtype=float)
+        if flat.shape != self._flat.shape:
             raise ValueError(f"expected {self.n - 1} detail coefficients, got shape {flat.shape}")
-        details = [flat[2**j - 1 : 2 ** (j + 1) - 1].copy() for j in range(self.n_levels)]
-        return WaveletDecomposition(details, self.scaling, self.filter)
+        return object.__new__(WaveletDecomposition)._own(flat, self.scaling, self.filter)
 
 
 def _check_signal(signal: np.ndarray) -> np.ndarray:
@@ -185,11 +189,6 @@ def _windows(n: int, taps: int) -> np.ndarray:
     return idx
 
 
-def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    win = a[_windows(a.size, lo.size)]
-    return win @ lo, win @ hi
-
-
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     n = 2 * approx.size
     terms = approx[:, None] * lo[None, :] + detail[:, None] * hi[None, :]
@@ -207,18 +206,18 @@ def forward_dwt(signal: np.ndarray, filt: WaveletFilter) -> WaveletDecomposition
         The full decomposition, finest level carrying ``n/2`` coefficients.
     """
     a = _check_signal(signal)
-    n_levels = a.size.bit_length() - 1
-    details: list[np.ndarray] = [np.empty(0)] * n_levels
-    for j in reversed(range(n_levels)):
-        a, details[j] = _analysis_step(a, filt.lowpass, filt.highpass)
-    return WaveletDecomposition(details, float(a[0]), filt)
+    flat = np.empty(a.size - 1)
+    for j in reversed(range(a.size.bit_length() - 1)):
+        win = a[_windows(a.size, filt.lowpass.size)]
+        a, flat[2**j - 1 : 2 ** (j + 1) - 1] = win @ filt.lowpass, win @ filt.highpass
+    return object.__new__(WaveletDecomposition)._own(flat, float(a[0]), filt)
 
 
 def inverse_dwt(dec: WaveletDecomposition) -> np.ndarray:
     """Reconstruct the signal from a full decomposition (exact inverse of forward_dwt)."""
     a = np.array([dec.scaling])
-    for j in range(dec.n_levels):
-        a = _synthesis_step(a, dec.details[j], dec.filter.lowpass, dec.filter.highpass)
+    for d in dec.details:
+        a = _synthesis_step(a, d, dec.filter.lowpass, dec.filter.highpass)
     return a
 
 

@@ -66,6 +66,8 @@ def test_occupancy_law_matches_count_enumeration():
         pytest.param([0.9, 1.3, -0.5, -1.2, 0.4, 1.5, -0.9, 0.1, -1.4, 1.0, 0.6, -0.3, 1.2, -1.5, 0.8],
                      ModelParams(1.0, 1.5, 1.0, 0.5), 0, 20_000, id="15-sites-weaker-clustering"),
         pytest.param(FIFTEEN[:4] + [2.5] + FIFTEEN[5:], MODERATE, 1, 30_000, id="15-sites-one-held"),
+        # 4.1 of 15 sites occupied on average leaves most sites uncovered, so log(gamma) decides many updates
+        pytest.param(FIFTEEN, ModelParams(0.25, 2.0, 1.0, 0.5), 0, 40_000, id="15-sites-sparse"),
     ],
 )
 def test_occupancy_matches_exact_law(dhat, params, n_held, first_seed):
