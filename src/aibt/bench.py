@@ -104,8 +104,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two >= 8")
-        if not self.rsnr or not all(0 < r < math.inf for r in self.rsnr):
+        if not all(0 < r < math.inf for r in self.rsnr):
             raise ValueError("rsnr values must be positive and finite")
+        for name in ("signals", "rsnr", "methods"):  # an entry given twice would run its cells or rows twice
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must not be empty or repeat an entry, not {list(values)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.reps < 1 or self.n_draws < 1:
@@ -206,8 +210,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     than there are cells; cells are independent jobs, collected in the
     order they were submitted.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     cells = [(signal, i) for signal in cfg.signals for i in range(len(cfg.rsnr))]
-    if workers <= 1:
+    if workers == 1:
         return [row for signal, i in cells for row in _run_cell(cfg, signal, i)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         futures = [pool.submit(_run_cell, cfg, signal, i) for signal, i in cells]

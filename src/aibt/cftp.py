@@ -280,39 +280,22 @@ class _OccupancyField:
         return np.ascontiguousarray(np.take(occ, self.lattice.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
 
 
-def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
-    """Exact posterior multiplicities of the simulated sites, one row per seed.
-
-    Held sites (see :func:`held_sites`) are occupied in every draw and
-    carry count zero here.
+def _occupancy(lattice: Lattice, log_w: np.ndarray, log_gamma: float, roots: list[np.ndarray]) -> np.ndarray:
+    """Exact occupancy patterns at site weights ``log W`` and interaction ``log gamma``, one bool row per root.
 
     All draws run side by side from a shared lookback of 2, 4, ..., 4096
     sweeps.  A draw whose chains agree at time zero is final: a start
     further back sandwiches the same two chains and meets the same state,
     so only the rest go on to the next doubling, and starting the ladder at
     2 rather than 1 changes no draw.  A draw that has not coalesced after
-    4096 sweeps raises :class:`CoalescenceError`, so whatever the
-    parameters a call makes at most ``8190 * draws * sites`` site updates,
-    each applied to a top and a bottom chain, and holds ``O(draws *
-    sites)`` memory.
-
-    Args:
-        dhat: flat detail coefficients, one per site of a ``2**J - 1``-site lattice.
-        params: model hyperparameters.
-        seeds: one integer seed, ``SeedSequence`` or generator per draw.
+    4096 sweeps raises :class:`CoalescenceError`, so a call makes at most
+    ``8190 * draws * sites`` site updates, each applied to a top and a
+    bottom chain, and holds ``O(draws * sites)`` memory.
     """
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.ndim != 1:
-        raise ValueError("dhat must hold one value per lattice site")
-    if np.isnan(dhat).any():  # +-inf is allowed: those sites are held
-        raise ValueError("dhat must not hold nan")
-    lattice = lattice_for(dhat.size)
-    roots = [_root(s) for s in seeds]
-    if not roots:  # no draws to run: a chain state with no columns has no rows to view
-        return np.zeros((0, lattice.n_sites), dtype=np.int64)
-    cap, log_w = _site_weights(dhat, params)
-    field = _OccupancyField(lattice, log_w, math.log(params.gamma))
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
+    if not roots:  # no draws to run: a chain state with no columns has no rows to view
+        return occ
+    field = _OccupancyField(lattice, log_w, log_gamma)
     active = np.arange(len(roots))
     for sweeps in (2**k for k in range(1, _MAX_LOOKBACK.bit_length())):
         top, bottom = field.run([roots[i] for i in active], sweeps)
@@ -333,5 +316,30 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
             )
         active = active[~agree]
         if not active.size:
-            return _draw_counts(occ, roots, dhat, params, cap, log_w)
+            return occ
     raise CoalescenceError(gap, _MAX_LOOKBACK)
+
+
+def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
+    """Exact posterior multiplicities of the simulated sites, one row per seed.
+
+    Held sites (see :func:`held_sites`) are occupied in every draw and
+    carry count zero here.  The occupancy patterns come from a lookback of
+    2, 4, ..., 4096 sweeps (see :func:`_occupancy`); a draw that has not
+    coalesced by then raises :class:`CoalescenceError`.
+
+    Args:
+        dhat: flat detail coefficients, one per site of a ``2**J - 1``-site lattice.
+        params: model hyperparameters.
+        seeds: one integer seed, ``SeedSequence`` or generator per draw.
+    """
+    dhat = np.asarray(dhat, dtype=float)
+    if dhat.ndim != 1:
+        raise ValueError("dhat must hold one value per lattice site")
+    if np.isnan(dhat).any():  # +-inf is allowed: those sites are held
+        raise ValueError("dhat must not hold nan")
+    lattice = lattice_for(dhat.size)
+    roots = [_root(s) for s in seeds]
+    cap, log_w = _site_weights(dhat, params)
+    occ = _occupancy(lattice, log_w, math.log(params.gamma), roots)
+    return _draw_counts(occ, roots, dhat, params, cap, log_w)

@@ -12,6 +12,8 @@ zero.  The scaling coefficient is never shrunk.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .cftp import cftp_counts, held_sites
@@ -54,6 +56,8 @@ def posterior_median_estimate(
     The median is the lower middle order statistic, so with few draws and
     mostly-empty sites it is exactly zero; estimates are genuinely sparse.
     """
+    if not isinstance(n_draws, numbers.Integral) or isinstance(n_draws, bool):
+        raise ValueError(f"n_draws must be an integer, not {n_draws!r}")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     dhat = np.asarray(dhat, dtype=float)

@@ -182,7 +182,7 @@ def occupancy_pattern_probs(post: dict[tuple[int, ...], float]) -> dict[tuple[in
     return out
 
 
-def occupancy_law(dhat, params: ModelParams, held=()) -> np.ndarray:
+def occupancy_law(dhat, params: ModelParams, held=(), prior=False) -> np.ndarray:
     """Exact law of the occupancy pattern on a lattice of at most 15 sites, by enumerating all ``2**n`` patterns.
 
     Entry ``p`` is the probability that exactly the sites of the bits of
@@ -192,17 +192,20 @@ def occupancy_law(dhat, params: ModelParams, held=()) -> np.ndarray:
     likelihood ratio of ``c`` points against none over ``c = 1..400``, term by
     term, and coverage is the union of the occupied sites' neighbourhoods,
     built by :func:`neighbourhood`.  The law is conditioned on the ``held``
-    sites being occupied.
+    sites being occupied.  With ``prior`` the likelihood ratio is left out,
+    so every ``W_s`` sums ``lam**c / c!`` alone and ``dhat`` only sets the
+    number of sites: the law of the prior, with no observation.
     """
     n = len(dhat)
     n_levels = (n + 1).bit_length() - 1
     assert 2**n_levels - 1 == n <= 15
     log_w = []
     for d in dhat:
-        terms = [c * math.log(params.lam) - math.lgamma(c + 1) + log_likelihood(d, c, params) for c in range(1, 401)]
+        log_lik = [0.0 if prior else log_likelihood(d, c, params) for c in range(401)]
+        terms = [c * math.log(params.lam) - math.lgamma(c + 1) + log_lik[c] for c in range(1, 401)]
         top = max(terms)
         assert terms[-1] < top - 60, "the sum over counts needs more terms"
-        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)) - log_likelihood(d, 0, params))
+        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)) - log_lik[0])
     cover = np.array([sum(1 << flat_index(*v) for v in neighbourhood(site_of(s), n_levels)) for s in range(n)])
     patterns = np.arange(2**n)
     occupied = patterns[:, None] >> np.arange(n) & 1

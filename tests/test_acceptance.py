@@ -13,7 +13,9 @@ import pytest
 import scipy.stats
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _OccupancyField, _root, _site_weights, cftp_counts, held_sites
+from aibt.cftp import (
+    _HELD_LOG_RATE, _count_cap, _key, _occupancy, _OccupancyField, _root, _site_weights, cftp_counts, held_sites,
+)
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
@@ -86,20 +88,55 @@ def test_occupancy_matches_exact_law(dhat, params, n_held, first_seed):
     exact = occupancy_law(dhat, params, np.flatnonzero(held))
     n_draws = 10_000
     occ = (cftp_counts(dhat, params, range(first_seed, first_seed + n_draws)) > 0) | held
-    observed = np.bincount(occ @ (1 << np.arange(dhat.size)), minlength=exact.size)
-    expected = n_draws * exact
-    small = expected < 5
-    obs_cells = np.append(observed[~small], observed[small].sum())
-    exp_cells = np.append(expected[~small], expected[small].sum())
-    p_value = scipy.stats.chi2.sf(((obs_cells - exp_cells) ** 2 / exp_cells).sum(), exp_cells.size - 1)
-    marginal = exact @ (np.arange(exact.size)[:, None] >> np.arange(dhat.size) & 1)
-    m = marginal[~held]
-    z = (occ[:, ~held].mean(axis=0) - m) / np.sqrt(m * (1 - m) / n_draws)
+    p_value, z, marginal = _fit_to_law(occ, exact, ~held)
     elapsed = time.perf_counter() - start
     assert p_value >= ALPHA and np.abs(z).max() <= 4.0, (p_value, z)
     assert elapsed < 120.0
     print(f"PASS exact occupancy law: chi2 p = {p_value:.2f} >= {ALPHA}, max |z| = {np.abs(z).max():.2f} <= 4 "
           f"over {dhat.size} sites, E[occupied] = {marginal.sum():.1f} ({elapsed:.1f}s)")
+
+
+def test_prior_occupancy_matches_exact_law():
+    """Occupancy patterns of 1e4 draws at prior site weights, which no ``dhat`` gives, against the exact law.
+
+    With no likelihood every site weighs ``W_s = e**lam - 1``.  The field
+    is run through its weights-in entry alone, on the 15-site lattice,
+    against the enumerated prior law, whose ``W_s`` are summed term by term.
+    At ``lam = 1`` and ``gamma = 2.7`` the prior occupies 4.7 of 15 sites on
+    average, so the interaction decides many updates.
+    """
+    start = time.perf_counter()
+    params = ModelParams(lam=1.0, gamma=2.7, tau=1.0, sigma=0.5)
+    lat = Lattice(4)
+    exact = occupancy_law(np.zeros(lat.n_sites), params, prior=True)
+    n_draws = 10_000
+    log_w = np.full(lat.n_sites, math.log(math.expm1(params.lam)))
+    occ = _occupancy(lat, log_w, math.log(params.gamma), [_root(s) for s in range(50_000, 50_000 + n_draws)])
+    p_value, z, marginal = _fit_to_law(occ, exact, np.ones(lat.n_sites, dtype=bool))
+    elapsed = time.perf_counter() - start
+    assert p_value >= ALPHA and np.abs(z).max() <= 4.0, (p_value, z)
+    assert elapsed < 120.0
+    print(f"PASS exact prior occupancy law: chi2 p = {p_value:.2f} >= {ALPHA}, max |z| = {np.abs(z).max():.2f} <= 4 "
+          f"over {lat.n_sites} sites, E[occupied] = {marginal.sum():.1f} ({elapsed:.1f}s)")
+
+
+def _fit_to_law(occ, exact, sites):
+    """Pooled chi-square p-value of the patterns ``occ`` (a bool row per draw) against the law ``exact``, each
+    of the ``sites``' z-score of its occupancy frequency, and every site's exact occupancy.
+
+    Cells of expected count below 5 are pooled into one.
+    """
+    n_draws, n = occ.shape
+    observed = np.bincount(occ @ (1 << np.arange(n)), minlength=exact.size)
+    expected = n_draws * exact
+    small = expected < 5
+    obs_cells = np.append(observed[~small], observed[small].sum())
+    exp_cells = np.append(expected[~small], expected[small].sum())
+    p_value = scipy.stats.chi2.sf(((obs_cells - exp_cells) ** 2 / exp_cells).sum(), exp_cells.size - 1)
+    marginal = exact @ (np.arange(exact.size)[:, None] >> np.arange(n) & 1)
+    m = marginal[sites]
+    z = (occ[:, sites].mean(axis=0) - m) / np.sqrt(m * (1 - m) / n_draws)
+    return p_value, z, marginal
 
 
 def test_class_updates_keep_chains_sandwiched():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from aibt import bench
 from aibt.bench import (
     CSV_HEADER,
     METHODS,
@@ -18,6 +19,7 @@ from aibt.bench import (
     run_experiment,
 )
 from aibt.cftp import CoalescenceError
+from aibt.cli import main
 
 TINY = dict(
     signals=("Blocks",),
@@ -60,6 +62,13 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    # a repeated entry would run its cells or rows twice, and an empty list would run nothing
+    for field, value in (
+        ("signals", ("Blocks", "Blocks")), ("signals", ()), ("rsnr", (10.0, 10.0)), ("rsnr", (10, 10.0)),
+        ("rsnr", ()), ("methods", ("AIBT", "AIBT")), ("methods", []),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must not"):
+            ExperimentConfig(**{field: value})
     # mistyped values, as a JSON config can give them, and a negative seed name their field
     for field, value in (
         ("n", "256"), ("n", 256.0), ("n", True), ("reps", 1.5), ("n_draws", "9"), ("seed", None),
@@ -178,6 +187,20 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch):
     cfg = ExperimentConfig(**{**TINY, "rsnr": (10.0, 3.0)})
     assert run_experiment(cfg, workers=500) == run_experiment(cfg, workers=1)
     assert InlinePool.sizes == [2]
+
+
+def test_workers_below_one_are_rejected_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    """``workers`` below 1 raises a ValueError before a cell runs; the CLI exits 1 with one JSON line."""
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: pytest.fail("a cell ran"))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="^workers must be at least 1$"):
+            run_experiment(ExperimentConfig(**TINY), workers=workers)
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--signals", "Blocks", "--n", "16", "--reps", "1", "--workers", str(workers),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0]) == {"error": "workers must be at least 1"}
+        assert not out.exists()
 
 
 def test_rows_come_back_in_configuration_order():

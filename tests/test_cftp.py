@@ -16,6 +16,7 @@ from aibt.cftp import (
     _decided_off_cut,
     _draw_counts,
     _key,
+    _occupancy,
     _OccupancyField,
     _root,
     _site_weights,
@@ -75,13 +76,21 @@ def _field(seed, params=MODERATE, n_levels=3, clamp=False):
     return _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma)), dhat, held
 
 
-def _coalescence_sweeps(field, root):
-    sweeps = 1
-    while True:
-        top, bottom = field.run([root], sweeps)
-        if np.array_equal(top, bottom):
-            return sweeps, top[0]
-        sweeps *= 2
+def _check_every_coalesced_start(field, roots, occ):
+    """Each draw's chains, started ``T = 1, 2, 4, ...`` sweeps back up to four times the first ``T`` at which
+    they agree, agree at every start from that one on, and there return the draw's row of ``occ``."""
+    for root, row in zip(roots, occ):
+        first = None
+        for t in (2**k for k in range(13)):
+            if first is not None and t > 4 * first:
+                break
+            top, bottom = field.run([root], t)
+            coalesced = np.array_equal(top, bottom)
+            assert coalesced or first is None, (t, first)
+            if coalesced:
+                assert np.array_equal(top[0], row)
+                first = first or t
+        assert first is not None
 
 
 def test_draws_do_not_depend_on_batch_or_order():
@@ -189,14 +198,12 @@ def test_sandwich_order_holds_eventwise():
 
 
 def test_deeper_start_returns_the_coalesced_draw():
-    """A start 2T sweeps back returns the draw that coalesced at T."""
+    """Every start from the first coalesced one back to four times as deep returns the draw of :func:`_occupancy`."""
     for seed in range(6):
         field, dhat, held = _field(seed, n_levels=4, clamp=seed % 2 == 1)
         root = _root(seed)
-        sweeps, state = _coalescence_sweeps(field, root)
-        for deeper in (2 * sweeps, 4 * sweeps):
-            top, bottom = field.run([root], deeper)
-            assert np.array_equal(top[0], state) and np.array_equal(bottom[0], state)
+        state = _occupancy(field.lattice, _site_weights(dhat, MODERATE)[1], math.log(MODERATE.gamma), [root])[0]
+        _check_every_coalesced_start(field, [root], [state])
         counts = cftp_counts(dhat, MODERATE, [seed])[0]
         assert np.array_equal(counts > 0, state & ~held)
 
@@ -389,26 +396,9 @@ def test_shorter_fills_are_prefixes_of_longer_ones():
             assert np.array_equal(np.random.default_rng(seed).standard_normal(m), normals[:m])
 
 
-def _ladder_from_one(dhat, params, seeds, lattice):
-    """The lookback ladder 1, 2, 4, ... sweeps, run by hand."""
-    cap, log_w = _site_weights(dhat, params)
-    field = _OccupancyField(lattice, log_w, math.log(params.gamma))
-    roots = [_root(s) for s in seeds]
-    occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
-    active = np.arange(len(roots))
-    sweeps = 1
-    while active.size:
-        top, bottom = field.run([roots[i] for i in active], sweeps)
-        agree = (top == bottom).all(axis=1)
-        occ[active[agree]] = top[agree]
-        active = active[~agree]
-        sweeps *= 2
-    return _draw_counts(occ, roots, dhat, params, cap, log_w)
-
-
 @pytest.mark.parametrize("gamma", [1.0, 3.0])
 def test_ladder_starts_at_two_sweeps(gamma, caplog):
-    """The first coupling run looks back 2 sweeps, and the draws equal a ladder from 1."""
+    """The first coupling run looks back 2 sweeps, and the draws are those of every coalesced start from 1."""
     p = ModelParams(lam=0.05, gamma=gamma, tau=1.0, sigma=0.1)
     lat = Lattice(6)
     dhat = np.random.default_rng(7).normal(0.0, 0.12, lat.n_sites)
@@ -418,7 +408,11 @@ def test_ladder_starts_at_two_sweeps(gamma, caplog):
     records = [json.loads(r.getMessage().split(" ", 2)[2]) for r in caplog.records]
     assert records[0]["sweeps"] == 2 and records[0]["draws"] == 9
     assert all(r["draw_sweeps"] == r["sweeps"] * r["draws"] for r in records)
-    assert np.array_equal(counts, _ladder_from_one(dhat, p, seeds, lat))
+    cap, log_w = _site_weights(dhat, p)
+    roots = [_root(s) for s in seeds]
+    occ = _occupancy(lat, log_w, math.log(gamma), roots)
+    _check_every_coalesced_start(_OccupancyField(lat, log_w, math.log(gamma)), roots, occ)
+    assert np.array_equal(counts, _draw_counts(occ, roots, dhat, p, cap, log_w))
 
 
 # --- sampler behaviour ---------------------------------------------------------------

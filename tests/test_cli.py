@@ -248,8 +248,11 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys):
         ([], {"tau": 10**400}, 1),
         ([], {"rsnr": [10**400]}, 1),
         (["--rsnr", "abc"], None, 2),
+        (["--methods", "AIBT,AIBT"], None, 1),
+        ([], {"signals": []}, 1),
     ],
-    ids=["lam--1", "gamma-0.5", "config-tau-401-digits", "config-rsnr-401-digits", "rsnr-abc"],
+    ids=["lam--1", "gamma-0.5", "config-tau-401-digits", "config-rsnr-401-digits", "rsnr-abc", "methods-repeated",
+         "config-signals-empty"],
 )
 def test_bench_rejects_bad_settings_before_any_cell_runs(argv, config, code, tmp_path, capsys, monkeypatch):
     """A bad flag exits 2 and a bad setting 1, each with one JSON line and before the runner is called."""

@@ -197,6 +197,13 @@ def test_posterior_median_validation():
         posterior_median_estimate(np.zeros(3), PARAMS, n_draws=0)
     with pytest.raises(ValueError):
         posterior_median_estimate(np.zeros(4), PARAMS)
+    # a draw count that is not an integer names n_draws, not numpy's spawn
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^n_draws must be an integer"):
+            posterior_median_estimate(np.zeros(3), PARAMS, n_draws=bad)
+    with pytest.raises(ValueError, match="^n_draws must be an integer"):
+        denoise(np.zeros(8), get_filter("haar"), PARAMS, n_draws=2.5)
+    assert posterior_median_estimate(np.zeros(3), PARAMS, n_draws=np.int64(3)).shape == (3,)
 
 
 def test_nan_coefficient_is_rejected_naming_dhat():
