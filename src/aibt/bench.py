@@ -106,10 +106,11 @@ class ExperimentConfig:
             raise ValueError("n must be a power of two >= 8")
         if not all(0 < r < math.inf for r in self.rsnr):
             raise ValueError("rsnr values must be positive and finite")
-        for name in ("signals", "rsnr", "methods"):  # an entry given twice would run its cells or rows twice
-            values = getattr(self, name)
-            if not values or len(set(values)) < len(values):
-                raise ValueError(f"{name} must not be empty or repeat an entry, not {list(values)!r}")
+        # an entry given twice would run its cells or rows twice; noise levels are told apart by their CSV labels
+        for name, keys in (("signals", self.signals), ("rsnr", [f"{r:.10g}" for r in self.rsnr]),
+                           ("methods", self.methods)):
+            if not keys or len(set(keys)) < len(keys):
+                raise ValueError(f"{name} must not be empty or repeat an entry, not {list(getattr(self, name))!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.reps < 1 or self.n_draws < 1:

@@ -188,7 +188,7 @@ def _draw_counts(occ: np.ndarray, roots: list[np.ndarray], dhat: np.ndarray, par
     for i in np.flatnonzero(np.append(draw[1:] != draw[:-1], draw.size > 0)):  # each draw's last site
         _key(roots[draw[i]], 0).random(out=u[draw[i], : site[i] + 1])
     site_cap = cap[site]
-    for c in np.unique(site_cap):
+    for c in sorted(set(site_cap.tolist())):  # not np.unique, which imports numpy.ma
         d, s = draw[site_cap == c], site[site_cap == c]
         cdf = np.cumsum(np.exp(log_count_terms(dhat[s], params, c) - log_w[s, None]), axis=1)
         counts[d, s] = np.minimum(1 + (cdf < u[d, s, None]).sum(axis=1), c)

@@ -17,6 +17,7 @@ out leaves a binary area-interaction field over occupancy
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +140,9 @@ def estimate_sigma_mad(dec: WaveletDecomposition) -> float:
     The finest-level coefficients of a noisy signal are dominated by noise,
     whose absolute values have median ``0.6745 * sigma``.
     """
-    finest = dec.details[-1]
-    med = float(np.median(np.abs(finest)))
+    finest = np.abs(dec.details[-1])
+    # statistics.median, not np.median, which imports numpy.ma; a nan gives nan, as np.median does
+    med = math.nan if np.isnan(finest).any() else statistics.median(finest.tolist())
     if med == 0.0:
         raise ValueError("finest-level details are all zero; cannot estimate a noise level")
     return med / 0.6745

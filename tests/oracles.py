@@ -1,10 +1,13 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately written from first principles: explicit
-basis matrices, brute-force set arithmetic, and exhaustive enumerations of
-count vectors and of occupancy patterns.  None of it reuses the
-package's incremental or coupled machinery, so agreement is evidence, not
-tautology.
+basis matrices, brute-force set arithmetic, a site-by-site heat bath, and
+exhaustive enumerations of count vectors and of occupancy patterns.  None
+of it reuses the package's incremental or coupled machinery, so agreement
+is evidence, not tautology; :func:`sandwich_updates` runs that machinery
+under these checks.  Patterns are in flat site order, one column per
+chain.  Only :func:`field_rows`, :func:`flat_chains` and
+:func:`gathered_coverage` know the sampler's row layout.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from aibt.cftp import _PAD_COVERAGE
+from aibt.cftp import _PAD_COVERAGE, _key, _OccupancyField
 from aibt.lattice import Lattice, lattice_for
 from aibt.model import ModelParams
 
@@ -95,33 +98,89 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
     return covered
 
 
-def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
-    """Coverage of a sampler chain state, gathered afresh from the neighbour table.
+def field_rows(lattice: Lattice, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """The occupancy field's chain state of the flat patterns ``top`` and ``bottom``, each ``(n_sites, draws)``:
+    row ``lattice.rank[s]`` holds site ``s``, so the rows run class by class in ``lattice.class_order``, an empty
+    pad row follows, and the columns of the top chains come before those of the bottom chains."""
+    rows = np.concatenate([top, bottom], axis=1)[lattice.class_order]
+    return np.append(rows, np.zeros((1, rows.shape[1]), dtype=bool), axis=0).astype(np.int8)
 
-    ``occ`` has one row per site in the lattice's class-major order plus an
-    empty pad row, and one column per chain.  Each row of the result counts
-    the occupied sites of that site's neighbourhood; the pad row holds the
-    sampler's pad value.  The sampler keeps this incrementally; tests check
-    its running counts and start states against this full gather.
-    """
+
+def flat_chains(lattice: Lattice, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat ``(top, bottom)`` halves of a field state's rows, the inverse of :func:`field_rows`."""
+    flat = state[lattice.rank[:-1]]
+    return flat[:, : flat.shape[1] // 2], flat[:, flat.shape[1] // 2 :]
+
+
+def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
+    """Coverage of a field chain state (see :func:`field_rows`), gathered afresh from the neighbour table: each
+    row counts the occupied sites of its site's neighbourhood, and the pad row holds the sampler's pad value.
+    The sampler keeps this incrementally; tests check its running counts and start states against it."""
     cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
     cov[:-1] = occ.astype(np.int64)[lattice.rank[lattice.nbr[lattice.class_order]]].sum(axis=1)
     return cov
 
 
-def heat_bath_log_odds(lattice: Lattice, log_w: np.ndarray, log_gamma: float, occ: np.ndarray, c: int) -> np.ndarray:
-    """The float log-odds ``log W_s - unc_s * log(gamma)`` of colour class ``c``'s sites in each chain of a state.
+def heat_bath_log_odds(lattice: Lattice, log_w: np.ndarray, log_gamma: float, pattern: np.ndarray, sites) -> np.ndarray:
+    """The float log-odds ``log W_s - unc_s * log(gamma)`` of each of the flat ``sites`` in each column of ``pattern``.
 
-    ``occ`` is a sampler state (see :func:`gathered_coverage`) and ``log_w``
-    is per site in flat order.  ``unc_s`` counts the sites of ``B(s)`` that
-    no occupied site other than ``s`` covers.  The sampler compares integer
-    on-limits with ``unc_s``; these are the floats those comparisons stand for.
+    ``pattern`` (``(n_sites, chains)``) and ``log_w`` are in flat site
+    order.  ``unc_s`` counts the sites of ``B(s)`` that no occupied site
+    other than ``s`` covers.  The sampler compares integer on-limits with
+    ``unc_s``; these are the floats those comparisons stand for.
     """
-    rows = lattice.class_rows[c]
-    sites = lattice.class_order[rows]
-    cov = gathered_coverage(lattice, occ)[lattice.rank[lattice.nbr[sites]]]  # (sites, neighbours, chains)
-    unc = (cov - occ[rows, None].astype(np.int64) == 0).sum(axis=1)
-    return log_w[sites, None] - unc * log_gamma
+    occ = np.append(pattern, np.zeros((1, pattern.shape[1]), dtype=bool), axis=0).astype(np.int64)
+    # occupied sites in each B(v), which by symmetry are those covering v; the pad row is never 0 or 1
+    cov = np.append(occ[lattice.nbr].sum(axis=1), np.full_like(occ[:1], -1), axis=0)
+    return log_w[sites, None] - (cov[lattice.nbr[sites]] == occ[sites, None]).sum(axis=1) * log_gamma
+
+
+def sandwich_updates(lattice: Lattice, log_w: np.ndarray, log_gamma: float, top: np.ndarray, bottom: np.ndarray,
+                     uniforms) -> int:
+    """Class updates of the field on coupled chains from the flat patterns ``top >= bottom``, each one checked.
+
+    Each ``(draws, n_sites)`` array of ``uniforms``, read when needed, drives
+    one sweep.  Before each class update its sites' heat-bath log-odds are
+    ordered, top over bottom, with probabilities in [0, 1]; after it every
+    bottom chain stays below its top chain; after each sweep the running
+    coverage equals a fresh gather.  Returns the number of site updates per
+    chain pair at simulated (``log W < inf``) sites.
+    """
+    field = _OccupancyField(lattice, log_w, log_gamma)
+    occ = field_rows(lattice, top, bottom)
+    cov = gathered_coverage(lattice, occ)
+    updates = 0
+    for u in uniforms:
+        lim = field.on_limits(u)
+        for c, rows in enumerate(lattice.class_rows):
+            sites = lattice.class_order[rows]
+            odds = heat_bath_log_odds(lattice, log_w, log_gamma, np.hstack(flat_chains(lattice, occ)), sites)
+            hi, lo = np.split(odds, 2, axis=1)
+            assert np.all((0.0 <= 1.0 / (1.0 + np.exp(-lo))) & (lo <= hi) & (1.0 / (1.0 + np.exp(-hi)) <= 1.0))
+            field.update_class(occ, cov, c, lim)
+            now_top, now_bottom = flat_chains(lattice, occ)
+            assert np.all(now_bottom <= now_top)
+            updates += int((log_w[sites] < np.inf).sum()) * len(u)
+        assert np.array_equal(cov, gathered_coverage(lattice, occ))
+    return updates
+
+
+def reference_run(lattice: Lattice, dhat, params: ModelParams, held, roots, sweeps: int) -> np.ndarray:
+    """A heat bath one site and one draw at a time, each site's ``log W`` summed term by term.  Sweep ``t`` of
+    a draw reads the uniforms of its key ``t``, as the sampler's does, and visits the sites class by class; held
+    sites stay occupied in both chains.  Returns both chains of every draw, shape ``(2, draws, n_sites)``."""
+    log_w = np.array([math.inf if h else _log_weight(d, params) for d, h in zip(dhat, held)])
+    draws = []
+    for root in roots:
+        chains = np.stack([np.ones(len(held), dtype=bool), np.array(held, dtype=bool)], axis=1)  # top, bottom
+        for t in range(sweeps, 0, -1):
+            u = _key(root, t).random(len(held))
+            for s in lattice.class_order.tolist():
+                if not held[s]:
+                    odds = heat_bath_log_odds(lattice, log_w, math.log(params.gamma), chains, [s])[0]
+                    chains[s] = [u[s] < 1.0 / (1.0 + math.exp(-o)) for o in odds.tolist()]
+        draws.append(chains.T)
+    return np.array(draws).transpose(1, 0, 2)
 
 
 def uncovered_measure(u: Site, counts) -> int:
@@ -159,6 +218,16 @@ def log_likelihood(d: float, c: int, params: ModelParams) -> float:
     return -(d**2) / (2 * v) - 0.5 * math.log(2 * math.pi * v)
 
 
+def _log_weight(d: float, params: ModelParams, prior: bool = False) -> float:
+    """``log W`` of a site observing ``d``: ``lam**c / c!`` times the likelihood ratio of ``c`` points against
+    none (left out with ``prior``), summed term by term over ``c = 1..400``."""
+    log_lik = [0.0 if prior else log_likelihood(d, c, params) for c in range(401)]
+    terms = [c * math.log(params.lam) - math.lgamma(c + 1) + log_lik[c] for c in range(1, 401)]
+    top = max(terms)
+    assert terms[-1] < top - 60, "the sum over counts needs more terms"
+    return top + math.log(sum(math.exp(t - top) for t in terms)) - log_lik[0]
+
+
 def enumerate_posterior(
     dhat: np.ndarray, params: ModelParams, caps: tuple[int, ...]
 ) -> dict[tuple[int, ...], float]:
@@ -182,30 +251,38 @@ def occupancy_pattern_probs(post: dict[tuple[int, ...], float]) -> dict[tuple[in
     return out
 
 
+def pattern_frequencies(counts) -> dict[tuple[int, ...], float]:
+    """The share of the draws, the rows of ``counts``, with each occupancy pattern, keyed as by
+    :func:`occupancy_pattern_probs`."""
+    freq: dict[tuple[int, ...], float] = {}
+    for row in counts:
+        pat = tuple(int(c > 0) for c in row)
+        freq[pat] = freq.get(pat, 0.0) + 1.0 / len(counts)
+    return freq
+
+
+def total_variation(p: dict, q: dict) -> float:
+    """Total variation distance between two laws given as dicts of probabilities."""
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
+
+
 def occupancy_law(dhat, params: ModelParams, held=(), prior=False) -> np.ndarray:
     """Exact law of the occupancy pattern on a lattice of at most 15 sites, by enumerating all ``2**n`` patterns.
 
     Entry ``p`` is the probability that exactly the sites of the bits of
     ``p`` are occupied (bit ``s`` for flat site ``s``).  Given occupancy the
     counts are independent, so a pattern scores ``sum_occupied log W_s -
-    coverage * log(gamma)``, where ``W_s`` sums ``lam**c / c!`` times the
-    likelihood ratio of ``c`` points against none over ``c = 1..400``, term by
-    term, and coverage is the union of the occupied sites' neighbourhoods,
-    built by :func:`neighbourhood`.  The law is conditioned on the ``held``
-    sites being occupied.  With ``prior`` the likelihood ratio is left out,
-    so every ``W_s`` sums ``lam**c / c!`` alone and ``dhat`` only sets the
-    number of sites: the law of the prior, with no observation.
+    coverage * log(gamma)``, with ``W_s`` from :func:`_log_weight` and
+    coverage the union of the occupied sites' neighbourhoods, built by
+    :func:`neighbourhood`.  The law is conditioned on the ``held`` sites
+    being occupied.  With ``prior`` the likelihood ratio is left out, so
+    ``dhat`` only sets the number of sites: the law of the prior, with no
+    observation.
     """
     n = len(dhat)
     n_levels = (n + 1).bit_length() - 1
     assert 2**n_levels - 1 == n <= 15
-    log_w = []
-    for d in dhat:
-        log_lik = [0.0 if prior else log_likelihood(d, c, params) for c in range(401)]
-        terms = [c * math.log(params.lam) - math.lgamma(c + 1) + log_lik[c] for c in range(1, 401)]
-        top = max(terms)
-        assert terms[-1] < top - 60, "the sum over counts needs more terms"
-        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)) - log_lik[0])
+    log_w = [_log_weight(d, params, prior) for d in dhat]
     cover = np.array([sum(1 << flat_index(*v) for v in neighbourhood(site_of(s), n_levels)) for s in range(n)])
     patterns = np.arange(2**n)
     occupied = patterns[:, None] >> np.arange(n) & 1

@@ -13,14 +13,15 @@ import pytest
 import scipy.stats
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import (
-    _HELD_LOG_RATE, _count_cap, _key, _occupancy, _OccupancyField, _root, _site_weights, cftp_counts, held_sites,
-)
+from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _occupancy, _root, _site_weights, cftp_counts, held_sites
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
-from oracles import enumerate_posterior, gathered_coverage, heat_bath_log_odds, occupancy_law, occupancy_pattern_probs
+from oracles import (
+    enumerate_posterior, heat_bath_log_odds, occupancy_law, occupancy_pattern_probs, pattern_frequencies,
+    sandwich_updates, total_variation,
+)
 
 
 def test_exact_draws_match_enumeration():
@@ -30,11 +31,7 @@ def test_exact_draws_match_enumeration():
     dhat = np.array([0.8, -0.3, 0.5])
     exact = occupancy_pattern_probs(enumerate_posterior(dhat, params, caps=(14, 14, 14)))
     n_draws = 10_000
-    freq: dict[tuple[int, ...], float] = {}
-    for counts in cftp_counts(dhat, params, range(n_draws)):
-        pat = tuple(int(c > 0) for c in counts)
-        freq[pat] = freq.get(pat, 0.0) + 1.0 / n_draws
-    tv = 0.5 * sum(abs(exact.get(k, 0.0) - freq.get(k, 0.0)) for k in set(exact) | set(freq))
+    tv = total_variation(exact, pattern_frequencies(cftp_counts(dhat, params, range(n_draws))))
     elapsed = time.perf_counter() - start
     assert tv < 0.02
     assert elapsed < 120.0
@@ -159,22 +156,11 @@ def test_class_updates_keep_chains_sandwiched():
         lat, dhat, p, held = cases.pop()
         log_w = _site_weights(dhat, p)[1]
         log_w[held] = np.inf
-        field = _OccupancyField(lat, log_w, math.log(p.gamma))
-        sim_rows = ~held[lat.class_order]
         roots = [_root(seed + i) for i in range(8)]
-        occ, cov = field.start(len(roots))  # class-major rows: top chains, then bottom chains
-        top = slice(0, len(roots))
-        bottom = slice(len(roots), None)
-        for t in range(32, 0, -1):
-            lim = field.on_limits(np.stack([_key(r, t).random(lat.n_sites) for r in roots]))
-            for c, rows in enumerate(lat.class_rows):
-                prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(p.gamma), occ, c)))
-                lo, hi = prob[:, bottom], prob[:, top]
-                assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
-                field.update_class(occ, cov, c, lim)
-                assert np.all(occ[:, bottom] <= occ[:, top])
-                total += int(sim_rows[rows].sum()) * len(roots)  # held sites are not counted
-            assert np.array_equal(cov[:-1], gathered_coverage(lat, occ)[:-1])
+        sweeps = (np.stack([_key(r, t).random(lat.n_sites) for r in roots]) for t in range(32, 0, -1))
+        # as in the sampler, top chains start all occupied and bottom chains with only the held sites
+        top, bottom = np.ones((lat.n_sites, len(roots)), dtype=bool), np.repeat(held[:, None], len(roots), axis=1)
+        total += sandwich_updates(lat, log_w, math.log(p.gamma), top, bottom, sweeps)
         seed += len(roots)
     assert total >= 100_000
     print(f"PASS sandwich and ordering: {total} site updates with per-class checks")
@@ -197,11 +183,9 @@ def test_conditional_intensity_factor_bounds():
             continue
         dhat = np.full(lat.n_sites, d)
         log_w = _site_weights(dhat, params)[1]
-        occ = np.zeros((lat.n_sites + 1, 1), dtype=bool)
-        occ[:-1, 0] = (rng.random(lat.n_sites) < 0.3)[lat.class_order]
-        c = int(rng.integers(len(lat.class_rows)))
-        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)
-        clustering = odds - log_w[lat.class_order[lat.class_rows[c]], None]
+        pattern = (rng.random(lat.n_sites) < 0.3)[:, None]
+        sites = lat.class_order[lat.class_rows[int(rng.integers(len(lat.class_rows)))]]
+        clustering = heat_bath_log_odds(lat, log_w, math.log(params.gamma), pattern, sites) - log_w[sites, None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
         terms = log_count_terms(d, params, 4 * cap + 40)
@@ -230,8 +214,7 @@ def test_intensity_consistent_with_density():
         live = [c for c, rows in enumerate(lat.class_rows) if not clamped[lat.class_order[rows]].all()]
         c = live[int(rng.integers(len(live)))]
         sites = lat.class_order[lat.class_rows[c]]
-        occ = np.append(((counts > 0) | clamped)[lat.class_order], False)[:, None]
-        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]
+        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), ((counts > 0) | clamped)[:, None], sites)[:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:
                 assert odds[i] == math.inf
@@ -268,17 +251,15 @@ def test_heat_bath_conditional_matches_enumeration(clamped):
     for pattern in patterns:
         if clamped and not pattern[2]:
             continue
-        occ = np.append(np.array(pattern, dtype=bool)[lat.class_order], False)[:, None]
-        for c, rows in enumerate(lat.class_rows):
-            prob = 1.0 / (1.0 + np.exp(-heat_bath_log_odds(lat, log_w, math.log(params.gamma), occ, c)[:, 0]))
-            for s, p_on in zip(lat.class_order[rows].tolist(), prob):
-                if held[s]:  # a held site sits in its class and always turns on
-                    assert p_on == 1.0
-                    continue
-                on = pattern[:s] + (1,) + pattern[s + 1 :]
-                off = pattern[:s] + (0,) + pattern[s + 1 :]
-                exact = patterns[on] / (patterns[on] + patterns[off])
-                worst = max(worst, abs(p_on - exact))
+        odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), np.array(pattern, bool)[:, None], np.arange(3))
+        for s, p_on in enumerate(1.0 / (1.0 + np.exp(-odds[:, 0]))):
+            if held[s]:  # a held site always turns on
+                assert p_on == 1.0
+                continue
+            on = pattern[:s] + (1,) + pattern[s + 1 :]
+            off = pattern[:s] + (0,) + pattern[s + 1 :]
+            exact = patterns[on] / (patterns[on] + patterns[off])
+            worst = max(worst, abs(p_on - exact))
     assert worst < 1e-9
     print(f"PASS heat-bath conditional vs enumeration: worst error {worst:.1e} < 1e-9")
 

@@ -65,7 +65,7 @@ def test_config_validation():
     # a repeated entry would run its cells or rows twice, and an empty list would run nothing
     for field, value in (
         ("signals", ("Blocks", "Blocks")), ("signals", ()), ("rsnr", (10.0, 10.0)), ("rsnr", (10, 10.0)),
-        ("rsnr", ()), ("methods", ("AIBT", "AIBT")), ("methods", []),
+        ("rsnr", (10.0, 10.000000000001)), ("rsnr", ()), ("methods", ("AIBT", "AIBT")), ("methods", []),
     ):
         with pytest.raises(ValueError, match=f"^{field} must not"):
             ExperimentConfig(**{field: value})

@@ -11,31 +11,16 @@ import pytest
 
 from aibt import cftp
 from aibt.cftp import (
-    CoalescenceError,
-    _count_cap,
-    _decided_off_cut,
-    _draw_counts,
-    _key,
-    _occupancy,
-    _OccupancyField,
-    _root,
-    _site_weights,
-    cftp_counts,
-    held_sites,
+    CoalescenceError, _count_cap, _decided_off_cut, _draw_counts, _key, _occupancy, _OccupancyField, _root,
+    _site_weights, cftp_counts, held_sites,
 )
 from aibt.estimator import _coefficients
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate
 from aibt.wavelet import forward_dwt, get_filter, make_test_signal
 from oracles import (
-    enumerate_posterior,
-    flat_index,
-    gathered_coverage,
-    heat_bath_log_odds,
-    log_density,
-    neighbourhood,
-    occupancy_pattern_probs,
-    site_of,
+    enumerate_posterior, flat_chains, gathered_coverage, log_density, occupancy_pattern_probs, pattern_frequencies,
+    reference_run, sandwich_updates, total_variation,
 )
 
 MODERATE = ModelParams(lam=0.5, gamma=2.0, tau=1.0, sigma=0.5)
@@ -117,40 +102,6 @@ def test_same_seed_same_schedule_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def _reference_run(field, dhat, params, held, roots, sweeps):
-    """Site-by-site heat bath from first principles, one draw after another: brute-force
-    coverage, direct sums.  Returns both chains of every draw, shape ``(2, draws, n_sites)``."""
-    lat = field.lattice
-    n = lat.n_sites
-    nbhd = [{flat_index(*v) for v in neighbourhood(site_of(s), lat.n_levels)} for s in range(n)]
-    log_w = []
-    for s in range(n):
-        terms = [
-            c * math.log(params.lam) - math.lgamma(c + 1)
-            - dhat[s] ** 2 / (2 * params.variance(c)) + dhat[s] ** 2 / (2 * params.variance(0))
-            - 0.5 * math.log(params.variance(c) / params.variance(0))
-            for c in range(1, 400)
-        ]
-        top = max(terms)
-        log_w.append(top + math.log(sum(math.exp(t - top) for t in terms)))
-    sim = [not h for h in held]
-    draws = []
-    for root in roots:
-        chains = [[True] * n, [not x for x in sim]]
-        for t in range(sweeps, 0, -1):
-            u = _key(root, t).random(n)
-            for rows in lat.class_rows:
-                for s in lat.class_order[rows].tolist():
-                    if not sim[s]:
-                        continue
-                    for occ in chains:
-                        unc = sum(1 for v in nbhd[s] if not any(occ[w] for w in nbhd[v] if w != s))
-                        p = 1.0 / (1.0 + math.exp(-(log_w[s] - unc * math.log(params.gamma))))
-                        occ[s] = bool(u[s] < p)
-        draws.append(chains)
-    return np.array(draws).transpose(1, 0, 2)
-
-
 def test_class_updates_match_sequential_heat_bath():
     """Vectorized class updates reproduce a sequential site-by-site heat bath exactly.
 
@@ -167,7 +118,7 @@ def test_class_updates_match_sequential_heat_bath():
         field, dhat, held = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
         roots = [_root(case + 100 * i) for i in range((1, 2, 9, 25)[case % 4])]
         sweeps = int(rng.choice([1, 2, 4]))
-        assert np.array_equal(field.run(roots, sweeps), _reference_run(field, dhat, params, held, roots, sweeps))
+        assert np.array_equal(field.run(roots, sweeps), reference_run(field.lattice, dhat, params, held, roots, sweeps))
 
 
 def test_sandwich_order_holds_eventwise():
@@ -178,22 +129,10 @@ def test_sandwich_order_holds_eventwise():
         field, dhat, held = _field(case, n_levels=5, clamp=case % 2 == 1)
         log_w = _site_weights(dhat, MODERATE)[1]
         n = field.lattice.n_sites
-        order = field.lattice.class_order
-        sim_rows = ~held[order]
-        # class-major rows: columns 0-5 are the top chains, 6-11 the bottom chains
-        occ = np.zeros((n + 1, 12), dtype=bool)
-        occ[:n, 6:] = ((rng.random((6, n)) < 0.4) | held).T[order]
-        occ[:n, :6] = occ[:n, 6:] | (rng.random((6, n)) < 0.5).T[order]
-        cov = gathered_coverage(field.lattice, occ)
-        for _ in range(3):
-            lim = field.on_limits(rng.random((6, n)))
-            for c, rows in enumerate(field.lattice.class_rows):
-                odds = heat_bath_log_odds(field.lattice, log_w, math.log(MODERATE.gamma), occ, c)
-                assert np.all(odds[:, :6] >= odds[:, 6:])
-                field.update_class(occ, cov, c, lim)
-                assert np.all(occ[:, :6] >= occ[:, 6:])
-                updates += int(sim_rows[rows].sum()) * 6  # held sites are not counted
-        assert np.array_equal(cov[:n], gathered_coverage(field.lattice, occ)[:n])
+        bottom = ((rng.random((6, n)) < 0.4) | held).T  # six draws' chains, one column each
+        top = bottom | (rng.random((6, n)) < 0.5).T
+        sweeps = (rng.random((6, n)) for _ in range(3))
+        updates += sandwich_updates(field.lattice, log_w, math.log(MODERATE.gamma), top, bottom, sweeps)
     assert updates > 10_000
 
 
@@ -302,9 +241,9 @@ def test_on_limits_match_the_float_comparison_at_every_unc(gamma):
         (near_thresholds.view(np.int64) + steps[40:]).view(np.float64),
     ])
     u = np.where((u >= 0.0) & (u < 1.0), u, np.nextafter(1.0, 0.0))
-    lim = field.on_limits(u)[lat.rank[:-1]]
-    assert np.array_equal(lim[:, : len(u)], lim[:, len(u) :])  # a draw's top and bottom chain share it
-    lim = lim[:, : len(u)].T  # per draw and site
+    top, bottom = flat_chains(lat, field.on_limits(u))
+    assert np.array_equal(top, bottom)  # a draw's top and bottom chain share it
+    lim = top.T  # per draw and site
     with np.errstate(divide="ignore"):
         logit = np.log(u) - np.log1p(-u)
     for k in ks.tolist():
@@ -497,18 +436,6 @@ def test_non_coalescence_raises_with_diagnostics(caplog, monkeypatch):
 # --- exactness against enumeration ---------------------------------------------------
 
 
-def _empirical_patterns(dhat, params, n_draws, seed0=0):
-    freq: dict[tuple[int, ...], float] = {}
-    for counts in cftp_counts(dhat, params, range(seed0, seed0 + n_draws)):
-        pat = tuple(int(c > 0) for c in counts)
-        freq[pat] = freq.get(pat, 0.0) + 1.0 / n_draws
-    return freq
-
-
-def _tv(p, q):
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
-
-
 def test_single_site_chain_matches_hand_enumeration():
     """One-site lattice: the count law has a closed form checked term by term."""
     p = ModelParams(lam=1.5, gamma=1.5, tau=1.0, sigma=0.6)
@@ -542,8 +469,7 @@ def test_small_lattice_matches_enumeration_hot_site():
     dhat = np.array([0.35, 0.0, 0.22])
     assert math.exp(float(np.max(log_dominating_rate(dhat, p)))) > 20.0
     exact = occupancy_pattern_probs(enumerate_posterior(dhat, p, caps=(60, 10, 25)))
-    mc = _empirical_patterns(dhat, p, n_draws=1500)
-    assert _tv(exact, mc) < 0.06
+    assert total_variation(exact, pattern_frequencies(cftp_counts(dhat, p, range(1500)))) < 0.06
 
 
 def test_forced_occupied_site_conditions_the_chain():
@@ -565,16 +491,8 @@ def test_forced_occupied_site_conditions_the_chain():
     }
     mx = max(logw.values())
     z = sum(math.exp(v - mx) for v in logw.values())
-    exact: dict[tuple[int, int], float] = {}
-    for (c0, c1), lw in logw.items():
-        pat = (int(c0 > 0), int(c1 > 0))
-        exact[pat] = exact.get(pat, 0.0) + math.exp(lw - mx) / z
-    n = 1500
-    mc: dict[tuple[int, int], float] = {}
-    for counts in cftp_counts(dhat, p, range(n)):
-        pat = (int(counts[0] > 0), int(counts[1] > 0))
-        mc[pat] = mc.get(pat, 0.0) + 1.0 / n
-    assert _tv(exact, mc) < 0.06
+    exact = occupancy_pattern_probs({counts: math.exp(lw - mx) / z for counts, lw in logw.items()})
+    assert total_variation(exact, pattern_frequencies(cftp_counts(dhat, p, range(1500))[:, :2])) < 0.06
 
 
 @pytest.mark.xfail(

@@ -367,21 +367,23 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
 
 
 def test_import_and_bench_load_no_scipy(tmp_path):
-    """The package and its CLI parser import without scipy, and a bench over all five methods runs without it."""
+    """The package and its CLI parser import without scipy or ``numpy.ma``, and a bench over all five methods,
+    a denoise of a named signal and a denoise of a file with its noise level estimated run without them."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"signals": ["Bumps"], "rsnr": [10.0]}))
-    argv = ["bench", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"),
-            "--n", "32", "--reps", "1", "--draws", "2", "--no-runtime", "--seed", "5"]
-    code = (
-        "import sys, aibt, aibt.cli\n"
-        "aibt.cli._build_parser()\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        f"assert aibt.cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+    np.savetxt(tmp_path / "y.txt", add_noise(make_test_signal("Doppler", 32), 0.2, seed=3), fmt="%.17g")
+    runs = [
+        ["bench", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"),
+         "--n", "32", "--reps", "1", "--draws", "2", "--no-runtime", "--seed", "5"],
+        ["denoise", "--signal", "Blocks", "--n", "32", "--rsnr", "7", "--draws", "2", "--out", str(tmp_path / "a.txt")],
+        ["denoise", "--in", str(tmp_path / "y.txt"), "--draws", "2", "--out", str(tmp_path / "b.txt")],
+    ]
+    loaded = "print(sorted(m for m in sys.modules if (m + '.').startswith(('scipy.', 'numpy.ma.'))))\n"
+    code = (f"import sys, aibt, aibt.cli\naibt.cli._build_parser()\n{loaded}"
+            f"assert [aibt.cli.main(argv) for argv in {runs!r}] == [0, 0, 0]\n{loaded}")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]"]  # after the import and parser, and after the bench
+    assert proc.stdout.split() == ["[]", "[]"]  # after the import and parser, and after the three runs
     assert len((tmp_path / "rows.csv").read_text().strip().splitlines()) == 6
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from aibt.lattice import Lattice, coverage_measure, lattice_for
 from aibt.model import ModelParams, log_marginal_posterior
-from oracles import brute_coverage, flat_index, neighbourhood, site_of, uncovered_measure
+from oracles import brute_coverage, flat_index, heat_bath_log_odds, neighbourhood, site_of, uncovered_measure
 
 RNG = np.random.default_rng(42)
 
@@ -158,6 +158,24 @@ def test_uncovered_matches_bruteforce(n_levels):
                 )
             )
             assert uncovered_measure(site_of(u), counts) == uncov
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+def test_heat_bath_log_odds_match_uncovered_measure(n_levels):
+    """At every site of random patterns the site-order log-odds are ``log W_s - uncovered_measure(s, the pattern
+    without s) * log(gamma)`` bit for bit, and ``+inf`` at held sites; narrow levels truncate and merge ``B(s)``."""
+    lat = Lattice(n_levels)
+    rng = np.random.default_rng(100 + n_levels)
+    for _ in range(5):
+        log_w = rng.normal(0.0, 2.0, lat.n_sites)
+        log_w[rng.random(lat.n_sites) < 1 / 3] = np.inf  # held sites
+        log_gamma, pattern = float(rng.uniform(0.0, 2.0)), rng.random((lat.n_sites, 3)) < rng.uniform(0.1, 0.9)
+        odds = heat_bath_log_odds(lat, log_w, log_gamma, pattern, np.arange(lat.n_sites))
+        for s in range(lat.n_sites):
+            for chain, others in enumerate(pattern.T.copy()):
+                others[s] = False
+                assert odds[s, chain] == log_w[s] - uncovered_measure(site_of(s), others) * log_gamma
+        assert np.all(odds[log_w == np.inf] == np.inf)
 
 
 def test_coverage_monotone_under_insertion():
