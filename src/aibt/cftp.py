@@ -22,11 +22,17 @@ rows and its update gathers and scatters only the coverage around it; its
 cost hardly grows with the number of draws.  Each sweep turns each
 uniform into an integer on-limit, the largest ``unc`` at which it turns
 its site on; a uniform at or above its site's cut turns it off whatever
-its neighbours, so its logit is not computed.  The field knows only ``log
-W`` and ``log gamma``; the multiplicity law, kept apart, sums ``log W``
-over chunks of rate-sorted sites, each only as far as its own rates need,
-and draws the counts.  Random streams are drawn only as far as they are
-read: numpy fills them one value at a time, so a short fill is a prefix.
+its neighbours, so its logit is not computed.  On a sparse posterior
+nearly every update is such a decided one, and a field whose expected
+share of live updates (uniforms below their cut) is small sweeps only the
+live ones instead: it keeps per chain and site a bitmask of the classes
+covering the site, and settles a sweep's live updates in vectorized
+passes to the state the class-by-class sweep reaches.  The field knows
+only ``log W`` and ``log gamma``; the multiplicity law, kept apart, sums
+``log W`` over chunks of rate-sorted sites, each only as far as its own
+rates need, and draws the counts.  Random streams are drawn only as far
+as they are read: numpy fills them one value at a time, so a short fill
+is a prefix.
 
 Sites are either simulated or held.  A site whose dominating rate ``lam *
 exp(dhat**2 * g)``, ``g = tau**2 / (2 * sigma**2 * (sigma**2 + tau**2))``,
@@ -66,6 +72,9 @@ _CHUNK_SITES = 256  # rate-sorted simulated sites that share one count cap; equa
 _PAD_COVERAGE = -1  # coverage of the neighbour table's pad row: never equal to an occupancy
 # the longest lookback in sweeps; a draw not coalesced by then raises CoalescenceError
 _MAX_LOOKBACK = 2**12
+# expected share of live site updates below which a field sweeps only its live sites (see _OccupancyField)
+_LIVE_SHARE = 0.025
+_ALL_CLASSES = 0xFFF  # every colour class's bit: the mask of the neighbour table's pad, which reads as covered
 
 
 def held_sites(dhat: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -133,6 +142,35 @@ def _root(seed) -> np.ndarray:
     ints = np.random.default_rng(seed).integers(2**63, size=2).tolist()
     # the uint32 words SeedSequence makes of a list of ints (no zero high word): the same keys, derived faster
     return np.array([w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=32)
+def _class_masks(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The live kernel's tables of a lattice, in flat site order, built once per lattice.
+
+    Per site: the bit of its class (the class's place in update order), the bits of the classes updated
+    before and after it, and its neighbours, neighbour-major (``nbr.T``).  Last, the all-occupied mask:
+    per site ``v`` the bits of the sites of ``B(v)``, which by symmetry are the sites covering ``v``, with
+    ``_ALL_CLASSES`` at the pad.  No two sites of a class share a neighbour, so bits of ``B(v)`` never collide.
+    """
+    cls = np.empty(lattice.n_sites, dtype=np.int64)
+    for i, rows in enumerate(lattice.class_rows):
+        cls[lattice.class_order[rows]] = i
+    bit = (1 << cls).astype(np.uint16)
+    tables = (bit, bit - 1, _ALL_CLASSES & ~(2 * bit - 1), np.ascontiguousarray(lattice.nbr.T),
+              _covering_bits(lattice, bit, np.arange(lattice.n_sites)))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _covering_bits(lattice: Lattice, bit: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The masks of the pattern where ``sites`` are occupied: per site ``v`` the sum (so the union) of ``bit``
+    over the occupied sites of ``B(v)``, then ``_ALL_CLASSES`` for the pad."""
+    mask = np.zeros(lattice.n_sites + 1, dtype=np.uint16)
+    np.add.at(mask, lattice.nbr[sites], bit[sites, None])  # by symmetry, the sites s with v in B(s)
+    mask[-1] = _ALL_CLASSES
+    return mask
 
 
 @functools.lru_cache(maxsize=64)
@@ -208,23 +246,39 @@ class _OccupancyField:
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
     in ``cov``, so it never counts as uncovered.
+
+    A field whose expected share of live updates, the mean over its sites of
+    ``min(u_off, 1)`` with held sites at 0, is below ``_LIVE_SHARE`` runs
+    the ``"live"`` kernel, :meth:`_run_live`; the others run the
+    ``"dense"`` one, class by class over these rows.
     """
 
     def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
-        n = lattice.n_sites
-        order = lattice.class_order
         self.lattice = lattice
-        self.log_w = log_w[order]  # by row
+        self.log_w = log_w[lattice.class_order]  # by row
         self.steps = np.arange(lattice.max_neighbourhood + 1)[:, None] * log_gamma  # log-odds drop per unc
-        # both start states are constants of the field, built once and repeated per run
-        held_pad = np.append(self.log_w == np.inf, False)
-        self.start_occ = np.stack([np.arange(n + 1) < n, held_pad], axis=1).astype(np.int8)
-        self.start_cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
-        # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
-        held_near = np.bincount(lattice.nbr[log_w == np.inf].ravel(), minlength=n + 1)
-        self.start_cov[:-1, 0] = lattice.neighbourhood_sizes[order]
-        self.start_cov[:-1, 1] = held_near[order]
         self.u_off = _decided_off_cut(log_w)
+        self.flat_log_w = log_w
+        self.u_live = np.where(log_w == np.inf, 0.0, self.u_off)  # a held site's update is never live
+        self.kernel = "live" if np.minimum(self.u_live, 1.0).mean() < _LIVE_SHARE else "dense"
+
+    # both start states are constants of the field, built when the dense kernel first runs and repeated per run
+    @functools.cached_property
+    def start_occ(self) -> np.ndarray:
+        """The top chain's start (all occupied) and the bottom chain's (held sites only), one column each."""
+        n = self.lattice.n_sites
+        return np.stack([np.arange(n + 1) < n, np.append(self.log_w == np.inf, False)], axis=1).astype(np.int8)
+
+    @functools.cached_property
+    def start_cov(self) -> np.ndarray:
+        """The coverage of :attr:`start_occ`."""
+        lattice, n = self.lattice, self.lattice.n_sites
+        cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
+        # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
+        held_near = np.bincount(lattice.nbr[self.flat_log_w == np.inf].ravel(), minlength=n + 1)
+        cov[:-1, 0] = lattice.neighbourhood_sizes[lattice.class_order]
+        cov[:-1, 1] = held_near[lattice.class_order]
+        return cov
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
         """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
@@ -239,11 +293,15 @@ class _OccupancyField:
         lim = np.full((u.shape[1], 2 * len(u)), -1, dtype=np.int8)
         live = np.flatnonzero(u < self.u_off)
         draw, site = np.divmod(live, u.shape[1])
-        row, v = self.lattice.rank[site], np.take(u, live)
+        row = self.lattice.rank[site]
+        lim[row, draw] = lim[row, draw + len(u)] = self._limits(np.take(u, live), self.log_w[row])
+        return lim
+
+    def _limits(self, v: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+        """The on-limit of each uniform ``v`` at a site of weight ``log_w`` (see :meth:`on_limits`)."""
         with np.errstate(divide="ignore"):
             logit = np.log(v) - np.log1p(-v)
-        lim[row, draw] = lim[row, draw + len(u)] = (logit < self.log_w[row] - self.steps).sum(axis=0) - 1
-        return lim
+        return (logit < log_w - self.steps).sum(axis=0) - 1
 
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, lim: np.ndarray) -> None:
         """Heat-bath update of class ``c`` in place: a site turns on iff ``unc <= lim``.
@@ -263,21 +321,87 @@ class _OccupancyField:
         cov[-1] = _PAD_COVERAGE
         occ[rows] = new
 
-    def run(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
-        """Both chains at time zero after ``sweeps`` sweeps, C-contiguous, shape ``(2, draws, n_sites)``.
-
-        Each sweep's uniforms come from the draw's key for that sweep.
-        """
-        n = self.lattice.n_sites
-        occ, cov = self.start(len(roots))
-        u = np.empty((len(roots), n))
+    def _uniforms(self, roots: list[np.ndarray], sweeps: int):
+        """Each sweep's uniforms, from ``sweeps`` steps before time zero on, in one array refilled per sweep."""
+        u = np.empty((len(roots), self.lattice.n_sites))
         for t in range(sweeps, 0, -1):
             for row, root in zip(u, roots):
                 _key(root, t).random(out=row)
+            yield u
+
+    def run(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
+        """Both chains at time zero after ``sweeps >= 1`` sweeps, C-contiguous, shape ``(2, draws, n_sites)``.
+
+        Each sweep's uniforms come from the draw's key for that sweep.  The field's ``kernel``, ``"live"``
+        or ``"dense"``, runs the sweeps; both give the same chains.
+        """
+        return self._run_live(roots, sweeps) if self.kernel == "live" else self._run_dense(roots, sweeps)
+
+    def _run_dense(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
+        """:meth:`run` class by class over every row."""
+        n = self.lattice.n_sites
+        occ, cov = self.start(len(roots))
+        for u in self._uniforms(roots, sweeps):
             lim = self.on_limits(u)
             for c in range(len(self.lattice.class_rows)):
                 self.update_class(occ, cov, c, lim)
         return np.ascontiguousarray(np.take(occ, self.lattice.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
+
+    @functools.cached_property
+    def held_mask(self) -> np.ndarray:
+        """The mask of the held-only pattern, in flat order with the pad (see :func:`_class_masks`)."""
+        return _covering_bits(self.lattice, _class_masks(self.lattice)[0], np.flatnonzero(self.flat_log_w == np.inf))
+
+    def _run_live(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
+        """:meth:`run` over the live updates alone: those whose uniform is below their site's cut.
+
+        A sweep's other updates turn their site off whatever its neighbours, and held sites stay on, so
+        a chain after a sweep is its held sites and its live sites that turned on.  Chain ``j`` keeps a
+        mask per site ``v`` (flat index ``j * (n + 1) + v``): the classes of its occupied sites that cover
+        ``v``.  A live site of class ``c`` sees ``v`` covered by another site iff a class updated before
+        ``c`` covers it after the sweep, or one updated after ``c`` covers it before the sweep.  So each
+        sweep gathers the masks before it, clears the last sweep's live sites to leave the held ones,
+        and updates every live pair in passes, toggling the bits of the pairs that changed.  A class
+        depends only on earlier ones, so after pass ``k`` the first ``k`` classes are final, and the pass
+        that changes nothing, at the latest the 13th, ends at the class-by-class sweep's state.
+        """
+        n, d = self.lattice.n_sites, len(roots)
+        bit, earlier, later, nbr, full = _class_masks(self.lattice)
+        rows = np.empty((2 * d, n + 1), dtype=np.uint16)
+        rows[:d], rows[d:] = full, self.held_mask  # the start states: top chains all occupied, bottom held only
+        mask = rows.reshape(-1)
+
+        def toggle(entries, bits):
+            np.add.at(mask, entries, bits)  # bits given their leading axis: add.at broadcasts 1-d values wrongly
+            mask[n :: n + 1] = _ALL_CLASSES
+
+        off = None  # the last sweep's live pairs that ended on: their mask entries and minus their bits
+        for u in self._uniforms(roots, sweeps):
+            live = np.flatnonzero(u < self.u_live)
+            draw, site = np.divmod(live, n)
+            lim = self._limits(np.take(u, live), self.flat_log_w[site])
+            lim, site = np.concatenate([lim, lim]), np.concatenate([site, site])
+            chain = np.concatenate([draw, draw + d])  # top chains, then bottom
+            at = np.take(nbr, site, axis=1) + chain * (n + 1)
+            before = np.take(mask, at) & later[site]
+            if off is None:  # the top chains' all-occupied start goes, leaving their held sites
+                rows[:d] = self.held_mask
+            else:
+                toggle(*off)
+            bits, first, on = bit[site], earlier[site], np.zeros(site.size, dtype=bool)
+            for _ in range(len(self.lattice.class_rows) + 1):
+                new = ((np.take(mask, at) & first | before) == 0).sum(axis=0) <= lim
+                moved = np.flatnonzero(new != on)
+                if not moved.size:
+                    break
+                toggle(at[:, moved], np.where(new, bits, -bits)[moved][None])  # off: minus, mod 2**16
+                on = new
+            else:
+                raise RuntimeError("live updates did not reach a fixed point")
+            off = at[:, on], -bits[on][None]
+        out = np.repeat(self.flat_log_w[None] == np.inf, 2 * d, axis=0)
+        out[chain[on], site[on]] = True
+        return out.reshape(2, d, n)
 
 
 def _occupancy(lattice: Lattice, log_w: np.ndarray, log_gamma: float, roots: list[np.ndarray]) -> np.ndarray:
@@ -312,6 +436,7 @@ def _occupancy(lattice: Lattice, log_w: np.ndarray, log_gamma: float, roots: lis
                     "coalesced": int(agree.sum()),
                     "gap": gap,
                     "held": int((log_w == np.inf).sum()),
+                    "kernel": field.kernel,
                 }),
             )
         active = active[~agree]

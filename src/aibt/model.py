@@ -141,8 +141,9 @@ def estimate_sigma_mad(dec: WaveletDecomposition) -> float:
     whose absolute values have median ``0.6745 * sigma``.
     """
     finest = np.abs(dec.details[-1])
-    # statistics.median, not np.median, which imports numpy.ma; a nan gives nan, as np.median does
-    med = math.nan if np.isnan(finest).any() else statistics.median(finest.tolist())
+    if np.isnan(finest).any():
+        raise ValueError("finest-level details hold nan; cannot estimate a noise level")
+    med = statistics.median(finest.tolist())  # not np.median, which imports numpy.ma
     if med == 0.0:
         raise ValueError("finest-level details are all zero; cannot estimate a noise level")
     return med / 0.6745

@@ -118,7 +118,56 @@ def test_class_updates_match_sequential_heat_bath():
         field, dhat, held = _field(case, params, int(rng.integers(1, 5)), clamp=case % 2 == 1)
         roots = [_root(case + 100 * i) for i in range((1, 2, 9, 25)[case % 4])]
         sweeps = int(rng.choice([1, 2, 4]))
-        assert np.array_equal(field.run(roots, sweeps), reference_run(field.lattice, dhat, params, held, roots, sweeps))
+        expected = reference_run(field.lattice, dhat, params, held, roots, sweeps)
+        for kernel in ("live", "dense"):
+            field.kernel = kernel
+            assert np.array_equal(field.run(roots, sweeps), expected), kernel
+
+
+def test_live_and_dense_kernels_give_the_same_chains():
+    """Forced on the same field, the live kernel returns the class-by-class kernel's chains byte for byte, on
+    1-12 levels, lam 0.01-2, gamma 1-10, a random third of the sites held in half the cases, 1-25 draws and
+    1-8 sweeps; the cases' own fields pick both kernels."""
+    rng = np.random.default_rng(28)
+    picked = set()
+    for case in range(60):
+        sigma = float(rng.uniform(0.1, 1.0))
+        params = ModelParams(float(np.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
+                             float(np.exp(rng.uniform(0.0, math.log(10.0)))), 1.0, sigma)
+        lat = Lattice(int(rng.integers(1, 13)))
+        dhat = rng.normal(0.0, sigma * rng.uniform(0.5, 2.0), lat.n_sites)
+        if case % 2:
+            dhat[rng.random(lat.n_sites) < 1 / 3] = 1e3
+        field = _OccupancyField(lat, _site_weights(dhat, params)[1], math.log(params.gamma))
+        picked.add(field.kernel)
+        roots = [_root(int(s)) for s in rng.integers(0, 2**32, int(rng.integers(1, 26)))]
+        sweeps = int(rng.integers(1, 9))
+        chains = {}
+        for kernel in ("live", "dense"):
+            field.kernel = kernel
+            chains[kernel] = field.run(roots, sweeps)
+        assert chains["live"].dtype == bool and chains["live"].flags.c_contiguous
+        assert chains["live"].tobytes() == chains["dense"].tobytes(), case
+    assert picked == {"live", "dense"}
+
+
+@pytest.mark.parametrize(
+    "lam, gamma, prior, kernel",
+    [(0.05, 3.0, False, "live"), (0.5, 2.0, False, "dense"), (1.0, 2.7, True, "dense")],
+    ids=["noise-pinned", "noise-lam-0.5", "prior-gate"],
+)
+def test_debug_record_names_the_kernel(lam, gamma, prior, kernel, caplog):
+    """Pure noise at n=4095 and sigma=0.1 sweeps only its live sites at the pinned theta and runs class by
+    class at lam=0.5; so does the prior law's gate theta on its 15 sites, at weights ``log(e**lam - 1)``."""
+    with caplog.at_level(logging.DEBUG, logger="aibt.cftp"):
+        if prior:
+            log_w = np.full(15, math.log(math.expm1(lam)))
+            _occupancy(Lattice(4), log_w, math.log(gamma), [_root(s) for s in range(3)])
+        else:
+            dhat = 0.1 * np.random.default_rng(0).standard_normal(4095)
+            cftp_counts(dhat, ModelParams(lam, gamma, 1.0, 0.1), range(2))
+    records = [json.loads(r.getMessage().split(" ", 2)[2]) for r in caplog.records]
+    assert records and all(r["kernel"] == kernel for r in records)
 
 
 def test_sandwich_order_holds_eventwise():

@@ -227,3 +227,10 @@ def test_estimate_sigma_mad_rejects_degenerate():
     dec = WaveletDecomposition(details, 0.0, HAAR)
     with pytest.raises(ValueError):
         estimate_sigma_mad(dec)
+
+
+def test_estimate_sigma_mad_rejects_nan_details():
+    """A nan among the finest details raises a ValueError that names it, rather than returning nan."""
+    dec = WaveletDecomposition([np.array([np.nan]), np.array([1.0, np.nan])], 0.0, HAAR)
+    with pytest.raises(ValueError, match="nan"):
+        estimate_sigma_mad(dec)
