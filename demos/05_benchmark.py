@@ -9,6 +9,7 @@ the numbers byte for byte; scale up `n`, `reps`, `n_draws`, and the grids
 for publication-quality tables.
 """
 
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -40,7 +41,7 @@ with tempfile.TemporaryDirectory() as tmp:
     emit_csv(rows, str(out))
     print(out.read_text(), end="")
 
-print(f"\nfinished in {elapsed:.1f}s")
+print(f"\nfinished in {elapsed:.1f}s", file=sys.stderr)  # wall time: stdout stays byte-reproducible
 
 # Each row: signal, root signal-to-noise ratio, method, average MSE over
 # replicates, its standard error, replicate count, and runtime (zeroed

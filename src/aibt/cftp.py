@@ -45,6 +45,7 @@ sampler targets.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -144,24 +145,38 @@ def _root(seed) -> np.ndarray:
     return np.array([w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]], dtype=np.uint32)
 
 
-@functools.lru_cache(maxsize=32)
-def _class_masks(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The live kernel's tables of a lattice, in flat site order, built once per lattice.
+_Schedule = collections.namedtuple("_Schedule", "class_order rank class_rows class_nbr bit earlier later nbr full")
 
-    Per site: the bit of its class (the class's place in update order), the bits of the classes updated
-    before and after it, and its neighbours, neighbour-major (``nbr.T``).  Last, the all-occupied mask:
-    per site ``v`` the bits of the sites of ``B(v)``, which by symmetry are the sites covering ``v``, with
-    ``_ALL_CLASSES`` at the pad.  No two sites of a class share a neighbour, so bits of ``B(v)`` never collide.
+
+@functools.lru_cache(maxsize=32)
+def _schedule(lattice: Lattice) -> _Schedule:
+    """The tables the sweep kernels read, built once per lattice; the arrays are read-only.
+
+    Site ``(j, k)`` has colour ``(j mod 3, k mod 4)``, and no two sites of one colour class have intersecting
+    neighbourhoods: neighbourhoods span three adjacent levels, and on one level they meet only for positions at most
+    three apart (checked exhaustively by the test suite).  A sweep updates the non-empty classes in colour order.
+    The dense kernel reads ``class_order``, the sites class by class, class ``c`` being its block ``class_rows[c]``;
+    ``rank[s]``, site ``s``'s place in it (the pad keeps ``n_sites``); and ``class_nbr[c]``, ``nbr`` of that block
+    renumbered by ``rank``, neighbour-major and contiguous.  The live kernel reads, in flat order, the ``bit`` of
+    each site's class and the bits of the classes updated ``earlier`` and ``later``; ``nbr``, the lattice's own
+    ``nbr.T``; and the ``full`` mask of the all-occupied pattern (see :func:`_covering_bits`).  No two sites of a
+    class share a neighbour, so the bits of ``B(v)``, the sites covering ``v``, never collide.
     """
-    cls = np.empty(lattice.n_sites, dtype=np.int64)
-    for i, rows in enumerate(lattice.class_rows):
-        cls[lattice.class_order[rows]] = i
-    bit = (1 << cls).astype(np.uint16)
-    tables = (bit, bit - 1, _ALL_CLASSES & ~(2 * bit - 1), np.ascontiguousarray(lattice.nbr.T),
-              _covering_bits(lattice, bit, np.arange(lattice.n_sites)))
-    for a in tables:
+    n, levels = lattice.n_sites, np.arange(lattice.n_levels)
+    j = np.repeat(levels, 2**levels)
+    colour = (j % 3) * 4 + (np.arange(n) + 1 - 2**j) % 4
+    class_order = np.argsort(colour, kind="stable")
+    rank = np.append(np.argsort(class_order), n)  # the pad keeps its index
+    sizes = np.bincount(colour)
+    sizes = sizes[sizes > 0]
+    class_rows = tuple(slice(hi - m, hi) for hi, m in zip(np.cumsum(sizes).tolist(), sizes.tolist()))
+    class_nbr = tuple(np.ascontiguousarray(rank[lattice.nbr[class_order[r]].T]) for r in class_rows)
+    bit = (1 << np.repeat(np.arange(sizes.size), sizes)[rank[:-1]]).astype(np.uint16)  # each row's class, by site
+    schedule = _Schedule(class_order, rank, class_rows, class_nbr, bit, bit - 1, _ALL_CLASSES & ~(2 * bit - 1),
+                         lattice.nbr.T, _covering_bits(lattice, bit, np.arange(n)))
+    for a in (class_order, rank, *class_nbr, *schedule[4:]):
         a.flags.writeable = False
-    return tables
+    return schedule
 
 
 def _covering_bits(lattice: Lattice, bit: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -238,10 +253,10 @@ class _OccupancyField:
 
     A site with ``log W = +inf`` is held: every update turns it on.
     Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in class-major
-    order: row ``i`` holds site ``lattice.class_order[i]`` in the top chains
+    order: row ``i`` holds site ``schedule.class_order[i]`` in the top chains
     of every draw, then in the bottom chains, and class ``c`` is the slice
-    ``lattice.class_rows[c]``, whose coverage is gathered through
-    ``lattice.class_nbr[c]``.
+    ``schedule.class_rows[c]``, whose coverage is gathered through
+    ``schedule.class_nbr[c]`` (the lattice's :func:`_schedule`).
     ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
     of neighbourhoods is how many cover ``v``.  The last row pads the
     neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
@@ -254,8 +269,8 @@ class _OccupancyField:
     """
 
     def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
-        self.lattice = lattice
-        self.log_w = log_w[lattice.class_order]  # by row
+        self.lattice, self.schedule = lattice, _schedule(lattice)
+        self.log_w = log_w[self.schedule.class_order]  # by row
         self.steps = np.arange(lattice.max_neighbourhood + 1)[:, None] * log_gamma  # log-odds drop per unc
         self.u_off = _decided_off_cut(log_w)
         self.flat_log_w = log_w
@@ -272,12 +287,12 @@ class _OccupancyField:
     @functools.cached_property
     def start_cov(self) -> np.ndarray:
         """The coverage of :attr:`start_occ`."""
-        lattice, n = self.lattice, self.lattice.n_sites
+        lattice, n, order = self.lattice, self.lattice.n_sites, self.schedule.class_order
         cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
         # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
         held_near = np.bincount(lattice.nbr[self.flat_log_w == np.inf].ravel(), minlength=n + 1)
-        cov[:-1, 0] = lattice.neighbourhood_sizes[lattice.class_order]
-        cov[:-1, 1] = held_near[lattice.class_order]
+        cov[:-1, 0] = lattice.neighbourhood_sizes[order]
+        cov[:-1, 1] = held_near[order]
         return cov
 
     def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +308,7 @@ class _OccupancyField:
         lim = np.full((u.shape[1], 2 * len(u)), -1, dtype=np.int8)
         live = np.flatnonzero(u < self.u_off)
         draw, site = np.divmod(live, u.shape[1])
-        row = self.lattice.rank[site]
+        row = self.schedule.rank[site]
         lim[row, draw] = lim[row, draw + len(u)] = self._limits(np.take(u, live), self.log_w[row])
         return lim
 
@@ -311,7 +326,7 @@ class _OccupancyField:
         == occ[s]``.  No two sites of a class share a neighbour, so the scattered rows are distinct, apart
         from the pad row, which is reset after.
         """
-        rows, nbr = self.lattice.class_rows[c], self.lattice.class_nbr[c]
+        rows, nbr = self.schedule.class_rows[c], self.schedule.class_nbr[c]
         near = np.take(cov, nbr, axis=0)
         here = occ[rows]
         unc = (near == here).view(np.int8).sum(axis=0, dtype=np.int8)
@@ -343,14 +358,14 @@ class _OccupancyField:
         occ, cov = self.start(len(roots))
         for u in self._uniforms(roots, sweeps):
             lim = self.on_limits(u)
-            for c in range(len(self.lattice.class_rows)):
+            for c in range(len(self.schedule.class_rows)):
                 self.update_class(occ, cov, c, lim)
-        return np.ascontiguousarray(np.take(occ, self.lattice.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
+        return np.ascontiguousarray(np.take(occ, self.schedule.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
 
     @functools.cached_property
     def held_mask(self) -> np.ndarray:
-        """The mask of the held-only pattern, in flat order with the pad (see :func:`_class_masks`)."""
-        return _covering_bits(self.lattice, _class_masks(self.lattice)[0], np.flatnonzero(self.flat_log_w == np.inf))
+        """The mask of the held-only pattern, in flat order with the pad (see :func:`_covering_bits`)."""
+        return _covering_bits(self.lattice, self.schedule.bit, np.flatnonzero(self.flat_log_w == np.inf))
 
     def _run_live(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
         """:meth:`run` over the live updates alone: those whose uniform is below their site's cut.
@@ -366,7 +381,7 @@ class _OccupancyField:
         that changes nothing, at the latest the 13th, ends at the class-by-class sweep's state.
         """
         n, d = self.lattice.n_sites, len(roots)
-        bit, earlier, later, nbr, full = _class_masks(self.lattice)
+        bit, earlier, later, nbr, full = self.schedule[4:]
         rows = np.empty((2 * d, n + 1), dtype=np.uint16)
         rows[:d], rows[d:] = full, self.held_mask  # the start states: top chains all occupied, bottom held only
         mask = rows.reshape(-1)
@@ -389,7 +404,7 @@ class _OccupancyField:
             else:
                 toggle(*off)
             bits, first, on = bit[site], earlier[site], np.zeros(site.size, dtype=bool)
-            for _ in range(len(self.lattice.class_rows) + 1):
+            for _ in range(len(self.schedule.class_rows) + 1):
                 new = ((np.take(mask, at) & first | before) == 0).sum(axis=0) <= lim
                 moved = np.flatnonzero(new != on)
                 if not moved.size:

@@ -22,23 +22,14 @@ __all__ = [
 
 
 class Lattice:
-    """Padded neighbour table and colour classes for a fixed depth.
+    """Padded neighbour table of a fixed depth.
 
     Flat site order is level-major: site ``(j, k)`` sits at index
     ``2**j - 1 + k``, so all ``2**n_levels - 1`` sites pack into one vector
     aligned with flattened detail coefficients.  ``nbr[s]`` lists the flat
     indices of ``B(s)`` in increasing order, padded with ``n_sites``.  The
-    colour classes partition the sites so that no two sites of one class
-    have intersecting neighbourhoods: site ``(j, k)`` has class
-    ``(j mod 3, k mod 4)``.  Neighbourhoods span three adjacent levels, and
-    on one level they meet only for positions at most three apart, so this
-    closed form is enough (checked exhaustively by the test suite).
-
-    For the sampler, ``class_order`` lists the sites class by class, so the
-    non-empty class ``c`` is the block ``class_rows[c]`` of it, and
-    ``rank[s]`` is site ``s``'s place in it (the pad keeps ``n_sites``);
-    ``class_nbr[c]`` is ``nbr`` of that block renumbered by ``rank``,
-    neighbour-major.  All arrays are read-only.
+    table is stored once, neighbour-major, and ``nbr`` is its transposed
+    view.  All arrays are read-only.
     """
 
     def __init__(self, n_levels: int):
@@ -63,20 +54,13 @@ class Lattice:
         inside = (lev >= 0) & (lev < self.n_levels)
         cand = np.sort(np.where(inside, 2**np.clip(lev, 0, None) - 1 + pos, n), axis=1)
         cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = n  # merge duplicates on narrow levels
-        self.nbr = np.sort(cand, axis=1)
-        self.neighbourhood_sizes = (self.nbr < n).sum(axis=1)
+        cand = np.sort(cand, axis=1)
+        self.neighbourhood_sizes = (cand < n).sum(axis=1)
         self.max_neighbourhood = int(self.neighbourhood_sizes.max())
-        self.nbr = self.nbr[:, : self.max_neighbourhood]
-        colour = (j % 3) * 4 + k % 4
-        self.class_order = np.argsort(colour, kind="stable")
-        self.rank = np.append(np.argsort(self.class_order), n)  # the pad keeps its index
-        ends = np.cumsum(np.bincount(colour)).tolist()
-        self.class_rows = tuple(slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends) if hi > lo)
-        self.class_nbr = tuple(
-            np.ascontiguousarray(self.rank[self.nbr[self.class_order[r]]].T) for r in self.class_rows
-        )
-        for a in (self.nbr, self.neighbourhood_sizes, self.class_order, self.rank, *self.class_nbr):
+        table = np.ascontiguousarray(cand[:, : self.max_neighbourhood].T)  # neighbour-major, the one copy
+        for a in (table, self.neighbourhood_sizes):
             a.flags.writeable = False
+        self.nbr = table.T
 
 
 @functools.lru_cache(maxsize=32)

@@ -7,7 +7,9 @@ of it reuses the package's incremental or coupled machinery, so agreement
 is evidence, not tautology; :func:`sandwich_updates` runs that machinery
 under these checks.  Patterns are in flat site order, one column per
 chain.  Only :func:`field_rows`, :func:`flat_chains` and
-:func:`gathered_coverage` know the sampler's row layout.
+:func:`gathered_coverage` know the sampler's row layout, and with
+:func:`sandwich_updates` and :func:`reference_run` they take it and the
+update order from the sampler's schedule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from aibt.cftp import _PAD_COVERAGE, _key, _OccupancyField
+from aibt.cftp import _PAD_COVERAGE, _key, _OccupancyField, _schedule
 from aibt.lattice import Lattice, lattice_for
 from aibt.model import ModelParams
 
@@ -100,15 +102,16 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
 
 def field_rows(lattice: Lattice, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """The occupancy field's chain state of the flat patterns ``top`` and ``bottom``, each ``(n_sites, draws)``:
-    row ``lattice.rank[s]`` holds site ``s``, so the rows run class by class in ``lattice.class_order``, an empty
-    pad row follows, and the columns of the top chains come before those of the bottom chains."""
-    rows = np.concatenate([top, bottom], axis=1)[lattice.class_order]
+    row ``rank[s]`` of the lattice's schedule holds site ``s``, so the rows run class by class in its
+    ``class_order``, an empty pad row follows, and the columns of the top chains come before those of the bottom
+    chains."""
+    rows = np.concatenate([top, bottom], axis=1)[_schedule(lattice).class_order]
     return np.append(rows, np.zeros((1, rows.shape[1]), dtype=bool), axis=0).astype(np.int8)
 
 
 def flat_chains(lattice: Lattice, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat ``(top, bottom)`` halves of a field state's rows, the inverse of :func:`field_rows`."""
-    flat = state[lattice.rank[:-1]]
+    flat = state[_schedule(lattice).rank[:-1]]
     return flat[:, : flat.shape[1] // 2], flat[:, flat.shape[1] // 2 :]
 
 
@@ -116,8 +119,9 @@ def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
     """Coverage of a field chain state (see :func:`field_rows`), gathered afresh from the neighbour table: each
     row counts the occupied sites of its site's neighbourhood, and the pad row holds the sampler's pad value.
     The sampler keeps this incrementally; tests check its running counts and start states against it."""
+    schedule = _schedule(lattice)
     cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
-    cov[:-1] = occ.astype(np.int64)[lattice.rank[lattice.nbr[lattice.class_order]]].sum(axis=1)
+    cov[:-1] = occ.astype(np.int64)[schedule.rank[lattice.nbr[schedule.class_order]]].sum(axis=1)
     return cov
 
 
@@ -152,8 +156,8 @@ def sandwich_updates(lattice: Lattice, log_w: np.ndarray, log_gamma: float, top:
     updates = 0
     for u in uniforms:
         lim = field.on_limits(u)
-        for c, rows in enumerate(lattice.class_rows):
-            sites = lattice.class_order[rows]
+        for c, rows in enumerate(field.schedule.class_rows):
+            sites = field.schedule.class_order[rows]
             odds = heat_bath_log_odds(lattice, log_w, log_gamma, np.hstack(flat_chains(lattice, occ)), sites)
             hi, lo = np.split(odds, 2, axis=1)
             assert np.all((0.0 <= 1.0 / (1.0 + np.exp(-lo))) & (lo <= hi) & (1.0 / (1.0 + np.exp(-hi)) <= 1.0))
@@ -175,7 +179,7 @@ def reference_run(lattice: Lattice, dhat, params: ModelParams, held, roots, swee
         chains = np.stack([np.ones(len(held), dtype=bool), np.array(held, dtype=bool)], axis=1)  # top, bottom
         for t in range(sweeps, 0, -1):
             u = _key(root, t).random(len(held))
-            for s in lattice.class_order.tolist():
+            for s in _schedule(lattice).class_order.tolist():
                 if not held[s]:
                     odds = heat_bath_log_odds(lattice, log_w, math.log(params.gamma), chains, [s])[0]
                     chains[s] = [u[s] < 1.0 / (1.0 + math.exp(-o)) for o in odds.tolist()]

@@ -13,7 +13,9 @@ import pytest
 import scipy.stats
 
 from aibt.bench import ExperimentConfig, emit_csv, run_experiment
-from aibt.cftp import _HELD_LOG_RATE, _count_cap, _key, _occupancy, _root, _site_weights, cftp_counts, held_sites
+from aibt.cftp import (
+    _HELD_LOG_RATE, _count_cap, _key, _occupancy, _root, _schedule, _site_weights, cftp_counts, held_sites,
+)
 from aibt.estimator import posterior_median_estimate
 from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
@@ -171,6 +173,7 @@ def test_conditional_intensity_factor_bounds():
     the dominating rate over c+1, and the multiplicity cap drops under 2**-60 of W_s."""
     rng = np.random.default_rng(11)
     lat = Lattice(4)
+    schedule = _schedule(lat)
     checked = 0
     while checked < 10_000:
         params = ModelParams(
@@ -184,7 +187,7 @@ def test_conditional_intensity_factor_bounds():
         dhat = np.full(lat.n_sites, d)
         log_w = _site_weights(dhat, params)[1]
         pattern = (rng.random(lat.n_sites) < 0.3)[:, None]
-        sites = lat.class_order[lat.class_rows[int(rng.integers(len(lat.class_rows)))]]
+        sites = schedule.class_order[schedule.class_rows[int(rng.integers(len(schedule.class_rows)))]]
         clustering = heat_bath_log_odds(lat, log_w, math.log(params.gamma), pattern, sites) - log_w[sites, None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
@@ -204,6 +207,7 @@ def test_intensity_consistent_with_density():
     rng = np.random.default_rng(17)
     params = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     lat = Lattice(4)
+    schedule = _schedule(lat)
     worst = 0.0
     for _ in range(1_000):
         counts = rng.poisson(0.4, lat.n_sites)
@@ -211,9 +215,9 @@ def test_intensity_consistent_with_density():
         clamped = held_sites(dhat, params)
         log_w = _site_weights(dhat, params)[1]
         # the classes that hold a simulated site, drawn from as when held sites sat outside them
-        live = [c for c, rows in enumerate(lat.class_rows) if not clamped[lat.class_order[rows]].all()]
+        live = [c for c, rows in enumerate(schedule.class_rows) if not clamped[schedule.class_order[rows]].all()]
         c = live[int(rng.integers(len(live)))]
-        sites = lat.class_order[lat.class_rows[c]]
+        sites = schedule.class_order[schedule.class_rows[c]]
         odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), ((counts > 0) | clamped)[:, None], sites)[:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:

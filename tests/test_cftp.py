@@ -12,7 +12,7 @@ import pytest
 from aibt import cftp
 from aibt.cftp import (
     CoalescenceError, _count_cap, _decided_off_cut, _draw_counts, _key, _occupancy, _OccupancyField, _root,
-    _site_weights, cftp_counts, held_sites,
+    _schedule, _site_weights, cftp_counts, held_sites,
 )
 from aibt.estimator import _coefficients
 from aibt.lattice import Lattice
@@ -149,6 +149,31 @@ def test_live_and_dense_kernels_give_the_same_chains():
         assert chains["live"].dtype == bool and chains["live"].flags.c_contiguous
         assert chains["live"].tobytes() == chains["dense"].tobytes(), case
     assert picked == {"live", "dense"}
+
+
+def test_live_kernel_resets_the_pad_after_each_scatter():
+    """The live kernel's scatters also add bits to a chain's pad entry.  Pads are even in number per site, so a
+    pad left unreset reads as uncovered only to a class-0 site, and only when the bits times the pads of the
+    chain's live sites that are on sum to 2 mod 4096.  On 10 levels the root (class 0, 6 pads) on with bottom
+    positions 0-273 (4 pads each; 68 runs of classes 0-3, then classes 0 and 1) sum to 6 + 4 * 1023 = 4098.
+    Those sites weigh ``log W = 19`` and the root 15, the others -50, so the chosen sites are live and on in
+    every sweep and the others never live.  From the second sweep on, a stale pad would hand the root six more
+    uncovered sites: log-odds ``15 - 9 * 2.5 < 0`` instead of ``15 - 3 * 2.5``."""
+    lat = Lattice(10)
+    on = np.r_[0, 511 : 511 + 274]
+    log_w = np.full(lat.n_sites, -50.0)
+    log_w[on] = 19.0
+    log_w[0] = 15.0
+    pads = lat.max_neighbourhood - lat.neighbourhood_sizes
+    assert (_schedule(lat).bit[on].astype(np.int64) * pads[on]).sum() % 4096 == 2
+    field = _OccupancyField(lat, log_w, 2.5)
+    roots = [_root(s) for s in range(4)]
+    for sweeps in (1, 2, 3):
+        field.kernel = "dense"
+        dense = field.run(roots, sweeps)
+        assert (dense == np.isin(np.arange(lat.n_sites), on)).all()  # every chain holds the chosen sites alone
+        field.kernel = "live"
+        assert field.run(roots, sweeps).tobytes() == dense.tobytes(), sweeps
 
 
 @pytest.mark.parametrize(

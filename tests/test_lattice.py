@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aibt.cftp import _schedule
 from aibt.lattice import Lattice, coverage_measure, lattice_for
 from aibt.model import ModelParams, log_marginal_posterior
 from oracles import brute_coverage, flat_index, heat_bath_log_odds, neighbourhood, site_of, uncovered_measure
@@ -84,10 +85,14 @@ def test_padded_neighbour_table_matches_neighbourhood(n_levels):
         assert (row[len(expected):] == lat.n_sites).all()
 
 
+# --- the sampler's colour classes, built per lattice by aibt.cftp._schedule ----------------------------
+
+
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
     lat = Lattice(n_levels)
-    classes = [lat.class_order[rows] for rows in lat.class_rows]
+    schedule = _schedule(lat)
+    classes = [schedule.class_order[rows] for rows in schedule.class_rows]
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(lat.n_sites))
     for cls in classes:
         covered = lat.nbr[cls]
@@ -98,22 +103,29 @@ def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_class_order_lays_out_colour_classes_as_blocks(n_levels):
     """``class_rows`` tile ``class_order`` in consecutive blocks, each the sites of one colour
-    ``(j mod 3, k mod 4)`` in flat order; ``rank`` inverts ``class_order``, and each class table
-    is ``nbr`` of its block renumbered by ``rank``, neighbour-major."""
+    ``(j mod 3, k mod 4)`` in flat order; ``rank`` inverts ``class_order``, each class table
+    is ``nbr`` of its block renumbered by ``rank``, neighbour-major, and each site's bit is
+    its block's place, with the earlier and later blocks' bits beside it.  The schedule's
+    neighbour-major table is the lattice's own, not a copy."""
     lat = Lattice(n_levels)
+    schedule = _schedule(lat)
     n = lat.n_sites
-    assert np.array_equal(lat.rank[lat.class_order], np.arange(n)) and lat.rank[n] == n
+    assert np.array_equal(schedule.rank[schedule.class_order], np.arange(n)) and schedule.rank[n] == n
     j, k = np.array([site_of(s) for s in range(n)]).T
     colour = (j % 3) * 4 + k % 4
     members = [np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()]
-    ends = [rows.stop for rows in lat.class_rows]
-    assert [rows.start for rows in lat.class_rows] == [0, *ends[:-1]] and ends[-1] == n
-    assert len(lat.class_rows) == len(members) == len(lat.class_nbr)
-    for rows, sites, table in zip(lat.class_rows, members, lat.class_nbr):
-        assert np.array_equal(lat.class_order[rows], sites)
+    ends = [rows.stop for rows in schedule.class_rows]
+    assert [rows.start for rows in schedule.class_rows] == [0, *ends[:-1]] and ends[-1] == n
+    assert len(schedule.class_rows) == len(members) == len(schedule.class_nbr)
+    for i, (rows, sites, table) in enumerate(zip(schedule.class_rows, members, schedule.class_nbr)):
+        assert np.array_equal(schedule.class_order[rows], sites)
         assert table.flags.c_contiguous
-        assert np.array_equal(np.append(lat.class_order, n)[table.T], lat.nbr[sites])
-    for a in (lat.nbr, lat.neighbourhood_sizes, lat.class_order, lat.rank, *lat.class_nbr):
+        assert np.array_equal(np.append(schedule.class_order, n)[table.T], lat.nbr[sites])
+        assert (schedule.bit[sites] == 1 << i).all()
+        assert (schedule.earlier[sites] == (1 << i) - 1).all() and (schedule.later[sites] == 0xFFF ^ ((2 << i) - 1)).all()
+    assert np.shares_memory(schedule.nbr, lat.nbr) and np.array_equal(schedule.nbr.T, lat.nbr)
+    assert schedule.nbr.flags.c_contiguous
+    for a in (lat.nbr, lat.neighbourhood_sizes, *schedule.class_nbr, *(a for a in schedule if hasattr(a, "flags"))):
         assert not a.flags.writeable
 
 
