@@ -251,38 +251,36 @@ def _draw_counts(occ: np.ndarray, roots: list[np.ndarray], dhat: np.ndarray, par
 class _OccupancyField:
     """Heat-bath dynamics of a binary area-interaction field with site weights ``log W`` and interaction ``log gamma``.
 
-    A site with ``log W = +inf`` is held: every update turns it on.
-    Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in class-major
-    order: row ``i`` holds site ``schedule.class_order[i]`` in the top chains
-    of every draw, then in the bottom chains, and class ``c`` is the slice
-    ``schedule.class_rows[c]``, whose coverage is gathered through
-    ``schedule.class_nbr[c]`` (the lattice's :func:`_schedule`).
-    ``cov[v]`` counts the occupied sites in ``B(v)``, which by the symmetry
-    of neighbourhoods is how many cover ``v``.  The last row pads the
-    neighbour table: it stays empty in ``occ`` and holds ``_PAD_COVERAGE``
-    in ``cov``, so it never counts as uncovered.
+    A site with ``log W = +inf`` is held: every update turns it on.  The field keeps the caller's flat ``log_w``,
+    the flat indices of its ``held`` sites, and per site one ``cut``, :func:`_decided_off_cut` with held sites at 0.
+    An update is live when its uniform is below its site's cut, so a held site's never is; both kernels take a
+    sweep's live updates from :meth:`live_updates`.  Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in
+    class-major order: row ``i`` holds site ``schedule.class_order[i]`` in the top chains of every draw, then in the
+    bottom chains, and class ``c`` is the slice ``schedule.class_rows[c]``, whose coverage is gathered through
+    ``schedule.class_nbr[c]`` (the lattice's :func:`_schedule`).  ``cov[v]`` counts the occupied sites in ``B(v)``,
+    which by the symmetry of neighbourhoods is how many cover ``v``.  The last row pads the neighbour table: it stays
+    empty in ``occ`` and holds ``_PAD_COVERAGE`` in ``cov``, so it never counts as uncovered.
 
-    A field whose expected share of live updates, the mean over its sites of
-    ``min(u_off, 1)`` with held sites at 0, is below ``_LIVE_SHARE`` runs
-    the ``"live"`` kernel, :meth:`_run_live`; the others run the
-    ``"dense"`` one, class by class over these rows.
+    A field whose expected share of live updates, the mean over its sites of ``min(cut, 1)``, is below
+    ``_LIVE_SHARE`` runs the ``"live"`` kernel, :meth:`_run_live`; the others run the ``"dense"`` one, class by
+    class over these rows.
     """
 
     def __init__(self, lattice: Lattice, log_w: np.ndarray, log_gamma: float):
-        self.lattice, self.schedule = lattice, _schedule(lattice)
-        self.log_w = log_w[self.schedule.class_order]  # by row
+        self.lattice, self.schedule, self.log_w = lattice, _schedule(lattice), log_w
         self.steps = np.arange(lattice.max_neighbourhood + 1)[:, None] * log_gamma  # log-odds drop per unc
-        self.u_off = _decided_off_cut(log_w)
-        self.flat_log_w = log_w
-        self.u_live = np.where(log_w == np.inf, 0.0, self.u_off)  # a held site's update is never live
-        self.kernel = "live" if np.minimum(self.u_live, 1.0).mean() < _LIVE_SHARE else "dense"
+        self.held = np.flatnonzero(log_w == np.inf)
+        self.cut = _decided_off_cut(log_w)
+        self.cut[self.held] = 0.0  # a held site's update is never live
+        self.kernel = "live" if np.minimum(self.cut, 1.0).mean() < _LIVE_SHARE else "dense"
 
-    # both start states are constants of the field, built when the dense kernel first runs and repeated per run
+    # the start states are constants of the field, built when its kernel first runs and repeated per run
     @functools.cached_property
     def start_occ(self) -> np.ndarray:
         """The top chain's start (all occupied) and the bottom chain's (held sites only), one column each."""
-        n = self.lattice.n_sites
-        return np.stack([np.arange(n + 1) < n, np.append(self.log_w == np.inf, False)], axis=1).astype(np.int8)
+        occ = np.zeros((self.lattice.n_sites + 1, 2), dtype=np.int8)
+        occ[:-1, 0] = occ[self.schedule.rank[self.held], 1] = 1
+        return occ
 
     @functools.cached_property
     def start_cov(self) -> np.ndarray:
@@ -290,33 +288,42 @@ class _OccupancyField:
         lattice, n, order = self.lattice, self.lattice.n_sites, self.schedule.class_order
         cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
         # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
-        held_near = np.bincount(lattice.nbr[self.flat_log_w == np.inf].ravel(), minlength=n + 1)
+        held_near = np.bincount(lattice.nbr[self.held].ravel(), minlength=n + 1)
         cov[:-1, 0] = lattice.neighbourhood_sizes[order]
         cov[:-1, 1] = held_near[order]
         return cov
 
-    def start(self, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top chains (all occupied) and bottom chains (held sites only), shape ``(n+1, 2 * n_draws)``."""
-        return np.repeat(self.start_occ, n_draws, axis=1), np.repeat(self.start_cov, n_draws, axis=1)
+    @functools.cached_property
+    def held_mask(self) -> np.ndarray:
+        """The mask of the held-only pattern, in flat order with the pad (see :func:`_covering_bits`)."""
+        return _covering_bits(self.lattice, self.schedule.bit, self.held)
 
-    def on_limits(self, u: np.ndarray) -> np.ndarray:
-        """Per row and chain, the largest ``unc`` with ``logit(u[draw, site]) < log W - unc * log(gamma)``, or -1.
+    def live_updates(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The draw, site and on-limit of each live update of ``u[draw, site]``: its uniform is below the cut.
 
-        The log-odds never increase with ``unc``, so ``unc <= limit`` is that float comparison.  Like
-        ``occ``, the result has a column per top chain and then per bottom chain; both chains share ``u``.
+        The on-limit is the largest ``unc`` with ``logit(u) < log W - unc * log(gamma)``, or -1.  The log-odds
+        never increase with ``unc``, so ``unc <= limit`` is that float comparison.  Every other update turns
+        its site off whatever the neighbours, unless the site is held, when it turns it on.
         """
-        lim = np.full((u.shape[1], 2 * len(u)), -1, dtype=np.int8)
-        live = np.flatnonzero(u < self.u_off)
+        live = np.flatnonzero(u < self.cut)
         draw, site = np.divmod(live, u.shape[1])
-        row = self.schedule.rank[site]
-        lim[row, draw] = lim[row, draw + len(u)] = self._limits(np.take(u, live), self.log_w[row])
-        return lim
-
-    def _limits(self, v: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-        """The on-limit of each uniform ``v`` at a site of weight ``log_w`` (see :meth:`on_limits`)."""
+        v = np.take(u, live)
         with np.errstate(divide="ignore"):
             logit = np.log(v) - np.log1p(-v)
-        return (logit < log_w - self.steps).sum(axis=0) - 1
+        return draw, site, (logit < self.log_w[site] - self.steps).sum(axis=0) - 1
+
+    def on_limits(self, u: np.ndarray) -> np.ndarray:
+        """Per row and chain, the on-limit of ``u[draw, site]`` (see :meth:`live_updates`).
+
+        Off updates get -1 and held sites the top limit, which no ``unc`` exceeds.  Like ``occ``, the result has
+        a column per top chain and then per bottom chain; both chains share ``u``.
+        """
+        lim = np.full((u.shape[1], 2 * len(u)), -1, dtype=np.int8)
+        lim[self.schedule.rank[self.held]] = len(self.steps) - 1
+        draw, site, on = self.live_updates(u)
+        row = self.schedule.rank[site]
+        lim[row, draw] = lim[row, draw + len(u)] = on
+        return lim
 
     def update_class(self, occ: np.ndarray, cov: np.ndarray, c: int, lim: np.ndarray) -> None:
         """Heat-bath update of class ``c`` in place: a site turns on iff ``unc <= lim``.
@@ -354,18 +361,13 @@ class _OccupancyField:
 
     def _run_dense(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
         """:meth:`run` class by class over every row."""
-        n = self.lattice.n_sites
-        occ, cov = self.start(len(roots))
+        n, d = self.lattice.n_sites, len(roots)
+        occ, cov = np.repeat(self.start_occ, d, axis=1), np.repeat(self.start_cov, d, axis=1)
         for u in self._uniforms(roots, sweeps):
             lim = self.on_limits(u)
             for c in range(len(self.schedule.class_rows)):
                 self.update_class(occ, cov, c, lim)
         return np.ascontiguousarray(np.take(occ, self.schedule.rank[:-1], axis=0).view(bool).T).reshape(2, -1, n)
-
-    @functools.cached_property
-    def held_mask(self) -> np.ndarray:
-        """The mask of the held-only pattern, in flat order with the pad (see :func:`_covering_bits`)."""
-        return _covering_bits(self.lattice, self.schedule.bit, np.flatnonzero(self.flat_log_w == np.inf))
 
     def _run_live(self, roots: list[np.ndarray], sweeps: int) -> np.ndarray:
         """:meth:`run` over the live updates alone: those whose uniform is below their site's cut.
@@ -380,10 +382,9 @@ class _OccupancyField:
         depends only on earlier ones, so after pass ``k`` the first ``k`` classes are final, and the pass
         that changes nothing, at the latest the 13th, ends at the class-by-class sweep's state.
         """
-        n, d = self.lattice.n_sites, len(roots)
-        bit, earlier, later, nbr, full = self.schedule[4:]
+        n, d, schedule = self.lattice.n_sites, len(roots), self.schedule
         rows = np.empty((2 * d, n + 1), dtype=np.uint16)
-        rows[:d], rows[d:] = full, self.held_mask  # the start states: top chains all occupied, bottom held only
+        rows[:d], rows[d:] = schedule.full, self.held_mask  # the start states: top all occupied, bottom held only
         mask = rows.reshape(-1)
 
         def toggle(entries, bits):
@@ -392,19 +393,17 @@ class _OccupancyField:
 
         off = None  # the last sweep's live pairs that ended on: their mask entries and minus their bits
         for u in self._uniforms(roots, sweeps):
-            live = np.flatnonzero(u < self.u_live)
-            draw, site = np.divmod(live, n)
-            lim = self._limits(np.take(u, live), self.flat_log_w[site])
+            draw, site, lim = self.live_updates(u)
             lim, site = np.concatenate([lim, lim]), np.concatenate([site, site])
             chain = np.concatenate([draw, draw + d])  # top chains, then bottom
-            at = np.take(nbr, site, axis=1) + chain * (n + 1)
-            before = np.take(mask, at) & later[site]
+            at = np.take(schedule.nbr, site, axis=1) + chain * (n + 1)
+            before = np.take(mask, at) & schedule.later[site]
             if off is None:  # the top chains' all-occupied start goes, leaving their held sites
                 rows[:d] = self.held_mask
             else:
                 toggle(*off)
-            bits, first, on = bit[site], earlier[site], np.zeros(site.size, dtype=bool)
-            for _ in range(len(self.schedule.class_rows) + 1):
+            bits, first, on = schedule.bit[site], schedule.earlier[site], np.zeros(site.size, dtype=bool)
+            for _ in range(len(schedule.class_rows) + 1):
                 new = ((np.take(mask, at) & first | before) == 0).sum(axis=0) <= lim
                 moved = np.flatnonzero(new != on)
                 if not moved.size:
@@ -414,7 +413,8 @@ class _OccupancyField:
             else:
                 raise RuntimeError("live updates did not reach a fixed point")
             off = at[:, on], -bits[on][None]
-        out = np.repeat(self.flat_log_w[None] == np.inf, 2 * d, axis=0)
+        out = np.zeros((2 * d, n), dtype=bool)
+        out[:, self.held] = True
         out[chain[on], site[on]] = True
         return out.reshape(2, d, n)
 
@@ -432,11 +432,11 @@ def _occupancy(lattice: Lattice, log_w: np.ndarray, log_gamma: float, roots: lis
     bottom chain, and holds ``O(draws * sites)`` memory.
     """
     occ = np.zeros((len(roots), lattice.n_sites), dtype=bool)
-    if not roots:  # no draws to run: a chain state with no columns has no rows to view
-        return occ
     field = _OccupancyField(lattice, log_w, log_gamma)
-    active = np.arange(len(roots))
-    for sweeps in (2**k for k in range(1, _MAX_LOOKBACK.bit_length())):
+    active, sweeps = np.arange(len(roots)), 2
+    while active.size:
+        if sweeps > _MAX_LOOKBACK:
+            raise CoalescenceError(gap, _MAX_LOOKBACK)
         top, bottom = field.run([roots[i] for i in active], sweeps)
         agree = (top == bottom).all(axis=1)
         occ[active[agree]] = top[agree]
@@ -450,14 +450,12 @@ def _occupancy(lattice: Lattice, log_w: np.ndarray, log_gamma: float, roots: lis
                     "draw_sweeps": sweeps * int(active.size),
                     "coalesced": int(agree.sum()),
                     "gap": gap,
-                    "held": int((log_w == np.inf).sum()),
+                    "held": field.held.size,
                     "kernel": field.kernel,
                 }),
             )
-        active = active[~agree]
-        if not active.size:
-            return occ
-    raise CoalescenceError(gap, _MAX_LOOKBACK)
+        active, sweeps = active[~agree], 2 * sweeps
+    return occ
 
 
 def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:

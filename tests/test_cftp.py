@@ -149,6 +149,25 @@ def test_live_and_dense_kernels_give_the_same_chains():
         assert chains["live"].dtype == bool and chains["live"].flags.c_contiguous
         assert chains["live"].tobytes() == chains["dense"].tobytes(), case
     assert picked == {"live", "dense"}
+    # fixed cases the random ones never reach: simulated sites whose cut is +inf (log W at and outside
+    # (-700, 20)) at gamma 1, 3 and 30, a field held everywhere, and a 1-site lattice held and not
+    edges = [-np.inf, -1e4, -750.0, -700.0, np.nextafter(-700.0, 0.0), -5.0, 0.0, 3.0,
+             np.nextafter(20.0, 0.0), 20.0, 23.0, 40.0, np.inf, np.inf]
+    lat = Lattice(6)
+    fixed = [(lat, rng.permutation(np.concatenate([edges, rng.uniform(-30.0, 25.0, lat.n_sites - len(edges))])), g)
+             for g in (1.0, 3.0, 30.0)]
+    fixed += [(Lattice(5), np.full(31, np.inf), 3.0), (Lattice(1), np.array([np.inf]), 3.0),
+              (Lattice(1), np.array([0.5]), 3.0), (Lattice(1), np.array([25.0]), 30.0)]
+    for (lat, log_w, gamma), d, sweeps in itertools.product(fixed, (1, 9), (1, 2, 5)):
+        field = _OccupancyField(lat, log_w, math.log(gamma))
+        roots = [_root(s) for s in range(d)]
+        chains = {}
+        for kernel in ("live", "dense"):
+            field.kernel = kernel
+            chains[kernel] = field.run(roots, sweeps)
+        assert chains["live"].tobytes() == chains["dense"].tobytes(), (lat.n_sites, gamma, d, sweeps)
+        if (log_w == np.inf).all():
+            assert chains["live"].all()
 
 
 def test_live_kernel_resets_the_pad_after_each_scatter():
@@ -193,6 +212,8 @@ def test_debug_record_names_the_kernel(lam, gamma, prior, kernel, caplog):
             cftp_counts(dhat, ModelParams(lam, gamma, 1.0, 0.1), range(2))
     records = [json.loads(r.getMessage().split(" ", 2)[2]) for r in caplog.records]
     assert records and all(r["kernel"] == kernel for r in records)
+    held = 0 if prior else int(held_sites(dhat, ModelParams(lam, gamma, 1.0, 0.1)).sum())
+    assert all(r["held"] == held for r in records)
 
 
 def test_sandwich_order_holds_eventwise():
@@ -305,7 +326,7 @@ def test_on_limits_match_the_float_comparison_at_every_unc(gamma):
     field = _OccupancyField(lat, log_w, math.log(gamma))
     ks = np.arange(lat.max_neighbourhood + 1)
     with np.errstate(over="ignore"):
-        cut = np.where(field.u_off < 1.0, field.u_off, 0.5)
+        cut = np.where(_decided_off_cut(log_w) < 1.0, _decided_off_cut(log_w), 0.5)
         near_thresholds = 1.0 / (1.0 + np.exp(-(log_w - rng.choice(ks, (40, lat.n_sites)) * math.log(gamma))))
     steps = rng.integers(-4, 5, (80, lat.n_sites))
     u = np.concatenate([
