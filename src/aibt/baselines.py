@@ -14,8 +14,6 @@ import numpy as np
 from .wavelet import WaveletDecomposition
 
 __all__ = [
-    "soft_threshold",
-    "hard_threshold",
     "universal_threshold",
     "sure_shrink",
     "bayes_thresh",

@@ -55,7 +55,7 @@ import math
 import numpy as np
 
 from .lattice import Lattice, lattice_for
-from .model import ModelParams, log_count_terms, log_dominating_rate
+from .model import ModelParams, check_dhat, log_count_terms, log_dominating_rate
 
 __all__ = [
     "held_sites",
@@ -471,11 +471,7 @@ def cftp_counts(dhat: np.ndarray, params: ModelParams, seeds) -> np.ndarray:
         params: model hyperparameters.
         seeds: one integer seed, ``SeedSequence`` or generator per draw.
     """
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.ndim != 1:
-        raise ValueError("dhat must hold one value per lattice site")
-    if np.isnan(dhat).any():  # +-inf is allowed: those sites are held
-        raise ValueError("dhat must not hold nan")
+    dhat = check_dhat(dhat)
     lattice = lattice_for(dhat.size)
     roots = [_root(s) for s in seeds]
     cap, log_w = _site_weights(dhat, params)

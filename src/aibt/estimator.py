@@ -17,7 +17,7 @@ import numbers
 import numpy as np
 
 from .cftp import cftp_counts, held_sites
-from .model import ModelParams
+from .model import ModelParams, check_dhat
 from .wavelet import WaveletDecomposition, WaveletFilter, forward_dwt, inverse_dwt
 
 __all__ = [
@@ -60,7 +60,7 @@ def posterior_median_estimate(
         raise ValueError(f"n_draws must be an integer, not {n_draws!r}")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    dhat = np.asarray(dhat, dtype=float)
+    dhat = check_dhat(dhat)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_draws)]
     counts = cftp_counts(dhat, params, rngs)

@@ -14,9 +14,10 @@ import functools
 
 import numpy as np
 
+from .wavelet import as_real
+
 __all__ = [
     "Lattice",
-    "lattice_for",
     "coverage_measure",
 ]
 
@@ -77,7 +78,7 @@ def coverage_measure(counts) -> int:
 
     Neighbourhoods are symmetric, so ``v`` is covered iff ``B(v)`` holds an occupied site.
     """
-    counts = np.asarray(counts)
+    counts = as_real(counts, "counts")
     if counts.ndim != 1 or not ((counts >= 0) & np.isfinite(counts) & (np.floor(counts) == counts)).all():
         raise ValueError("counts must be finite, nonnegative whole numbers, one entry per site")
     return int(np.append(counts > 0, False)[lattice_for(counts.size).nbr].any(axis=1).sum())

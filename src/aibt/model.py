@@ -23,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import coverage_measure
-from .wavelet import WaveletDecomposition
+from .wavelet import WaveletDecomposition, as_real
 
 __all__ = [
     "ModelParams",
     "log_marginal_posterior",
-    "log_count_terms",
-    "log_dominating_rate",
     "estimate_sigma_mad",
 ]
 
@@ -82,6 +80,16 @@ def _gain(params: ModelParams) -> float:
     return params.tau**2 / denominator if denominator else math.inf
 
 
+def check_dhat(dhat, n_sites: int | None = None) -> np.ndarray:
+    """``dhat`` as a float vector of one real value per site (``n_sites`` of them, if given), none of them nan."""
+    dhat = as_real(dhat, "dhat")
+    if dhat.ndim != 1 or n_sites is not None and dhat.size != n_sites:
+        raise ValueError("dhat must hold one value per lattice site")
+    if np.isnan(dhat).any():  # +-inf is allowed: the sampler holds such a site, and the law scores it -inf
+        raise ValueError("dhat must not hold nan")
+    return dhat
+
+
 def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> float:
     """Log posterior probability of a count vector, one multiplicity per site, coefficients integrated out.
 
@@ -92,11 +100,7 @@ def log_marginal_posterior(counts, dhat: np.ndarray, params: ModelParams) -> flo
     """
     m_cov = coverage_measure(counts)
     counts = np.asarray(counts, dtype=np.int64)
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.shape != counts.shape:
-        raise ValueError("dhat must hold one value per lattice site")
-    if np.isnan(dhat).any():  # +-inf is allowed: it scores -inf
-        raise ValueError("dhat must not hold nan")
+    dhat = check_dhat(dhat, counts.size)
     v = params.variance(counts)
     loglik = float(np.sum(-(dhat**2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)))
     log_factorials = sum(math.lgamma(c + 1) for c in counts.tolist())

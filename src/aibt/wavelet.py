@@ -16,14 +16,10 @@ import numpy as np
 __all__ = [
     "WaveletFilter",
     "WaveletDecomposition",
-    "HAAR",
-    "DAUB_LA10",
     "get_filter",
-    "resolve_wavelet",
     "forward_dwt",
     "inverse_dwt",
     "make_test_signal",
-    "add_noise",
     "SIGNAL_NAMES",
 ]
 
@@ -123,26 +119,28 @@ def resolve_wavelet(policy: str, signal: str | None = None) -> str:
     return "haar" if signal == "Blocks" else "la10"
 
 
+def as_real(values, name: str) -> np.ndarray:
+    """``values`` as a float array; complex input raises, rather than losing its imaginary part."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, not complex")
+    return values.astype(float, copy=False)
+
+
 class WaveletDecomposition:
     """Full multiresolution decomposition of a length ``2**J`` signal.
 
-    The ``n - 1`` details are one read-only vector in the lattice's flat order, coarsest level first;
-    ``details[j]`` is a view of the ``2**j`` coefficients of level ``j``.  ``scaling`` is the remaining
-    scaling coefficient, which for an orthonormal transform equals ``mean(signal) * sqrt(n)``.
+    ``details`` is all ``n - 1`` details as one vector in the lattice's flat order, coarsest level first (empty
+    for ``n = 1``), kept as a read-only copy; ``details[j]`` is a view of the ``2**j`` coefficients of level ``j``.
+    ``scaling`` is the remaining scaling coefficient, for an orthonormal transform ``mean(signal) * sqrt(n)``.
     """
 
     def __init__(self, details, scaling: float, filter: WaveletFilter):
-        levels = [np.asarray(d, dtype=float) for d in details]  # a new list: the caller's stays as given
-        for j, d in enumerate(levels):
-            if d.shape != (2**j,):
-                raise ValueError(f"level {j} must hold {2**j} coefficients, got shape {d.shape}")
-        self._own(np.concatenate([np.empty(0), *levels]), scaling, filter)
-
-    def _own(self, flat: np.ndarray, scaling: float, filter: WaveletFilter) -> "WaveletDecomposition":
-        """Store ``flat``, a float vector of ``2**J - 1`` entries that no one else holds, as the details."""
+        flat = np.array(as_real(details, "details"))  # a copy: the caller's array is never aliased or frozen
+        if flat.ndim != 1 or (flat.size + 1) & flat.size:
+            raise ValueError(f"details must be one vector of 2**J - 1 coefficients, got shape {flat.shape}")
         flat.flags.writeable = False
         self._flat, self.scaling, self.filter = flat, scaling, filter
-        return self
 
     @property
     def details(self) -> tuple[np.ndarray, ...]:
@@ -162,14 +160,13 @@ class WaveletDecomposition:
 
     def with_details(self, flat: np.ndarray) -> "WaveletDecomposition":
         """Copy of this decomposition with detail coefficients replaced from a flat vector."""
-        flat = np.array(flat, dtype=float)
-        if flat.shape != self._flat.shape:
-            raise ValueError(f"expected {self.n - 1} detail coefficients, got shape {flat.shape}")
-        return object.__new__(WaveletDecomposition)._own(flat, self.scaling, self.filter)
+        if np.shape(flat) != self._flat.shape:
+            raise ValueError(f"expected {self.n - 1} detail coefficients, got shape {np.shape(flat)}")
+        return WaveletDecomposition(flat, self.scaling, self.filter)
 
 
 def _check_signal(signal: np.ndarray) -> np.ndarray:
-    signal = np.asarray(signal, dtype=float)
+    signal = as_real(signal, "signal")
     if signal.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     n = signal.size
@@ -210,7 +207,7 @@ def forward_dwt(signal: np.ndarray, filt: WaveletFilter) -> WaveletDecomposition
     for j in reversed(range(a.size.bit_length() - 1)):
         win = a[_windows(a.size, filt.lowpass.size)]
         a, flat[2**j - 1 : 2 ** (j + 1) - 1] = win @ filt.lowpass, win @ filt.highpass
-    return object.__new__(WaveletDecomposition)._own(flat, float(a[0]), filt)
+    return WaveletDecomposition(flat, float(a[0]), filt)
 
 
 def inverse_dwt(dec: WaveletDecomposition) -> np.ndarray:

@@ -26,7 +26,7 @@ RNG = np.random.default_rng(99)
 
 
 def _dec(details, scaling=0.0):
-    return WaveletDecomposition([np.asarray(d, dtype=float) for d in details], scaling, HAAR)
+    return WaveletDecomposition(np.concatenate(details), scaling, HAAR)
 
 
 # --- elementary rules -------------------------------------------------------------

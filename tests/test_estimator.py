@@ -210,6 +210,8 @@ def test_nan_coefficient_is_rejected_naming_dhat():
     """A nan in ``dhat`` raises a ValueError naming it; a held ``+-inf`` passes through as itself."""
     with pytest.raises(ValueError, match="dhat"):
         posterior_median_estimate(np.array([0.1, np.nan, 0.2]), PARAMS, n_draws=3)
+    with pytest.raises(ValueError, match="dhat must be real"):
+        posterior_median_estimate(np.full(3, 1 + 1j), PARAMS, n_draws=3)
     est = posterior_median_estimate(np.array([np.inf, 0.1, -np.inf]), PARAMS, n_draws=3)
     assert est[[0, 2]].tolist() == [np.inf, -np.inf]
 

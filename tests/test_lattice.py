@@ -218,7 +218,7 @@ def test_configuration_rejects_bad_counts():
     """A count vector needs one finite, nonnegative whole number per site of a ``2**J - 1``-site lattice."""
     p = ModelParams(lam=0.4, gamma=2.0, tau=1.0, sigma=0.5)
     for bad in (np.array([1, -1, 0]), np.array([1, 0]), np.array([0.5, 0, 0]), np.array([1.5, 0, 0]),
-                np.array([np.nan, 0, 0]), np.array([np.inf, 0, 0])):
+                np.array([np.nan, 0, 0]), np.array([np.inf, 0, 0]), np.full(3, 1 + 1j)):
         with pytest.raises(ValueError):
             coverage_measure(bad)
         with pytest.raises(ValueError):
@@ -227,4 +227,6 @@ def test_configuration_rejects_bad_counts():
         log_marginal_posterior(np.array([1, 0, 0]), np.zeros(2), p)
     with pytest.raises(ValueError, match="nan"):
         log_marginal_posterior(np.array([1, 0, 0]), np.array([np.nan, 0, 0]), p)
+    with pytest.raises(ValueError, match="dhat must be real"):
+        log_marginal_posterior(np.array([1, 0, 0]), np.full(3, 1 + 1j), p)
     assert log_marginal_posterior(np.array([1, 0, 0]), np.array([np.inf, 0, 0]), p) == -np.inf

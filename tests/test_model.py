@@ -217,13 +217,13 @@ def test_count_terms_stay_finite_for_huge_signals():
 
 
 def test_estimate_sigma_mad_frozen():
-    details = [np.array([0.0]), np.array([0.0, 0.0]), np.array([0.1, -0.2, 0.3, -0.4])]
+    details = np.array([0.0, 0.0, 0.0, 0.1, -0.2, 0.3, -0.4])
     dec = WaveletDecomposition(details, 0.0, HAAR)
     assert estimate_sigma_mad(dec) == pytest.approx(0.37064492216456635, rel=1e-12)
 
 
 def test_estimate_sigma_mad_rejects_degenerate():
-    details = [np.array([5.0]), np.array([1.0, 2.0]), np.zeros(4)]
+    details = np.array([5.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     dec = WaveletDecomposition(details, 0.0, HAAR)
     with pytest.raises(ValueError):
         estimate_sigma_mad(dec)
@@ -231,6 +231,6 @@ def test_estimate_sigma_mad_rejects_degenerate():
 
 def test_estimate_sigma_mad_rejects_nan_details():
     """A nan among the finest details raises a ValueError that names it, rather than returning nan."""
-    dec = WaveletDecomposition([np.array([np.nan]), np.array([1.0, np.nan])], 0.0, HAAR)
+    dec = WaveletDecomposition(np.array([np.nan, 1.0, np.nan]), 0.0, HAAR)
     with pytest.raises(ValueError, match="nan"):
         estimate_sigma_mad(dec)

@@ -183,15 +183,22 @@ def test_decomposition_shape_contract():
     assert np.allclose(inverse_dwt(rebuilt), x, atol=1e-10)
     with pytest.raises(ValueError, match="expected 3 detail coefficients"):
         forward_dwt(x[:4], HAAR).with_details(np.zeros(5))
-    with pytest.raises(ValueError, match="level 0 must hold 1"):
-        WaveletDecomposition([np.zeros(2)], 0.0, HAAR)
+    with pytest.raises(ValueError, match=r"2\*\*J - 1 coefficients, got shape \(2,\)"):
+        WaveletDecomposition(np.zeros(2), 0.0, HAAR)
+    with pytest.raises(ValueError, match="details must be real"):
+        WaveletDecomposition(np.full(3, 1 + 1j), 0.0, HAAR)
+    assert WaveletDecomposition(np.zeros(0), 1.0, HAAR).n == 1
 
 
 def test_decomposition_leaves_the_callers_list_alone():
-    given = [[1], [2, 3]]
+    given = [1, 2, 3]
     dec = WaveletDecomposition(given, 0.0, HAAR)
-    assert [type(d) for d in given] == [list, list]
+    assert [type(v) for v in given] == [int, int, int]
     assert [d.dtype for d in dec.details] == [np.float64, np.float64]
+    array = np.zeros(3)
+    dec = WaveletDecomposition(array, 0.0, HAAR)
+    assert array.flags.writeable and not np.shares_memory(array, dec.details[0])
+    assert not dec.details[1].flags.writeable
 
 
 def test_with_details_replaces_values():
@@ -211,6 +218,8 @@ def test_dwt_input_validation():
         forward_dwt(np.array([1.0, np.nan, 0.0, 0.0]), HAAR)
     with pytest.raises(ValueError, match="one-dimensional"):
         forward_dwt(np.zeros((4, 2)), HAAR)
+    with pytest.raises(ValueError, match="signal must be real"):
+        forward_dwt(np.full(4, 1 + 1j), HAAR)
 
 
 # --- test signals -------------------------------------------------------------
