@@ -11,7 +11,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .wavelet import WaveletDecomposition
+from .wavelet import WaveletDecomposition, as_real
 
 __all__ = [
     "universal_threshold",
@@ -26,10 +26,12 @@ _erfc = np.vectorize(math.erfc, otypes=[float])
 _inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
-def _check_sigma(sigma: float) -> None:
-    """Reject a noise level that is not positive and finite."""
+def _check_sigma(sigma: float) -> float:
+    """``sigma`` as a float; a noise level that is not positive and finite raises."""
+    sigma = float(as_real(sigma, "sigma"))
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
+    return sigma
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:
@@ -51,7 +53,7 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
 
 def universal_threshold(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition:
     """Soft-threshold every detail at ``sigma * sqrt(2 log n)`` (n = signal length)."""
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     t = sigma * np.sqrt(2.0 * np.log(dec.n))
     return dec.with_details(soft_threshold(dec.flat_details(), t))
 
@@ -82,7 +84,7 @@ def sure_shrink(dec: WaveletDecomposition, sigma: float) -> WaveletDecomposition
     ``sigma * sqrt(2 log m)``; dense levels take the SURE minimizer.
     On a one-coefficient level both rules give threshold zero.
     """
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     ts = []
     for d in dec.details:
         m = d.size
@@ -137,10 +139,10 @@ def bayes_thresh(
 
     ``pi`` and ``tau`` may be scalars or one value per level.
     """
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     sizes = [d.size for d in dec.details]
-    pis = np.repeat(np.broadcast_to(np.asarray(pi, dtype=float), (dec.n_levels,)), sizes)
-    taus = np.repeat(np.broadcast_to(np.asarray(tau, dtype=float), (dec.n_levels,)), sizes)
+    pis = np.repeat(np.broadcast_to(as_real(pi, "pi"), (dec.n_levels,)), sizes)
+    taus = np.repeat(np.broadcast_to(as_real(tau, "tau"), (dec.n_levels,)), sizes)
     return dec.with_details(_mixture_median(dec.flat_details(), sigma, pis, taus))
 
 
@@ -154,7 +156,7 @@ def estimate_mixture_hyperparams(
     surplus ``mean(d^2) - sigma^2`` spread over that weight.  Levels with no
     exceedances get weight zero (the slab scale is then immaterial).
     """
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     u = sigma * np.sqrt(2.0 * np.log(dec.n))
     pis = np.zeros(dec.n_levels)
     taus = np.full(dec.n_levels, sigma)
@@ -176,9 +178,10 @@ def fdr_threshold(dec: WaveletDecomposition, sigma: float, q: float = 0.05) -> W
     discoveries becomes a hard threshold, so p-values that tie (at 0, far
     out) keep every discovery.  With no discoveries all details are zeroed.
     """
+    q = float(as_real(q, "q"))
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
-    _check_sigma(sigma)
+    sigma = _check_sigma(sigma)
     flat = dec.flat_details()
     m = flat.size
     p = 2.0 * _norm_sf(np.abs(flat) / sigma)

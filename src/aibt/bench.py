@@ -31,9 +31,8 @@ from .baselines import (
 from .cftp import CoalescenceError
 from .estimator import posterior_median_estimate
 from .model import ModelParams
-from .wavelet import (
-    SIGNAL_NAMES, WaveletDecomposition, add_noise, forward_dwt, get_filter, inverse_dwt, make_test_signal, resolve_wavelet,
-)
+from .wavelet import (SIGNAL_NAMES, WaveletDecomposition, add_noise, as_real, forward_dwt, get_filter, inverse_dwt,
+                      make_test_signal, resolve_wavelet)
 
 __all__ = [
     "METHODS",
@@ -91,10 +90,7 @@ class ExperimentConfig:
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name} must be {kind}, not {getattr(self, name)!r}")
         object.__setattr__(self, "signals", tuple(self.signals))
-        try:
-            object.__setattr__(self, "rsnr", tuple(float(r) for r in self.rsnr))
-        except OverflowError:
-            raise ValueError("rsnr values must be positive and finite") from None
+        object.__setattr__(self, "rsnr", tuple(as_real(self.rsnr, "rsnr").tolist()))
         object.__setattr__(self, "methods", tuple(self.methods))
         for s in self.signals:
             if s not in SIGNAL_NAMES:

@@ -11,6 +11,7 @@ coverage is the union of neighbourhoods of its occupied sites.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class Lattice:
     """
 
     def __init__(self, n_levels: int):
-        if n_levels < 1:
-            raise ValueError("n_levels must be at least 1")
+        if not isinstance(n_levels, numbers.Integral) or n_levels < 1:
+            raise ValueError(f"n_levels must be an integer, at least 1, not {n_levels!r}")
         self.n_levels = int(n_levels)
         self.n_sites = n = 2**self.n_levels - 1
         levels = np.arange(self.n_levels)

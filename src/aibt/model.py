@@ -53,10 +53,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "gamma", "tau", "sigma"):  # numpy scalars would warn on overflow below
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except OverflowError:
-                raise ValueError(f"{name} is too large for a float") from None
+            object.__setattr__(self, name, float(as_real(getattr(self, name), name)))
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
         if not (self.gamma >= 1 and math.isfinite(self.gamma)):
@@ -144,6 +141,8 @@ def estimate_sigma_mad(dec: WaveletDecomposition) -> float:
     The finest-level coefficients of a noisy signal are dominated by noise,
     whose absolute values have median ``0.6745 * sigma``.
     """
+    if not dec.n_levels:
+        raise ValueError("the decomposition has no finest-level details; cannot estimate a noise level")
     finest = np.abs(dec.details[-1])
     if np.isnan(finest).any():
         raise ValueError("finest-level details hold nan; cannot estimate a noise level")

@@ -120,11 +120,14 @@ def resolve_wavelet(policy: str, signal: str | None = None) -> str:
 
 
 def as_real(values, name: str) -> np.ndarray:
-    """``values`` as a float array; complex input raises, rather than losing its imaginary part."""
+    """A caller's numbers as a float array; complex input, or an integer too large for a float, raises."""
     values = np.asarray(values)
     if np.iscomplexobj(values):
         raise ValueError(f"{name} must be real, not complex")
-    return values.astype(float, copy=False)
+    try:
+        return values.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 class WaveletDecomposition:
@@ -140,7 +143,7 @@ class WaveletDecomposition:
         if flat.ndim != 1 or (flat.size + 1) & flat.size:
             raise ValueError(f"details must be one vector of 2**J - 1 coefficients, got shape {flat.shape}")
         flat.flags.writeable = False
-        self._flat, self.scaling, self.filter = flat, scaling, filter
+        self._flat, self.scaling, self.filter = flat, float(as_real(scaling, "scaling")), filter
 
     @property
     def details(self) -> tuple[np.ndarray, ...]:
@@ -207,7 +210,7 @@ def forward_dwt(signal: np.ndarray, filt: WaveletFilter) -> WaveletDecomposition
     for j in reversed(range(a.size.bit_length() - 1)):
         win = a[_windows(a.size, filt.lowpass.size)]
         a, flat[2**j - 1 : 2 ** (j + 1) - 1] = win @ filt.lowpass, win @ filt.highpass
-    return WaveletDecomposition(flat, float(a[0]), filt)
+    return WaveletDecomposition(flat, a[0], filt)
 
 
 def inverse_dwt(dec: WaveletDecomposition) -> np.ndarray:

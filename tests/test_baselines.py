@@ -177,6 +177,8 @@ def test_bayes_thresh_degenerate_weights():
     for tau in (np.nan, -1.0, [1.0, np.nan]):
         with pytest.raises(ValueError, match="tau"):
             bayes_thresh(dec, 1.0, 0.5, tau)
+    with pytest.raises(ValueError, match="pi must be real"):
+        bayes_thresh(dec, 1.0, 0.5 + 1j, 1.0)
 
 
 def test_bayes_thresh_where_both_densities_underflow():
@@ -288,6 +290,8 @@ def test_fdr_validation():
         fdr_threshold(dec, sigma=1.0, q=0.0)
     with pytest.raises(ValueError):
         fdr_threshold(dec, sigma=1.0, q=1.0)
+    with pytest.raises(ValueError, match="q must be real"):
+        fdr_threshold(dec, sigma=1.0, q=0.05 + 1j)
 
 
 def test_rules_preserve_scaling_and_shapes():
@@ -304,7 +308,7 @@ def test_rules_preserve_scaling_and_shapes():
         assert [d.size for d in out.details] == [d.size for d in dec.details]
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1 + 1j, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize(
     "rule",
     [

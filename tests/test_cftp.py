@@ -495,6 +495,8 @@ def test_cftp_counts_validates_dhat_length():
         cftp_counts(np.zeros((3, 1)), MODERATE, [0])
     with pytest.raises(ValueError, match="dhat must be real"):
         cftp_counts(np.full(3, 1 + 1j), MODERATE, [0])
+    with pytest.raises(ValueError, match="dhat is too large for a float"):
+        cftp_counts([10**400, 0, 0], MODERATE, [0])
     none = cftp_counts(np.zeros(7), MODERATE, [])
     assert none.shape == (0, 7) and none.dtype == np.int64
 

@@ -139,6 +139,8 @@ def test_lattice_for_shares_one_lattice_per_size():
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice(0)
+    with pytest.raises(ValueError, match="n_levels must be an integer"):  # not truncated to 2
+        Lattice(2.5)
 
 
 # --- coverage ------------------------------------------------------------------
@@ -218,7 +220,7 @@ def test_configuration_rejects_bad_counts():
     """A count vector needs one finite, nonnegative whole number per site of a ``2**J - 1``-site lattice."""
     p = ModelParams(lam=0.4, gamma=2.0, tau=1.0, sigma=0.5)
     for bad in (np.array([1, -1, 0]), np.array([1, 0]), np.array([0.5, 0, 0]), np.array([1.5, 0, 0]),
-                np.array([np.nan, 0, 0]), np.array([np.inf, 0, 0]), np.full(3, 1 + 1j)):
+                np.array([np.nan, 0, 0]), np.array([np.inf, 0, 0]), np.full(3, 1 + 1j), np.array([10**400, 0, 0])):
         with pytest.raises(ValueError):
             coverage_measure(bad)
         with pytest.raises(ValueError):

@@ -35,9 +35,10 @@ def test_params_validation():
         with pytest.raises(ValueError):
             ModelParams(**bad)
     # tau and sigma enter squared: a square that overflows or underflows to zero names its field,
-    # and so does any field given an integer too large for a float, as a JSON config can give one
+    # and so does any field given an integer too large for a float, as a JSON config can give one, or a complex value
     for name, value in (("tau", 1e160), ("sigma", 1e200), ("tau", 1e-170), ("sigma", 1e-200),
-                        ("lam", 10**400), ("gamma", 10**400), ("tau", 10**400), ("sigma", 10**400)):
+                        ("lam", 10**400), ("gamma", 10**400), ("tau", 10**400), ("sigma", 10**400),
+                        ("lam", 1 + 1j), ("gamma", 1 + 1j), ("tau", 1 + 1j), ("sigma", 1 + 1j)):
         with pytest.raises(ValueError, match=f"^{name} "):
             ModelParams(**{"lam": 1.0, "gamma": 2.0, "tau": 1.0, "sigma": 1.0, name: value})
     # tau**2 / sigma**2 must not overflow, and the gain tau**2 / (2 v(0) v(1)) must be neither 0 nor inf
@@ -227,6 +228,8 @@ def test_estimate_sigma_mad_rejects_degenerate():
     dec = WaveletDecomposition(details, 0.0, HAAR)
     with pytest.raises(ValueError):
         estimate_sigma_mad(dec)
+    with pytest.raises(ValueError, match="no finest-level details"):  # the 1-sample decomposition
+        estimate_sigma_mad(WaveletDecomposition(np.zeros(0), 1.0, HAAR))
 
 
 def test_estimate_sigma_mad_rejects_nan_details():

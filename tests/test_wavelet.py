@@ -187,6 +187,10 @@ def test_decomposition_shape_contract():
         WaveletDecomposition(np.zeros(2), 0.0, HAAR)
     with pytest.raises(ValueError, match="details must be real"):
         WaveletDecomposition(np.full(3, 1 + 1j), 0.0, HAAR)
+    with pytest.raises(ValueError, match="scaling must be real"):
+        WaveletDecomposition(np.zeros(3), 1j, HAAR)
+    with pytest.raises(ValueError, match="scaling is too large for a float"):
+        WaveletDecomposition(np.zeros(3), 10**400, HAAR)
     assert WaveletDecomposition(np.zeros(0), 1.0, HAAR).n == 1
 
 
