@@ -145,7 +145,7 @@ def _root(seed) -> np.ndarray:
     return np.array([w for x in ints for w in (x & 0xFFFFFFFF, x >> 32)[: 1 + (x >= 2**32)]], dtype=np.uint32)
 
 
-_Schedule = collections.namedtuple("_Schedule", "class_order rank class_rows class_nbr bit earlier later nbr full")
+_Schedule = collections.namedtuple("_Schedule", "rank class_rows class_nbr bit full")
 
 
 @functools.lru_cache(maxsize=32)
@@ -155,12 +155,12 @@ def _schedule(lattice: Lattice) -> _Schedule:
     Site ``(j, k)`` has colour ``(j mod 3, k mod 4)``, and no two sites of one colour class have intersecting
     neighbourhoods: neighbourhoods span three adjacent levels, and on one level they meet only for positions at most
     three apart (checked exhaustively by the test suite).  A sweep updates the non-empty classes in colour order.
-    The dense kernel reads ``class_order``, the sites class by class, class ``c`` being its block ``class_rows[c]``;
-    ``rank[s]``, site ``s``'s place in it (the pad keeps ``n_sites``); and ``class_nbr[c]``, ``nbr`` of that block
-    renumbered by ``rank``, neighbour-major and contiguous.  The live kernel reads, in flat order, the ``bit`` of
-    each site's class and the bits of the classes updated ``earlier`` and ``later``; ``nbr``, the lattice's own
-    ``nbr.T``; and the ``full`` mask of the all-occupied pattern (see :func:`_covering_bits`).  No two sites of a
-    class share a neighbour, so the bits of ``B(v)``, the sites covering ``v``, never collide.
+    The schedule holds five tables.  The dense kernel lays the sites out class by class: row ``rank[s]`` holds site
+    ``s`` (the pad keeps ``n_sites``), class ``c`` is the block of rows ``class_rows[c]``, and ``class_nbr[c]`` is
+    ``nbr`` of that block renumbered by ``rank``, neighbour-major and contiguous.  The live kernel reads, in flat
+    order, the ``bit`` of each site's class, and the ``full`` mask of the all-occupied pattern (see
+    :func:`_covering_bits`).  No two sites of a class share a neighbour, so the bits of ``B(v)``, the sites covering
+    ``v``, never collide.
     """
     n, levels = lattice.n_sites, np.arange(lattice.n_levels)
     j = np.repeat(levels, 2**levels)
@@ -172,9 +172,8 @@ def _schedule(lattice: Lattice) -> _Schedule:
     class_rows = tuple(slice(hi - m, hi) for hi, m in zip(np.cumsum(sizes).tolist(), sizes.tolist()))
     class_nbr = tuple(np.ascontiguousarray(rank[lattice.nbr[class_order[r]].T]) for r in class_rows)
     bit = (1 << np.repeat(np.arange(sizes.size), sizes)[rank[:-1]]).astype(np.uint16)  # each row's class, by site
-    schedule = _Schedule(class_order, rank, class_rows, class_nbr, bit, bit - 1, _ALL_CLASSES & ~(2 * bit - 1),
-                         lattice.nbr.T, _covering_bits(lattice, bit, np.arange(n)))
-    for a in (class_order, rank, *class_nbr, *schedule[4:]):
+    schedule = _Schedule(rank, class_rows, class_nbr, bit, _covering_bits(lattice, bit, np.arange(n)))
+    for a in (rank, *class_nbr, bit, schedule.full):
         a.flags.writeable = False
     return schedule
 
@@ -255,7 +254,7 @@ class _OccupancyField:
     the flat indices of its ``held`` sites, and per site one ``cut``, :func:`_decided_off_cut` with held sites at 0.
     An update is live when its uniform is below its site's cut, so a held site's never is; both kernels take a
     sweep's live updates from :meth:`live_updates`.  Chain states are int8 arrays ``occ[n_sites + 1, 2 * draws]`` in
-    class-major order: row ``i`` holds site ``schedule.class_order[i]`` in the top chains of every draw, then in the
+    class-major order: row ``schedule.rank[s]`` holds site ``s`` in the top chains of every draw, then in the
     bottom chains, and class ``c`` is the slice ``schedule.class_rows[c]``, whose coverage is gathered through
     ``schedule.class_nbr[c]`` (the lattice's :func:`_schedule`).  ``cov[v]`` counts the occupied sites in ``B(v)``,
     which by the symmetry of neighbourhoods is how many cover ``v``.  The last row pads the neighbour table: it stays
@@ -285,12 +284,12 @@ class _OccupancyField:
     @functools.cached_property
     def start_cov(self) -> np.ndarray:
         """The coverage of :attr:`start_occ`."""
-        lattice, n, order = self.lattice, self.lattice.n_sites, self.schedule.class_order
+        lattice, n, rows = self.lattice, self.lattice.n_sites, self.schedule.rank[:-1]
         cov = np.full((n + 1, 2), _PAD_COVERAGE, dtype=np.int8)
         # held sites in each B(v), counted in flat order: neighbourhoods are symmetric and hold no duplicate
         held_near = np.bincount(lattice.nbr[self.held].ravel(), minlength=n + 1)
-        cov[:-1, 0] = lattice.neighbourhood_sizes[order]
-        cov[:-1, 1] = held_near[order]
+        cov[rows, 0] = lattice.neighbourhood_sizes
+        cov[rows, 1] = held_near[:-1]
         return cov
 
     @functools.cached_property
@@ -396,13 +395,14 @@ class _OccupancyField:
             draw, site, lim = self.live_updates(u)
             lim, site = np.concatenate([lim, lim]), np.concatenate([site, site])
             chain = np.concatenate([draw, draw + d])  # top chains, then bottom
-            at = np.take(schedule.nbr, site, axis=1) + chain * (n + 1)
-            before = np.take(mask, at) & schedule.later[site]
+            at, bits = np.take(self.lattice.nbr.T, site, axis=1) + chain * (n + 1), schedule.bit[site]
+            # the later classes' bits; a mask entry read never exceeds _ALL_CLASSES, so bits 12-15 need no clearing
+            before = np.take(mask, at) & ~(2 * bits - 1)
             if off is None:  # the top chains' all-occupied start goes, leaving their held sites
                 rows[:d] = self.held_mask
             else:
                 toggle(*off)
-            bits, first, on = schedule.bit[site], schedule.earlier[site], np.zeros(site.size, dtype=bool)
+            first, on = bits - 1, np.zeros(site.size, dtype=bool)
             for _ in range(len(schedule.class_rows) + 1):
                 new = ((np.take(mask, at) & first | before) == 0).sum(axis=0) <= lim
                 moved = np.flatnonzero(new != on)

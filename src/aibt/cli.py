@@ -81,7 +81,7 @@ def _resolve_input(args) -> tuple[np.ndarray, float, str]:
             raise ValueError("--rsnr applies to --signal only; a file's noise level is --sigma or its estimate")
         with warnings.catch_warnings():  # an empty file fails the transform's length check with one JSON line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            y = np.loadtxt(args.infile)
+            y = np.loadtxt(args.infile, ndmin=1)
         sigma = args.sigma if args.sigma is not None else estimate_sigma_mad(forward_dwt(y, get_filter(wavelet)))
     return np.asarray(y, dtype=float), float(sigma), wavelet
 

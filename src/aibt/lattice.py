@@ -35,7 +35,7 @@ class Lattice:
     """
 
     def __init__(self, n_levels: int):
-        if not isinstance(n_levels, numbers.Integral) or n_levels < 1:
+        if not isinstance(n_levels, numbers.Integral) or isinstance(n_levels, bool) or n_levels < 1:
             raise ValueError(f"n_levels must be an integer, at least 1, not {n_levels!r}")
         self.n_levels = int(n_levels)
         self.n_sites = n = 2**self.n_levels - 1

@@ -9,7 +9,7 @@ under these checks.  Patterns are in flat site order, one column per
 chain.  Only :func:`field_rows`, :func:`flat_chains` and
 :func:`gathered_coverage` know the sampler's row layout, and with
 :func:`sandwich_updates` and :func:`reference_run` they take it and the
-update order from the sampler's schedule.
+update order, :func:`class_order`, from the sampler's schedule.
 """
 
 from __future__ import annotations
@@ -100,12 +100,17 @@ def brute_coverage(lattice: Lattice, occupied: set) -> int:
     return covered
 
 
+def class_order(lattice: Lattice) -> np.ndarray:
+    """The flat sites in the sampler's update order, class by class: the inverse of its schedule's ``rank``."""
+    return np.argsort(_schedule(lattice).rank[:-1])
+
+
 def field_rows(lattice: Lattice, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """The occupancy field's chain state of the flat patterns ``top`` and ``bottom``, each ``(n_sites, draws)``:
-    row ``rank[s]`` of the lattice's schedule holds site ``s``, so the rows run class by class in its
-    ``class_order``, an empty pad row follows, and the columns of the top chains come before those of the bottom
-    chains."""
-    rows = np.concatenate([top, bottom], axis=1)[_schedule(lattice).class_order]
+    row ``rank[s]`` of the lattice's schedule holds site ``s``, so the rows run class by class in
+    :func:`class_order`, an empty pad row follows, and the columns of the top chains come before those of the
+    bottom chains."""
+    rows = np.concatenate([top, bottom], axis=1)[class_order(lattice)]
     return np.append(rows, np.zeros((1, rows.shape[1]), dtype=bool), axis=0).astype(np.int8)
 
 
@@ -119,9 +124,8 @@ def gathered_coverage(lattice: Lattice, occ: np.ndarray) -> np.ndarray:
     """Coverage of a field chain state (see :func:`field_rows`), gathered afresh from the neighbour table: each
     row counts the occupied sites of its site's neighbourhood, and the pad row holds the sampler's pad value.
     The sampler keeps this incrementally; tests check its running counts and start states against it."""
-    schedule = _schedule(lattice)
     cov = np.full(occ.shape, _PAD_COVERAGE, dtype=np.int8)
-    cov[:-1] = occ.astype(np.int64)[schedule.rank[lattice.nbr[schedule.class_order]]].sum(axis=1)
+    cov[:-1] = occ.astype(np.int64)[_schedule(lattice).rank[lattice.nbr[class_order(lattice)]]].sum(axis=1)
     return cov
 
 
@@ -153,11 +157,11 @@ def sandwich_updates(lattice: Lattice, log_w: np.ndarray, log_gamma: float, top:
     field = _OccupancyField(lattice, log_w, log_gamma)
     occ = field_rows(lattice, top, bottom)
     cov = gathered_coverage(lattice, occ)
-    updates = 0
+    updates, order = 0, class_order(lattice)
     for u in uniforms:
         lim = field.on_limits(u)
         for c, rows in enumerate(field.schedule.class_rows):
-            sites = field.schedule.class_order[rows]
+            sites = order[rows]
             odds = heat_bath_log_odds(lattice, log_w, log_gamma, np.hstack(flat_chains(lattice, occ)), sites)
             hi, lo = np.split(odds, 2, axis=1)
             assert np.all((0.0 <= 1.0 / (1.0 + np.exp(-lo))) & (lo <= hi) & (1.0 / (1.0 + np.exp(-hi)) <= 1.0))
@@ -174,12 +178,12 @@ def reference_run(lattice: Lattice, dhat, params: ModelParams, held, roots, swee
     a draw reads the uniforms of its key ``t``, as the sampler's does, and visits the sites class by class; held
     sites stay occupied in both chains.  Returns both chains of every draw, shape ``(2, draws, n_sites)``."""
     log_w = np.array([math.inf if h else _log_weight(d, params) for d, h in zip(dhat, held)])
-    draws = []
+    draws, order = [], class_order(lattice).tolist()
     for root in roots:
         chains = np.stack([np.ones(len(held), dtype=bool), np.array(held, dtype=bool)], axis=1)  # top, bottom
         for t in range(sweeps, 0, -1):
             u = _key(root, t).random(len(held))
-            for s in _schedule(lattice).class_order.tolist():
+            for s in order:
                 if not held[s]:
                     odds = heat_bath_log_odds(lattice, log_w, math.log(params.gamma), chains, [s])[0]
                     chains[s] = [u[s] < 1.0 / (1.0 + math.exp(-o)) for o in odds.tolist()]

@@ -21,7 +21,7 @@ from aibt.lattice import Lattice
 from aibt.model import ModelParams, log_count_terms, log_dominating_rate, log_marginal_posterior
 from aibt.wavelet import SIGNAL_NAMES, forward_dwt, get_filter, inverse_dwt, make_test_signal
 from oracles import (
-    enumerate_posterior, heat_bath_log_odds, occupancy_law, occupancy_pattern_probs, pattern_frequencies,
+    class_order, enumerate_posterior, heat_bath_log_odds, occupancy_law, occupancy_pattern_probs, pattern_frequencies,
     sandwich_updates, total_variation,
 )
 
@@ -173,7 +173,7 @@ def test_conditional_intensity_factor_bounds():
     the dominating rate over c+1, and the multiplicity cap drops under 2**-60 of W_s."""
     rng = np.random.default_rng(11)
     lat = Lattice(4)
-    schedule = _schedule(lat)
+    schedule, order = _schedule(lat), class_order(lat)
     checked = 0
     while checked < 10_000:
         params = ModelParams(
@@ -187,7 +187,7 @@ def test_conditional_intensity_factor_bounds():
         dhat = np.full(lat.n_sites, d)
         log_w = _site_weights(dhat, params)[1]
         pattern = (rng.random(lat.n_sites) < 0.3)[:, None]
-        sites = schedule.class_order[schedule.class_rows[int(rng.integers(len(schedule.class_rows)))]]
+        sites = order[schedule.class_rows[int(rng.integers(len(schedule.class_rows)))]]
         clustering = heat_bath_log_odds(lat, log_w, math.log(params.gamma), pattern, sites) - log_w[sites, None]
         assert np.all((clustering <= 0.0) & np.isfinite(clustering))
         cap = _count_cap(log_rate)
@@ -207,7 +207,7 @@ def test_intensity_consistent_with_density():
     rng = np.random.default_rng(17)
     params = ModelParams(lam=0.4, gamma=2.0, tau=1.1, sigma=0.6)
     lat = Lattice(4)
-    schedule = _schedule(lat)
+    schedule, order = _schedule(lat), class_order(lat)
     worst = 0.0
     for _ in range(1_000):
         counts = rng.poisson(0.4, lat.n_sites)
@@ -215,9 +215,9 @@ def test_intensity_consistent_with_density():
         clamped = held_sites(dhat, params)
         log_w = _site_weights(dhat, params)[1]
         # the classes that hold a simulated site, drawn from as when held sites sat outside them
-        live = [c for c, rows in enumerate(schedule.class_rows) if not clamped[schedule.class_order[rows]].all()]
+        live = [c for c, rows in enumerate(schedule.class_rows) if not clamped[order[rows]].all()]
         c = live[int(rng.integers(len(live)))]
-        sites = schedule.class_order[schedule.class_rows[c]]
+        sites = order[schedule.class_rows[c]]
         odds = heat_bath_log_odds(lat, log_w, math.log(params.gamma), ((counts > 0) | clamped)[:, None], sites)[:, 0]
         for i, s in enumerate(sites.tolist()):
             if clamped[s]:

@@ -113,6 +113,18 @@ def test_bad_file_sigma_exits_1_naming_sigma(command, sigma, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["denoise"], ["sample", "--sigma", "1"]])
+def test_one_value_file_fails_on_its_length(argv, tmp_path, capsys):
+    """A file holding one number is a signal one sample long, not one of the wrong dimension."""
+    f = tmp_path / "one.txt"
+    f.write_text("3.5\n")
+    rc = main([*argv, "--in", str(f), "--out", str(tmp_path / "out.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "signal length must be a power of two >= 2, got 1"
+
+
 def test_file_input_without_sigma_estimates_it(tmp_path):
     """Leaving out ``--sigma`` is the same as passing the MAD estimate of the finest details."""
     f = tmp_path / "y.txt"

@@ -6,7 +6,9 @@ import pytest
 from aibt.cftp import _schedule
 from aibt.lattice import Lattice, coverage_measure, lattice_for
 from aibt.model import ModelParams, log_marginal_posterior
-from oracles import brute_coverage, flat_index, heat_bath_log_odds, neighbourhood, site_of, uncovered_measure
+from oracles import (
+    brute_coverage, class_order, flat_index, heat_bath_log_odds, neighbourhood, site_of, uncovered_measure,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -91,8 +93,8 @@ def test_padded_neighbour_table_matches_neighbourhood(n_levels):
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
     lat = Lattice(n_levels)
-    schedule = _schedule(lat)
-    classes = [schedule.class_order[rows] for rows in schedule.class_rows]
+    order = class_order(lat)
+    classes = [order[rows] for rows in _schedule(lat).class_rows]
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(lat.n_sites))
     for cls in classes:
         covered = lat.nbr[cls]
@@ -102,15 +104,14 @@ def test_colour_classes_partition_sites_with_disjoint_neighbourhoods(n_levels):
 
 @pytest.mark.parametrize("n_levels", range(1, 13))
 def test_class_order_lays_out_colour_classes_as_blocks(n_levels):
-    """``class_rows`` tile ``class_order`` in consecutive blocks, each the sites of one colour
-    ``(j mod 3, k mod 4)`` in flat order; ``rank`` inverts ``class_order``, each class table
-    is ``nbr`` of its block renumbered by ``rank``, neighbour-major, and each site's bit is
-    its block's place, with the earlier and later blocks' bits beside it.  The schedule's
-    neighbour-major table is the lattice's own, not a copy."""
+    """``class_rows`` tile the class order in consecutive blocks, each the sites of one colour
+    ``(j mod 3, k mod 4)`` in flat order; ``rank`` is a permutation that keeps the pad, each
+    class table is ``nbr`` of its block renumbered by ``rank``, neighbour-major, and each
+    site's bit is its block's place."""
     lat = Lattice(n_levels)
-    schedule = _schedule(lat)
+    schedule, order = _schedule(lat), class_order(lat)
     n = lat.n_sites
-    assert np.array_equal(schedule.rank[schedule.class_order], np.arange(n)) and schedule.rank[n] == n
+    assert np.array_equal(np.sort(schedule.rank[:-1]), np.arange(n)) and schedule.rank[n] == n
     j, k = np.array([site_of(s) for s in range(n)]).T
     colour = (j % 3) * 4 + k % 4
     members = [np.flatnonzero(colour == c) for c in range(12) if (colour == c).any()]
@@ -118,15 +119,27 @@ def test_class_order_lays_out_colour_classes_as_blocks(n_levels):
     assert [rows.start for rows in schedule.class_rows] == [0, *ends[:-1]] and ends[-1] == n
     assert len(schedule.class_rows) == len(members) == len(schedule.class_nbr)
     for i, (rows, sites, table) in enumerate(zip(schedule.class_rows, members, schedule.class_nbr)):
-        assert np.array_equal(schedule.class_order[rows], sites)
+        assert np.array_equal(order[rows], sites)
         assert table.flags.c_contiguous
-        assert np.array_equal(np.append(schedule.class_order, n)[table.T], lat.nbr[sites])
+        assert np.array_equal(np.append(order, n)[table.T], lat.nbr[sites])
         assert (schedule.bit[sites] == 1 << i).all()
-        assert (schedule.earlier[sites] == (1 << i) - 1).all() and (schedule.later[sites] == 0xFFF ^ ((2 << i) - 1)).all()
-    assert np.shares_memory(schedule.nbr, lat.nbr) and np.array_equal(schedule.nbr.T, lat.nbr)
-    assert schedule.nbr.flags.c_contiguous
     for a in (lat.nbr, lat.neighbourhood_sizes, *schedule.class_nbr, *(a for a in schedule if hasattr(a, "flags"))):
         assert not a.flags.writeable
+
+
+def test_sampler_tables_store_each_fact_once():
+    """The lattice and its schedule hold 164 bytes per site plus a constant: one neighbour table, the
+    neighbourhood sizes, ``rank``, the class tables, the class bits and the full mask.  Views share their
+    owner's bytes, as in CI's table figure."""
+
+    def owner(a):
+        return a if a.base is None else owner(a.base)
+
+    lat = lattice_for(2**12 - 1)
+    items = [*vars(lat).values(), *_schedule(lat)]
+    arrays = [a for x in items for a in (x if isinstance(x, tuple) else [x]) if isinstance(a, np.ndarray)]
+    tables = {id(owner(a)): owner(a).nbytes for a in arrays}
+    assert sum(tables.values()) <= 164 * lat.n_sites + 16
 
 
 def test_lattice_for_shares_one_lattice_per_size():
@@ -141,6 +154,8 @@ def test_lattice_validation():
         Lattice(0)
     with pytest.raises(ValueError, match="n_levels must be an integer"):  # not truncated to 2
         Lattice(2.5)
+    with pytest.raises(ValueError, match="n_levels must be an integer"):  # not a 1-level lattice
+        Lattice(True)
 
 
 # --- coverage ------------------------------------------------------------------
